@@ -23,10 +23,10 @@ from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, ToolkitError, TransversalityError
 from .linalg import (
     Subspace,
+    _rank_from_singular_values,
     as_matrix,
     direct_sum_check,
     intersection_margin,
-    kernel_of,
     oblique_projector,
     op_norm,
     orth_basis,
@@ -34,6 +34,7 @@ from .linalg import (
     rank_of,
     splitting_margin,
     subspace_distance,
+    svd_factors,
 )
 
 __all__ = [
@@ -97,11 +98,12 @@ class GenInverse:
 
     def residuals(self) -> dict[str, float]:
         a, b = self.forward, self.inverse
+        rng_b, _, _, ker_b = svd_factors(b)
         return {
             "aba": op_norm(a @ b @ a - a) / (1.0 + op_norm(a)),
             "bab": op_norm(b @ a @ b - b) / (1.0 + op_norm(b)),
-            "range_match": subspace_distance(range_of(b), self.range_complement),
-            "kernel_match": subspace_distance(kernel_of(b), self.kernel_complement),
+            "range_match": subspace_distance(rng_b, self.range_complement),
+            "kernel_match": subspace_distance(ker_b, self.kernel_complement),
         }
 
     def validate(self, cfg: Numerics = DEFAULTS) -> None:
@@ -122,8 +124,7 @@ def moore_penrose(a, tol: float | None = None) -> GenInverse:
     if arr.size == 0 or not arr.any():
         return GenInverse(arr, np.zeros((n, m)), Subspace.trivial(n), Subspace.full(m))
     u, s, vh = np.linalg.svd(arr)
-    rel = max(arr.shape) * np.finfo(float).eps if tol is None else tol
-    r = int(np.sum(s > rel * s[0]))
+    r = _rank_from_singular_values(s, arr.shape, tol)
     inv = (vh[:r].T / s[:r]) @ u[:, :r].T
     return GenInverse(arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:]))
 
@@ -136,8 +137,7 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
     zero on n_plus.
     """
     arr = as_matrix(a)
-    ker = kernel_of(arr, cfg.rank_tol)
-    rng = range_of(arr, cfg.rank_tol)
+    rng, _, _, ker = svd_factors(arr, cfg.rank_tol)
     if not direct_sum_check(r_plus, ker, cfg):
         raise ComplementError("supplied range complement is not transversal to the kernel")
     if not direct_sum_check(rng, n_plus, cfg):
@@ -253,10 +253,8 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     _require_in_ball(arr, ainv, tm, cfg)
     m, n = arr.shape
 
-    rng_t = range_of(tm, cfg.rank_tol)
-    ker_t = kernel_of(tm, cfg.rank_tol)
-    rng_a = range_of(arr, cfg.rank_tol)
-    ker_a = kernel_of(arr, cfg.rank_tol)
+    rng_t, _, _, ker_t = svd_factors(tm, cfg.rank_tol)
+    rng_a, _, _, ker_a = svd_factors(arr, cfg.rank_tol)
     onto_range_a = rng_a.orthogonal_projector()
 
     c = c_op(arr, ainv, tm)

@@ -13,6 +13,7 @@ functions, so everything here is safe to call concurrently.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,8 @@ __all__ = [
     "rank_of",
     "kernel_of",
     "range_of",
+    "Factors",
+    "svd_factors",
     "orth_basis",
     "oblique_projector",
     "subspace_distance",
@@ -148,42 +151,55 @@ def orth_basis(a, tol: float | None = None) -> np.ndarray:
     return u[:, :r]
 
 
-def kernel_of(a, tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the null space at the given rank tolerance."""
+class Factors(NamedTuple):
+    """The four fundamental subspaces of one operator, from one SVD."""
+
+    range: Subspace      # R(A), in the codomain
+    cokernel: Subspace   # R(A)^perp, in the codomain
+    row: Subspace        # N(A)^perp, in the domain
+    kernel: Subspace     # N(A), in the domain
+
+
+def _svd_cut(a, tol: float | None):
+    """One full SVD and one rank decision: (U, rank, V^T)."""
     arr = as_matrix(a)
     m, n = arr.shape
-    if arr.size == 0 or m == 0:
-        return Subspace.full(n)
-    _, s, vh = np.linalg.svd(arr)
-    r = _rank_from_singular_values(s, arr.shape, tol)
+    if arr.size == 0:
+        return np.eye(m), 0, np.eye(n)
+    u, s, vh = np.linalg.svd(arr)
+    return u, _rank_from_singular_values(s, arr.shape, tol), vh
+
+
+def svd_factors(a, tol: float | None = None) -> Factors:
+    """Orthonormal bases of R(A), R(A)^perp, N(A)^perp and N(A).
+
+    One SVD and one rank decision at ``tol`` fix all four, so they are
+    mutually orthogonal complements by construction.
+    """
+    u, r, vh = _svd_cut(a, tol)
+    return Factors(
+        Subspace._wrap(u[:, :r]), Subspace._wrap(u[:, r:]),
+        Subspace._wrap(vh[:r].T), Subspace._wrap(vh[r:].T),
+    )
+
+
+def kernel_of(a, tol: float | None = None) -> Subspace:
+    """Orthonormal basis of the null space at the given rank tolerance."""
+    _, r, vh = _svd_cut(a, tol)
     return Subspace._wrap(vh[r:].T)
 
 
 def range_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space at the given rank tolerance."""
-    arr = as_matrix(a)
-    m, n = arr.shape
-    if arr.size == 0 or n == 0:
-        return Subspace.trivial(m)
-    u, s, _ = np.linalg.svd(arr)
-    r = _rank_from_singular_values(s, arr.shape, tol)
+    u, r, _ = _svd_cut(a, tol)
     return Subspace._wrap(u[:, :r])
 
 
 @dataclass(frozen=True)
 class Projector:
-    """An idempotent matrix with a recorded range and nullspace."""
+    """An idempotent matrix."""
 
     matrix: np.ndarray
-    range: Subspace
-    nullspace: Subspace
-
-    def __call__(self, x):
-        return self.matrix @ np.asarray(x, dtype=float)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _stacked_min_singular(u: Subspace, v: Subspace) -> float:
@@ -250,7 +266,7 @@ def oblique_projector(range_: Subspace, nullspace: Subspace, cfg: Numerics = DEF
         cross = c.T @ b
         # Transversality already certified, so the square factor is invertible.
         matrix = b @ np.linalg.solve(cross, c.T)
-    return Projector(matrix=matrix, range=range_, nullspace=nullspace)
+    return Projector(matrix=matrix)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> float:

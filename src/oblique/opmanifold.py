@@ -5,8 +5,15 @@ subspace-family machinery applies verbatim to the family
 
     M(X) = {T : T N(X) is contained in R(X)},
 
-which is the tangent space of the fixed-rank manifold at X.  Around a base
-operator A with inverse A+, the chart
+which is the tangent space of the fixed-rank manifold at X.  With one SVD
+X = [U U_perp] S [V_row V_N]^T, T N(X) lies in R(X) exactly when
+U_perp^T T V_N = 0, so
+
+    M(X) = span [U (x) I_n | U_perp (x) V_row],   dim = mn - (m - k)(n - k),
+
+and the distance of T from M(X) is ||U_perp^T T V_N||_F.  Around a base
+operator A with inverse A+, the complement E* = {T : R(T) in N(A+), N(T)
+contains R(A+)} is N(A+) (x) R(A+)^perp, and the chart
 
     D(X)  = (X - A) P[R(A+)] + C^{-1}(A+, X) X
     D*(T) = T P[R(A+)] + C(A+, T) T P[N(A)]
@@ -25,13 +32,13 @@ from .errors import BallError, ComplementError, MembershipError
 from .families import SubspaceFamily
 from .geninv import GenInverse, _solve_c, c_op, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
+    Factors,
     Subspace,
     as_matrix,
     direct_sum_check,
-    kernel_of,
     op_norm,
-    range_of,
     rank_of,
+    svd_factors,
 )
 
 __all__ = [
@@ -61,38 +68,40 @@ def unvec(v: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(m, n)
 
 
-def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Matrix of T -> left @ T @ right on row-major vectorized operators."""
-    return np.kron(left, right.T)
+def _tangent_slice(f: Factors) -> Subspace:
+    """Orthonormal basis [U (x) I_n | U_perp (x) V_row] of M(X) in R^{mn}."""
+    identity = np.eye(f.row.ambient_dim)
+    return Subspace._wrap(np.hstack([np.kron(f.range.basis, identity), np.kron(f.cokernel.basis, f.row.basis)]))
 
 
-# Rank cutoff for images/kernels of assembled projector maps: their genuine
-# singular values are O(1), while roundoff from the products sits near 1e-15,
-# right at the machine-epsilon default.  Maps whose norm falls below the
-# absolute floor are numerically zero (a relative cutoff would misread their
-# roundoff as structure).
-_PROJECTOR_RANK_TOL = 1e-10
-_PROJECTOR_ZERO_TOL = 1e-10
+def _slice_defect(f: Factors, t: np.ndarray) -> np.ndarray:
+    """||U_perp^T T V_N||_F over the last two axes: the distance of T from M(X)."""
+    return np.linalg.norm(f.cokernel.basis.T @ t @ f.kernel.basis, axis=(-2, -1))
 
 
-def _image_basis(matrix: np.ndarray) -> Subspace:
-    if op_norm(matrix) <= _PROJECTOR_ZERO_TOL:
-        return Subspace.trivial(matrix.shape[0])
-    return range_of(matrix, _PROJECTOR_RANK_TOL)
+def _factors_at(x: np.ndarray, xinv: GenInverse, cfg: Numerics) -> Factors:
+    """SVD factors of X, whose rank must be the one its inverse fixes."""
+    f = svd_factors(x, cfg.rank_tol)
+    k = xinv.range_complement.dim  # R(X+) complements N(X)
+    if f.range.dim != k:
+        raise ComplementError(f"operator has numerical rank {f.range.dim} but its inverse has rank {k}")
+    return f
 
 
 @dataclass(frozen=True)
 class OperatorFamilyContext:
     """Base operator, inverse, pinned splitting of operator space, projectors.
 
-    ``m0`` spans the tangent slice M(A) inside R^{mn}; ``estar`` spans the
-    complement {T : R(T) in N(A+), N(T) contains R(A+)}.  The four cached
-    projectors are the obliques onto R(A), N(A+), R(A+), N(A) determined by
-    the complements of the inverse.
+    ``factors`` holds the SVD subspaces of A; ``m0`` spans the tangent slice
+    M(A) inside R^{mn}; ``estar`` spans the complement
+    {T : R(T) in N(A+), N(T) contains R(A+)}.  The four cached projectors are
+    the obliques onto R(A), N(A+), R(A+), N(A) determined by the complements
+    of the inverse.
     """
 
     a: np.ndarray
     ainv: GenInverse
+    factors: Factors
     m0: Subspace
     estar: Subspace
     p_ra: np.ndarray        # onto R(A)  along N(A+)   (codomain)
@@ -110,7 +119,7 @@ class OperatorFamilyContext:
 
     @property
     def rank(self) -> int:
-        return rank_of(self.a)
+        return self.factors.range.dim
 
     @property
     def ball_radius(self) -> float:
@@ -130,24 +139,22 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
     p_na_plus = np.eye(m) - p_ra
     p_na = np.eye(n) - p_ra_plus
 
-    m0 = _image_basis(_sandwich(p_ra, np.eye(n)) + _sandwich(p_na_plus, p_ra_plus))
-    estar = _image_basis(_sandwich(p_na_plus, p_na))
-
-    k = rank_of(arr, cfg.rank_tol)
-    expected_m0 = m * n - (m - k) * (n - k)
-    if m0.dim != expected_m0 or m0.dim + estar.dim != m * n:
-        raise ComplementError(
-            f"splitting dimensions {m0.dim} + {estar.dim} != {m * n} (rank {k})"
-        )
-    if not direct_sum_check(m0, estar, cfg):
-        raise ComplementError("tangent slice and complement fail to split operator space")
-    # Every complement basis element must map into N(A+) and kill R(A+).
-    for col in estar.basis.T:
-        t = unvec(col, m, n)
-        if op_norm(p_ra @ t) > cfg.tol_num or op_norm(t @ p_ra_plus) > cfg.tol_num:
-            raise ComplementError("complement element violates its range/kernel characterization")
+    # M(A) (+) E* = R^{mn} exactly when R(A) (+) N(A+) splits the codomain
+    # and N(A) (+) R(A+) splits the domain.
+    f = svd_factors(arr, cfg.rank_tol)
+    if not (
+        direct_sum_check(f.range, ainv.kernel_complement, cfg)
+        and direct_sum_check(f.kernel, ainv.range_complement, cfg)
+    ):
+        raise ComplementError(f"complements of the inverse fail to split codomain and domain (rank {f.range.dim})")
+    # Every complement element n w^T must map into N(A+) and kill R(A+).
+    n_plus = ainv.kernel_complement.basis
+    r_plus_perp = ainv.range_complement.orthogonal_complement().basis
+    if op_norm(p_ra @ n_plus) > cfg.tol_num or op_norm(r_plus_perp.T @ p_ra_plus) > cfg.tol_num:
+        raise ComplementError("complement element violates its range/kernel characterization")
     return OperatorFamilyContext(
-        a=arr, ainv=ainv, m0=m0, estar=estar,
+        a=arr, ainv=ainv, factors=f,
+        m0=_tangent_slice(f), estar=Subspace._wrap(np.kron(n_plus, r_plus_perp)),
         p_ra=p_ra, p_na_plus=p_na_plus, p_ra_plus=p_ra_plus, p_na=p_na,
     )
 
@@ -155,47 +162,34 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
 def mx_basis(ctx: OperatorFamilyContext, x, xinv: GenInverse, cfg: Numerics = DEFAULTS) -> Subspace:
     """Orthonormal basis of {T : T N(X) in R(X)} inside R^{mn}.
 
-    Realized as the image of T -> X X+ T + (I - X X+) T X+ X over operator
-    space; each basis element is cross-checked against the defining
-    containment.
+    Realized as [U (x) I_n | U_perp (x) V_row] from one SVD of X, whose rank
+    must match the rank fixed by ``xinv``; each basis element is
+    cross-checked against the defining containment U_perp^T T V_N = 0.
     """
     xm = as_matrix(x)
     m, n = xm.shape
     if (m, n) != (ctx.m, ctx.n):
         raise ValueError("operator shape does not match the context")
-    p_range = xm @ xinv.inverse
-    p_coimage = xinv.inverse @ xm
-    basis = _image_basis(_sandwich(p_range, np.eye(n)) + _sandwich(np.eye(m) - p_range, p_coimage))
-    ker = kernel_of(xm, cfg.rank_tol)
-    if ker.dim:
-        reject = np.eye(m) - range_of(xm, cfg.rank_tol).orthogonal_projector()
-        for col in basis.basis.T:
-            if op_norm(reject @ unvec(col, m, n) @ ker.basis) > cfg.tol_num:
-                raise ComplementError("constructed element violates T N(X) in R(X)")
+    f = _factors_at(xm, xinv, cfg)
+    basis = _tangent_slice(f)
+    if np.max(_slice_defect(f, basis.basis.T.reshape(-1, m, n)), initial=0.0) > cfg.tol_num:
+        raise ComplementError("constructed element violates T N(X) in R(X)")
     return basis
 
 
 def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, cfg: Numerics = DEFAULTS) -> SubspaceFamily:
     """The family X -> M(X) over vectorized operator space.
 
-    Evaluation is inverse-free: M(X) is computed as the null space of
-    T -> (orthogonal rejection off R(X)) T (kernel basis of X), so it is
-    defined for every X, including points where the pinned splitting fails.
-    ``rank_tol`` controls the rank decision for R(X) and N(X).
+    Evaluation is inverse-free: M(X) = [U (x) I_n | U_perp (x) V_row] from one
+    SVD of X, so it is defined for every X, including points where the pinned
+    splitting fails; where X has full row rank, U_perp is empty and M(X) is
+    the whole space.  ``rank_tol`` controls the rank decision of that SVD.
     """
     m, n = ctx.m, ctx.n
     tol = cfg.rank_tol if rank_tol is None else rank_tol
 
     def eval_fn(p: np.ndarray) -> Subspace:
-        xm = unvec(p, m, n)
-        ker = kernel_of(xm, tol)
-        if ker.dim == 0:
-            return Subspace.full(m * n)
-        reject = np.eye(m) - range_of(xm, tol).orthogonal_projector()
-        constraint = _sandwich(reject, ker.basis)  # vec of T -> reject @ T @ ker
-        if op_norm(constraint) <= _PROJECTOR_ZERO_TOL:
-            return Subspace.full(m * n)
-        return kernel_of(constraint, _PROJECTOR_RANK_TOL)
+        return _tangent_slice(svd_factors(unvec(p, m, n), tol))
 
     return SubspaceFamily(
         eval_fn=eval_fn,
@@ -230,9 +224,8 @@ def chart_d_star(ctx: OperatorFamilyContext, t, cfg: Numerics = DEFAULTS) -> np.
 
 def membership_residual(ctx: OperatorFamilyContext, t) -> float:
     """Relative orthogonal-projection defect of an operator against M(A)."""
-    v = vec(as_matrix(t))
-    proj = ctx.m0.basis @ (ctx.m0.basis.T @ v)
-    return float(np.linalg.norm(v - proj) / (1.0 + np.linalg.norm(v)))
+    tm = as_matrix(t)
+    return float(_slice_defect(ctx.factors, tm) / (1.0 + np.linalg.norm(tm)))
 
 
 def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -377,15 +370,14 @@ def tangency_fixed_rank(
 ) -> TangencyReport:
     """Velocities of rank-preserving curves through X stay in M(X).
 
-    Curves are c(t) = D*(D(X) + t dT) for random slice directions dT; their
-    finite-difference velocities at t = 0 are projected onto the orthogonal
-    complement of M(X) (max relative residual returned) and their span is
-    rank-checked against dim M(X) = mn - (m - k)(n - k).
+    Curves are c(t) = D*(D(X) + t dT) for random slice directions dT; the
+    distance ||U_perp^T V V_N||_F of their finite-difference velocities V at
+    t = 0 from M(X) is measured (max relative residual returned) and their
+    span is rank-checked against dim M(X) = mn - (m - k)(n - k).
     """
     xm = as_matrix(x)
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
-    tangent_space = mx_basis(ctx, xm, gi_x, cfg)
-    reject = np.eye(ctx.m * ctx.n) - tangent_space.orthogonal_projector()
+    factors_x = _factors_at(xm, gi_x, cfg)
     t0 = chart_d(ctx, xm, cfg)
     h = fd_step * (1.0 + op_norm(t0))
 
@@ -398,12 +390,12 @@ def tangency_fixed_rank(
         dt = unvec(ctx.m0.basis @ coeffs, ctx.m, ctx.n)
         plus = chart_d_star(ctx, t0 + h * dt, cfg)
         minus = chart_d_star(ctx, t0 - h * dt, cfg)
-        velocity = vec((plus - minus) / (2.0 * h))
+        velocity = (plus - minus) / (2.0 * h)
         speed = float(np.linalg.norm(velocity))
         if speed == 0.0:
             continue
-        worst = max(worst, float(np.linalg.norm(reject @ velocity)) / speed)
-        velocities.append(velocity)
+        worst = max(worst, float(_slice_defect(factors_x, velocity)) / speed)
+        velocities.append(vec(velocity))
 
     span_dim = rank_of(np.column_stack(velocities), 1e-6) if velocities else 0
     k = ctx.rank

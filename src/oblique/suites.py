@@ -78,17 +78,6 @@ __all__ = [
     "sample_outside",
 ]
 
-SUITE_NAMES = ("thm1_1", "thm1_2", "thm1_4", "thm1_5", "frobenius", "section4", "all")
-
-_DEFAULT_TRIALS = {
-    "thm1_1": 500,
-    "thm1_2": 200,
-    "thm1_4": 8,
-    "thm1_5": 200,
-    "frobenius": 1,
-    "section4": 50,
-}
-
 
 @dataclass
 class VerificationReport:
@@ -507,10 +496,21 @@ def run_section4(trials: int, seed: int, cfg: Numerics) -> VerificationReport:
     return _finish(report)
 
 
+# name -> (runner taking (trials, seed, cfg, step), default trial count)
+_SUITES = {
+    "thm1_1": (lambda n, seed, cfg, step: run_thm1_1(n, seed, cfg), 500),
+    "thm1_2": (lambda n, seed, cfg, step: run_thm1_2(n, seed, cfg), 200),
+    "thm1_4": (lambda n, seed, cfg, step: run_thm1_4(min(n, 32), seed, cfg), 8),
+    "thm1_5": (lambda n, seed, cfg, step: run_thm1_5(n, seed, cfg), 200),
+    "frobenius": (lambda n, seed, cfg, step: run_frobenius(n, seed, cfg, 1e-3 if step is None else step), 1),
+    "section4": (lambda n, seed, cfg, step: run_section4(n, seed, cfg), 50),
+}
+
+SUITE_NAMES = (*_SUITES, "all")
+
+
 def run_all(trials: int | None, seed: int, cfg: Numerics, step: float | None = None) -> VerificationReport:
-    subs = []
-    for name in SUITE_NAMES[:-1]:
-        subs.append(run_suite(name, trials, seed, cfg, step))
+    subs = [run_suite(name, trials, seed, cfg, step) for name in _SUITES]
     report = VerificationReport(
         "all",
         seed,
@@ -534,15 +534,5 @@ def run_suite(
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if name == "all":
         return run_all(trials, seed, cfg, step)
-    n = trials if trials is not None else _DEFAULT_TRIALS[name]
-    if name == "thm1_1":
-        return run_thm1_1(n, seed, cfg)
-    if name == "thm1_2":
-        return run_thm1_2(n, seed, cfg)
-    if name == "thm1_4":
-        return run_thm1_4(min(n, 32), seed, cfg)
-    if name == "thm1_5":
-        return run_thm1_5(n, seed, cfg)
-    if name == "frobenius":
-        return run_frobenius(n, seed, cfg, step if step is not None else 1e-3)
-    return run_section4(n, seed, cfg)
+    runner, default_trials = _SUITES[name]
+    return runner(default_trials if trials is None else trials, seed, cfg, step)

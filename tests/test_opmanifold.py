@@ -11,17 +11,21 @@ from oblique import (
     cofinal_member,
     coordinate_operator,
     fixed_rank_chart_check,
+    Subspace,
+    moore_penrose,
     mx_basis,
     op_norm,
     operator_context,
     operator_family,
     perturbed_gi,
     rank_of,
+    subspace_distance,
     tangency_fixed_rank,
 )
 from oblique.builtins import sec4_context
 from oblique.geninv import c_op
 from oblique.opmanifold import membership_residual, sample_fixed_rank_near, unvec, vec
+from oblique.suites import random_gi
 from oblique.suites import random_rank_matrix
 
 A2 = np.diag([1.0, 0.0])
@@ -313,3 +317,89 @@ def test_slice_projector_idempotent(rng):
         p_co = gi_x.inverse @ x
         big = np.kron(p_range, np.eye(2)) + np.kron(np.eye(2) - p_range, p_co.T)
         assert op_norm(big @ big - big) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# factored tangent slice against brute-force Kronecker/constraint references
+
+
+def _image(big, tol=1e-10):
+    u, s, _ = np.linalg.svd(big)
+    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > tol else 0
+    return Subspace(u[:, :r])
+
+
+def kron_slice_reference(x, xinv):
+    """M(X) as the image of T -> X X+ T + (I - X X+) T X+ X, assembled as an
+    (mn)x(mn) Kronecker matrix."""
+    m, n = x.shape
+    p_range = x @ xinv.inverse
+    p_co = xinv.inverse @ x
+    return _image(np.kron(p_range, np.eye(n)) + np.kron(np.eye(m) - p_range, p_co.T))
+
+
+def constraint_slice_reference(x, tol=1e-10):
+    """M(X) as the null space of the stacked constraints c_i^T T k_j = 0, with
+    c_i spanning R(X)^perp and k_j spanning N(X)."""
+    m, n = x.shape
+    u, s, vh = np.linalg.svd(x)
+    r = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    rows = [np.kron(u[:, i], vh[j]) for i in range(r, m) for j in range(r, n)]
+    if not rows:
+        return Subspace.full(m * n)
+    _, sc, vhc = np.linalg.svd(np.vstack(rows))
+    return Subspace(vhc[int(np.sum(sc > tol * sc[0])):].T)
+
+
+def _contexts(rng):
+    for (m, n, k) in ((4, 5, 2), (10, 10, 3), (5, 3, 1), (3, 4, 3)):
+        a = random_rank_matrix(rng, m, n, k)
+        yield k, operator_context(a)
+        yield k, operator_context(a, random_gi(rng, a))
+
+
+def test_factored_slice_matches_kronecker_reference(rng):
+    for k, ctx in _contexts(rng):
+        m, n = ctx.m, ctx.n
+        assert subspace_distance(ctx.m0, kron_slice_reference(ctx.a, ctx.ainv)) <= 1e-10
+        assert ctx.m0.dim == m * n - (m - k) * (n - k)
+        fam = operator_family(ctx)
+        x = sample_fixed_rank_near(ctx, rng)
+        gi_x = perturbed_gi(ctx.a, ctx.ainv, x)
+        assert subspace_distance(mx_basis(ctx, x, gi_x), kron_slice_reference(x, gi_x)) <= 1e-10
+        assert subspace_distance(fam.eval(vec(x)), constraint_slice_reference(x)) <= 1e-10
+        # rank-deficient and full-rank points away from the base rank
+        for r in range(min(m, n) + 1):
+            y = random_rank_matrix(rng, m, n, r)
+            ref = constraint_slice_reference(y)
+            assert subspace_distance(fam.eval(vec(y)), ref) <= 1e-10
+            gi_y = moore_penrose(y)
+            assert subspace_distance(mx_basis(ctx, y, gi_y), kron_slice_reference(y, gi_y)) <= 1e-10
+
+
+def test_estar_meets_its_characterization(rng):
+    for k, ctx in _contexts(rng):
+        m, n = ctx.m, ctx.n
+        assert ctx.estar.dim == (m - k) * (n - k)
+        for col in ctx.estar.basis.T:
+            t = unvec(col, m, n)
+            assert op_norm(ctx.p_ra @ t) <= 1e-10
+            assert op_norm(t @ ctx.p_ra_plus) <= 1e-10
+        ref = _image(np.kron(ctx.p_na_plus, ctx.p_na.T))
+        assert subspace_distance(ctx.estar, ref) <= 1e-10
+
+
+def test_membership_residual_matches_projection_defect(rng):
+    for _, ctx in _contexts(rng):
+        q = kron_slice_reference(ctx.a, ctx.ainv).basis
+        for scale in (1e-3, 1.0, 1e3):
+            for t in (rng.standard_normal((ctx.m, ctx.n)), ctx.p_ra @ rng.standard_normal((ctx.m, ctx.n))):
+                v = vec(scale * t)
+                defect = np.linalg.norm(v - q @ (q.T @ v)) / (1.0 + np.linalg.norm(v))
+                assert abs(membership_residual(ctx, scale * t) - defect) <= 1e-12
+
+
+def test_context_dimension_40x40_rank4(rng):
+    ctx = operator_context(random_rank_matrix(rng, 40, 40, 4))
+    assert ctx.m0.dim == 40 * 40 - 36 * 36
+    assert ctx.estar.dim == 36 * 36
