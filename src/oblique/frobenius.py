@@ -11,6 +11,12 @@ is a classical fourth-order one-step method on an axis-aligned lattice in
 M0-coordinates; for multi-dimensional bases the lattice is filled along
 axis-ordered polyline paths and re-filled in the reversed order, the maximal
 disagreement doubling as an integrability diagnostic.
+
+The lines of one axis pass are independent initial-value problems, so they
+advance together, hop by hop, as stacked arrays: each RK4 stage evaluates the
+family once per active line and then takes the splitting margins and solves
+of all lines in one stacked call.  The per-node checks of a finished patch
+are batched the same way.
 """
 
 import itertools
@@ -31,7 +37,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily
 from .geninv import GenInverse
-from .linalg import Subspace, direct_sum_check, kernel_of, oblique_projector, op_norm
+from .linalg import Subspace, kernel_of, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -141,10 +147,11 @@ class IntegralPatch:
 
 
 class _AlphaEvaluator:
-    """Fast coordinate-operator evaluation against the family's pinned bases.
+    """Batched coordinate-operator evaluation against the family's pinned bases.
 
-    The projector onto E* along M0 is constant, so only the projector onto
-    the moving subspace has to be rebuilt per point.
+    The projector onto E* along M0 is constant, so per point only the moving
+    subspace has to be evaluated; the splitting margins and solves of a whole
+    batch of points then take one stacked call each.
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -159,58 +166,126 @@ class _AlphaEvaluator:
         # rows extracting E*-coordinates of the projection along M0
         self.estar_rows = self.bs.T @ (np.eye(n) - onto_m0)
         self.cperp = family.complement.orthogonal_complement().basis
+        # right-hand sides of the solve: all columns of alpha, or one axis
+        self.full_rhs = self.cperp.T @ self.b0
+        self.axis_rhs = [(self.cperp.T @ self.b0[:, i])[:, None] for i in range(self.d)]
 
     def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.b0 @ z + self.bs @ w
+        """Ambient points ``lift(z) + lift(w)`` of stacked coordinate rows,
+        one matrix-vector product per row as for a single point."""
+        return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
 
-    def subspace_at(self, u: np.ndarray) -> Subspace:
-        return self.family.eval(u)
+    def subspaces(self, points: np.ndarray) -> list[Subspace | None]:
+        """The family at each point; None where its evaluation fails."""
+        out: list[Subspace | None] = []
+        for u in points:
+            try:
+                out.append(self.family.eval(u))
+            except EvalError:
+                out.append(None)
+        return out
 
-    def _cross(self, mx: Subspace) -> np.ndarray:
-        if mx.dim != self.d:
-            raise CofinalBreach(
-                f"moving subspace has dim {mx.dim}, expected {self.d}: splitting lost"
-            )
-        cross = self.cperp.T @ mx.basis
-        s = np.linalg.svd(cross, compute_uv=False) if cross.size else np.array([1.0])
-        if s[-1] <= self.cfg.tol_split:
-            raise CofinalBreach(f"splitting degenerate (margin {s[-1]:.3e})")
-        return cross
+    def splits(self, subs: list[Subspace | None]) -> np.ndarray:
+        """``direct_sum_check`` against the complement for each subspace,
+        from one stacked SVD; False where the evaluation failed."""
+        n = self.family.ambient_dim
+        ok = np.array([s is not None and s.dim == self.d for s in subs], dtype=bool)
+        bases = self._stack(subs, ok)
+        stacked = np.concatenate([bases, np.broadcast_to(self.bs, (len(bases), n, self.e))], axis=2)
+        ok[ok] = np.linalg.svd(stacked, compute_uv=False)[:, -1] - self.cfg.tol_split > 0.0
+        return ok
 
-    def alpha_from(self, mx: Subspace) -> np.ndarray:
-        cross = self._cross(mx)
-        lifted = mx.basis @ np.linalg.solve(cross, self.cperp.T @ self.b0)
-        return self.estar_rows @ lifted
+    def alpha(self, subs: list[Subspace | None], rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate operator times ``rhs`` (``full_rhs`` or an ``axis_rhs``)
+        at each subspace, as one stacked SVD and one stacked solve.
 
-    def alpha_col(self, u: np.ndarray, axis: int) -> np.ndarray:
-        mx = self.subspace_at(u)
-        cross = self._cross(mx)
-        lifted = mx.basis @ np.linalg.solve(cross, self.cperp.T @ self.b0[:, axis])
-        return self.estar_rows @ lifted
+        Returns the values of the kept subspaces, shaped (kept, dim E*, cols),
+        and the mask of kept ones.  A subspace is dropped when its evaluation
+        failed, its dimension drifted or its splitting margin against the
+        complement is at most ``tol_split``.
+        """
+        ok = np.array([s is not None and s.dim == self.d for s in subs], dtype=bool)
+        bases = self._stack(subs, ok)
+        cross = self.cperp.T @ bases
+        keep = np.linalg.svd(cross, compute_uv=False)[:, -1] > self.cfg.tol_split
+        ok[ok] = keep
+        lifted = bases[keep] @ np.linalg.solve(cross[keep], rhs)
+        return self.estar_rows @ lifted, ok
+
+    def _stack(self, subs: list[Subspace | None], ok: np.ndarray) -> np.ndarray:
+        """The bases of the masked subspaces, shaped (count, ambient, dim M0)."""
+        if not ok.any():
+            return np.empty((0, self.family.ambient_dim, self.d))
+        return np.stack([s.basis for s in itertools.compress(subs, ok)])
 
 
-def _march(
+def _rk4_hop(
     ev: _AlphaEvaluator,
-    z_from: np.ndarray,
-    w_from: np.ndarray,
+    z0: np.ndarray,
+    w0: np.ndarray,
     axis: int,
-    delta: float,
+    delta: np.ndarray,
     step: float,
-) -> np.ndarray:
-    """Advance psi one lattice hop along an axis with RK4 sub-steps."""
-    n_sub = max(1, math.ceil(abs(delta) / step - 1e-12))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of lines one lattice hop along an axis with RK4 sub-steps.
+
+    Row r starts at M0-coordinates ``z0[r]`` with psi value ``w0[r]`` and
+    moves ``delta[r]`` in sub-steps of at most ``step``.  Returns the psi
+    values reached and the mask of rows that got there; a row whose field
+    evaluation fails drops out at once and evaluates nothing further.
+    """
+    n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
     h = delta / n_sub
-    e_axis = np.zeros(z_from.size)
+    e_axis = np.zeros(z0.shape[1])
     e_axis[axis] = 1.0
-    w = w_from
-    for j in range(n_sub):
-        z = z_from + (j * h) * e_axis
-        k1 = ev.alpha_col(ev.ambient(z, w), axis)
-        k2 = ev.alpha_col(ev.ambient(z + 0.5 * h * e_axis, w + 0.5 * h * k1), axis)
-        k3 = ev.alpha_col(ev.ambient(z + 0.5 * h * e_axis, w + 0.5 * h * k2), axis)
-        k4 = ev.alpha_col(ev.ambient(z + h * e_axis, w + h * k3), axis)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return w
+    rhs = ev.axis_rhs[axis]
+    w = w0.copy()
+    ok = np.ones(len(z0), dtype=bool)
+    for j in range(int(n_sub.max())):
+        rows = np.flatnonzero(ok & (j < n_sub))
+        hj = h[rows, None]
+        z = z0[rows] + (j * hj) * e_axis
+        wj = w[rows]
+        ks: list[np.ndarray] = []
+        for frac in (0.0, 0.5, 0.5, 1.0):
+            if not rows.size:
+                break
+            if frac:
+                point = ev.ambient(z + frac * hj * e_axis, wj + frac * hj * ks[-1])
+            else:
+                point = ev.ambient(z, wj)
+            k, good = ev.alpha(ev.subspaces(point), rhs)
+            if not good.all():
+                ok[rows[~good]] = False
+                rows, hj, z, wj = rows[good], hj[good], z[good], wj[good]
+                ks = [kk[good] for kk in ks]
+            ks.append(k[..., 0])
+        if rows.size:
+            k1, k2, k3, k4 = ks
+            w[rows] = wj + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w, ok
+
+
+def _outward_lines(
+    reached: np.ndarray, center: tuple[int, ...], done, axis: int
+) -> list[list[tuple[int, ...]]]:
+    """The lattice lines of one axis pass, each as the node indices it visits.
+
+    Every reached node of the slab through the center that is free along the
+    axes in ``done`` starts two lines, one per direction, running outward
+    along ``axis`` to the lattice boundary; the start node comes first.
+    """
+    shape = reached.shape
+    ranges = [range(n) if i in done else (center[i],) for i, n in enumerate(shape)]
+    lines = []
+    for start in itertools.product(*ranges):
+        if not reached[start]:
+            continue
+        for stop, direction in ((shape[axis], 1), (-1, -1)):
+            lines.append(
+                [start[:axis] + (i,) + start[axis + 1 :] for i in range(start[axis], stop, direction)]
+            )
+    return lines
 
 
 def _sweep(
@@ -221,6 +296,10 @@ def _sweep(
     step: float,
     order: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fill the lattice outward from the center, one axis pass per entry of
+    ``order``; all lines of a pass march together, hop by hop.  A line stops
+    at its first breach, which counts once.  Returns psi, the reached mask
+    and the breach count."""
     shape = tuple(len(ax) for ax in axes)
     d = len(axes)
     psi = np.full(shape + (ev.e,), np.nan)
@@ -230,29 +309,24 @@ def _sweep(
     breaches = 0
 
     for pos, ax in enumerate(order):
-        processed = set(order[:pos])
-        ranges = [range(shape[i]) if i in processed else (center[i],) for i in range(d)]
-        for combo in itertools.product(*ranges):
-            if not filled[combo]:
-                continue
-            for direction in (1, -1):
-                idx = list(combo)
-                z_prev = np.array([axes[i][combo[i]] for i in range(d)])
-                w_prev = psi[combo]
-                stop = shape[ax] if direction > 0 else -1
-                for next_i in range(combo[ax] + direction, stop, direction):
-                    target = axes[ax][next_i]
-                    try:
-                        w_new = _march(ev, z_prev, w_prev, ax, target - z_prev[ax], step)
-                    except (CofinalBreach, EvalError):
-                        breaches += 1
-                        break
-                    idx[ax] = next_i
-                    psi[tuple(idx)] = w_new
-                    filled[tuple(idx)] = True
-                    z_prev = z_prev.copy()
-                    z_prev[ax] = target
-                    w_prev = w_new
+        lines = _outward_lines(filled, center, order[:pos], ax)
+        z = np.array([[axes[i][line[0][i]] for i in range(d)] for line in lines])
+        w = np.array([psi[line[0]] for line in lines])
+        live = np.arange(len(lines))
+        for hop in range(1, shape[ax]):
+            live = live[[len(lines[r]) > hop for r in live]]
+            if not live.size:
+                break
+            nodes = [lines[r][hop] for r in live]
+            target = axes[ax][[idx[ax] for idx in nodes]]
+            w_new, ok = _rk4_hop(ev, z[live], w[live], ax, target - z[live, ax], step)
+            breaches += int(np.count_nonzero(~ok))
+            for idx, w_node in zip(itertools.compress(nodes, ok), w_new[ok]):
+                psi[idx] = w_node
+                filled[idx] = True
+            live = live[ok]
+            z[live, ax] = target[ok]
+            w[live] = w_new[ok]
     return psi, filled, breaches
 
 
@@ -270,6 +344,10 @@ def integrate(
     ``grid_points`` fixes the odd node count per axis; by default a
     one-dimensional base is gridded at the step size and higher-dimensional
     bases get 21 nodes per axis.
+
+    All lattice lines of one axis pass march together, hop by hop; the
+    filled nodes are then checked in one batch (splitting, grid derivative
+    against the field, level set for kernel families).
 
     A transversality breach along a path truncates that path: the patch comes
     back partial with ``diagnostics.breached`` set, holding every node that
@@ -310,7 +388,9 @@ def integrate(
     axes = tuple(axes)
     center = tuple((c - 1) // 2 for c in counts)
 
-    ev.alpha_from(ev.subspace_at(x0))  # CofinalBreach here means no patch at all
+    at_base = family.eval(x0)
+    if not ev.alpha([at_base], ev.full_rhs)[1][0]:
+        raise CofinalBreach(f"no splitting at the base point (subspace of dim {at_base.dim}, expected {d})")
 
     order = tuple(range(d))
     psi, filled, breaches = _sweep(ev, axes, center, base_estar, step, order)
@@ -338,70 +418,69 @@ def integrate(
         estar_basis=ev.bs.copy(),
         diagnostics=diag,
     )
-    _fill_node_diagnostics(patch, family, ev, cfg)
+    _fill_node_diagnostics(patch, ev)
     return patch
 
 
-def _fill_node_diagnostics(
-    patch: IntegralPatch, family: SubspaceFamily, ev: _AlphaEvaluator, cfg: Numerics
-) -> None:
+def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     """Per-node checks: splitting holds, grid derivative matches the field,
-    and (for kernel families) the patch stays on the level set."""
+    and (for kernel families) the patch stays on the level set.
+
+    All filled nodes are evaluated first; their splitting checks, alpha
+    values and norms are then taken as stacked calls.  ``f`` runs per node.
+    """
     d, shape = patch.m0_dim, patch.shape
     diag = patch.diagnostics
-    f = family.source_map
-    f_base = f(family.base_point) if f is not None else None
+    f = ev.family.source_map
+
+    nodes = np.argwhere(patch.filled)
+    points = ev.ambient(patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
+    subs = ev.subspaces(points)
+    split = ev.splits(subs)
+    failures = int(np.count_nonzero(~split))
 
     level_worst = 0.0
-    ode_worst = 0.0
-    ode_scaled_worst = 0.0
-    failures = 0
-
-    for idx in itertools.product(*map(range, shape)):
-        if not patch.filled[idx]:
-            continue
-        z = patch.node_coords(idx)
-        u = ev.ambient(z, patch.psi[idx])
-        try:
-            mx = ev.subspace_at(u)
-        except EvalError:
-            failures += 1
-            continue
-        if not direct_sum_check(mx, family.complement, cfg):
-            failures += 1
-            continue
-        if f is not None:
+    if f is not None:
+        f_base = f(ev.family.base_point)
+        for u in points[split]:
             level_worst = max(level_worst, float(np.max(np.abs(f(u) - f_base))))
 
-        interior = all(0 < idx[i] < shape[i] - 1 for i in range(d))
-        if not interior:
-            continue
-        neighbors_ok = all(
-            patch.filled[idx[:i] + (idx[i] - 1,) + idx[i + 1 :]]
-            and patch.filled[idx[:i] + (idx[i] + 1,) + idx[i + 1 :]]
-            for i in range(d)
-        )
-        if not neighbors_ok:
-            continue
-        try:
-            am = ev.alpha_from(mx)
-        except CofinalBreach:
-            failures += 1
-            continue
-        scale = (1.0 + op_norm(am)) ** 3
+    # interior nodes whose axis neighbors are all filled get the ODE check
+    inner = split & np.all((nodes > 0) & (nodes < np.array(shape) - 1), axis=1)
+    unit = np.eye(d, dtype=int)
+    for i in range(d):
+        inner[inner] &= patch.filled[tuple((nodes[inner] + unit[i]).T)]
+        inner[inner] &= patch.filled[tuple((nodes[inner] - unit[i]).T)]
+    rows = np.flatnonzero(inner)
+    am, ok = ev.alpha([subs[r] for r in rows], ev.full_rhs)
+    failures += int(np.count_nonzero(~ok))
+    rows = rows[ok]
+
+    ode_worst = 0.0
+    ode_scaled_worst = 0.0
+    if rows.size:
+        norms = np.linalg.svd(am, compute_uv=False)[:, 0]
+        # scalar pow per node: numpy's vectorised power can differ in the last bit
+        scale = np.array([(1.0 + float(s)) ** 3 for s in norms])
         for i in range(d):
-            plus = patch.psi[idx[:i] + (idx[i] + 1,) + idx[i + 1 :]]
-            minus = patch.psi[idx[:i] + (idx[i] - 1,) + idx[i + 1 :]]
+            plus = patch.psi[tuple((nodes[rows] + unit[i]).T)]
+            minus = patch.psi[tuple((nodes[rows] - unit[i]).T)]
             deriv = (plus - minus) / (2.0 * diag.spacing[i])
-            resid = float(np.max(np.abs(deriv - am[:, i])))
-            ode_worst = max(ode_worst, resid)
-            ode_scaled_worst = max(ode_scaled_worst, resid / scale)
+            resid = np.max(np.abs(deriv - am[:, :, i]), axis=1)
+            ode_worst = max(ode_worst, float(resid.max()))
+            ode_scaled_worst = max(ode_scaled_worst, float((resid / scale).max()))
 
     diag.level_set_residual = level_worst if f is not None else None
     diag.ode_residual = ode_worst
     diag.ode_residual_scaled = ode_scaled_worst
     diag.cofinal_failures = failures
     diag.breached = diag.breached or failures > 0
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of stacked vectors, bit for bit ``np.linalg.norm``
+    of each (a BLAS dot product, not a pairwise sum of squares)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
 # Five-node first-derivative stencils (coefficients over offsets, /12h):
@@ -450,30 +529,32 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics =
     psi derivative), lifted to ambient space, are projected onto the
     orthogonal complement of the subspace at the reconstructed point; the
     maximal relative projection norm is returned and stored in the patch
-    diagnostics.
+    diagnostics.  The family is evaluated once per node; the rejections and
+    projections of all nodes are then taken as stacked calls.
     """
     if any(len(ax) < 3 for ax in patch.axes):
         raise GridError("tangency check needs at least 3 nodes per axis")
     ev = _AlphaEvaluator(family, cfg)
+    nodes = np.argwhere(patch.filled)
+    derivs = [[_axis_derivative(patch, tuple(idx), i) for i in range(patch.m0_dim)] for idx in nodes]
+    keep = [any(dv is not None for dv in dvs) for dvs in derivs]
+    derivs = list(itertools.compress(derivs, keep))
+    subs = ev.subspaces(ev.ambient(patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
+
     worst = 0.0
-    for idx in itertools.product(*map(range, patch.shape)):
-        if not patch.filled[idx]:
-            continue
-        derivs = [_axis_derivative(patch, idx, i) for i in range(patch.m0_dim)]
-        if all(dv is None for dv in derivs):
-            continue
-        u = ev.ambient(patch.node_coords(idx), patch.psi[idx])
-        try:
-            mx = ev.subspace_at(u)
-        except EvalError:
-            continue
-        reject = np.eye(family.ambient_dim) - mx.orthogonal_projector()
-        for i, dv in enumerate(derivs):
-            if dv is None:
+    # the rejections stack only across subspaces of one dimension
+    for dim in {s.dim for s in subs if s is not None}:
+        group = [j for j, s in enumerate(subs) if s is not None and s.dim == dim]
+        q = np.stack([subs[j].basis for j in group])
+        reject = np.eye(family.ambient_dim) - q @ q.transpose(0, 2, 1)
+        for i in range(patch.m0_dim):
+            sel = [g for g, j in enumerate(group) if derivs[j][i] is not None]
+            if not sel:
                 continue
-            tangent = ev.b0[:, i] + ev.bs @ dv
-            resid = float(np.linalg.norm(reject @ tangent) / np.linalg.norm(tangent))
-            worst = max(worst, resid)
+            dv = np.stack([derivs[group[g]][i] for g in sel])
+            tangent = ev.b0[:, i] + np.matmul(ev.bs, dv[..., None])[..., 0]
+            resid = _norms(np.matmul(reject[sel], tangent[..., None])[..., 0]) / _norms(tangent)
+            worst = max(worst, float(resid.max()))
     patch.diagnostics.tangency_residual = worst
     return worst
 
@@ -538,26 +619,18 @@ def explicit_patch(
     solve from its already-computed neighbor; unreachable nodes come back as
     NaN.  Returns an array shaped like ``patch.psi``.
     """
-    shape = patch.shape
-    d = patch.m0_dim
     center = patch.center_index
     out = np.full_like(patch.psi, np.nan)
     out[center] = explicit_psi(f, gi0, patch.node_coords(center), x0=x0, cfg=cfg)
 
-    for pos in range(d):
-        processed = set(range(pos))
-        ranges = [range(shape[i]) if i in processed else (center[i],) for i in range(d)]
-        for combo in itertools.product(*ranges):
-            if np.any(np.isnan(out[combo])):
-                continue
-            for direction in (1, -1):
-                prev = out[combo]
-                stop = shape[pos] if direction > 0 else -1
-                for next_i in range(combo[pos] + direction, stop, direction):
-                    idx = combo[:pos] + (next_i,) + combo[pos + 1 :]
-                    try:
-                        prev = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=prev, cfg=cfg)
-                    except NewtonDivergence:
-                        break
-                    out[idx] = prev
+    for pos in range(patch.m0_dim):
+        reached = ~np.isnan(out).any(axis=-1)
+        for line in _outward_lines(reached, center, range(pos), pos):
+            prev = out[line[0]]
+            for idx in line[1:]:
+                try:
+                    prev = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=prev, cfg=cfg)
+                except NewtonDivergence:
+                    break
+                out[idx] = prev
     return out

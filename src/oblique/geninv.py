@@ -13,6 +13,7 @@ of ``T`` stays transversal to N(A+).  ``seven_conditions`` evaluates the seven
 equivalent formulations of that transversality with signed margins.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -90,9 +91,10 @@ class GenInverse:
     def cod_dim(self) -> int:
         return self.forward.shape[0]
 
-    @property
+    @functools.cached_property
     def ball_radius(self) -> float:
-        """Radius ||A+||^{-1} of the safe perturbation ball (inf for A+ = 0)."""
+        """Radius ||A+||^{-1} of the safe perturbation ball (inf for A+ = 0),
+        computed on first access."""
         norm = op_norm(self.inverse)
         return math.inf if norm == 0.0 else 1.0 / norm
 

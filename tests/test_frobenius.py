@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,10 @@ from oblique import (
     tangency_check,
 )
 from oblique.builtins import builtin_family, builtin_map
-from oblique.frobenius import explicit_patch
+from oblique.config import DEFAULTS
+from oblique.errors import CofinalBreach, EvalError
+from oblique.frobenius import _axis_derivative, explicit_patch
+from oblique.linalg import direct_sum_check, oblique_projector, op_norm
 
 
 def circle_family():
@@ -183,3 +190,253 @@ def test_rank_one_slice_patch_stays_singular():
     dets = np.abs(amb[:, 0] * amb[:, 3] - amb[:, 1] * amb[:, 2])
     assert float(dets.max()) <= 1e-8
     assert patch.diagnostics.path_residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched lattice layer against a serial reference
+
+
+class SerialReference:
+    """The lattice layer one line and one node at a time.
+
+    Every line of a pass is marched to its end before the next one starts,
+    and every alpha value takes its own SVD and solve.  The batched layer
+    must reproduce its psi bit for bit, with the same diagnostics and the
+    same number of family evaluations.
+    """
+
+    def __init__(self, family, cfg=DEFAULTS):
+        self.family, self.cfg = family, cfg
+        self.b0 = family.base_subspace.basis
+        self.bs = family.complement.basis
+        onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
+        self.estar_rows = self.bs.T @ (np.eye(family.ambient_dim) - onto_m0)
+        self.cperp = family.complement.orthogonal_complement().basis
+
+    def ambient(self, z, w):
+        return self.b0 @ z + self.bs @ w
+
+    def alpha(self, mx, rhs):
+        if mx.dim != self.b0.shape[1]:
+            raise CofinalBreach("dimension drift")
+        cross = self.cperp.T @ mx.basis
+        if np.linalg.svd(cross, compute_uv=False)[-1] <= self.cfg.tol_split:
+            raise CofinalBreach("splitting lost")
+        return self.estar_rows @ (mx.basis @ np.linalg.solve(cross, rhs))
+
+    def hop(self, z, w, axis, delta, step):
+        n_sub = max(1, math.ceil(abs(delta) / step - 1e-12))
+        h = delta / n_sub
+        e_axis = np.zeros(z.size)
+        e_axis[axis] = 1.0
+        rhs = self.cperp.T @ self.b0[:, axis]
+
+        def field(zz, ww):
+            return self.alpha(self.family.eval(self.ambient(zz, ww)), rhs)
+
+        for j in range(n_sub):
+            zj = z + (j * h) * e_axis
+            k1 = field(zj, w)
+            k2 = field(zj + 0.5 * h * e_axis, w + 0.5 * h * k1)
+            k3 = field(zj + 0.5 * h * e_axis, w + 0.5 * h * k2)
+            k4 = field(zj + h * e_axis, w + h * k3)
+            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return w
+
+    def sweep(self, patch, step, order):
+        axes, center, shape = patch.axes, patch.center_index, patch.shape
+        d = len(axes)
+        psi = np.full(shape + (self.bs.shape[1],), np.nan)
+        filled = np.zeros(shape, dtype=bool)
+        psi[center] = patch.base_estar
+        filled[center] = True
+        breaches = 0
+        for pos, ax in enumerate(order):
+            ranges = [range(shape[i]) if i in order[:pos] else (center[i],) for i in range(d)]
+            for start in itertools.product(*ranges):
+                if not filled[start]:
+                    continue
+                for direction in (1, -1):
+                    idx = list(start)
+                    z = np.array([axes[i][start[i]] for i in range(d)])
+                    w = psi[start]
+                    for nxt in range(start[ax] + direction, shape[ax] if direction > 0 else -1, direction):
+                        try:
+                            w = self.hop(z, w, ax, axes[ax][nxt] - z[ax], step)
+                        except (CofinalBreach, EvalError):
+                            breaches += 1
+                            break
+                        idx[ax] = nxt
+                        psi[tuple(idx)] = w
+                        filled[tuple(idx)] = True
+                        z = z.copy()
+                        z[ax] = axes[ax][nxt]
+        return psi, filled, breaches
+
+    def node_checks(self, patch):
+        """cofinal failures, level-set and ODE residuals, node by node."""
+        f = self.family.source_map
+        f_base = f(self.family.base_point)
+        d, shape, spacing = patch.m0_dim, patch.shape, patch.diagnostics.spacing
+        failures, level, ode, ode_scaled = 0, 0.0, 0.0, 0.0
+        for idx in itertools.product(*map(range, shape)):
+            if not patch.filled[idx]:
+                continue
+            u = self.ambient(patch.node_coords(idx), patch.psi[idx])
+            try:
+                mx = self.family.eval(u)
+            except EvalError:
+                failures += 1
+                continue
+            if not direct_sum_check(mx, self.family.complement, self.cfg):
+                failures += 1
+                continue
+            level = max(level, float(np.max(np.abs(f(u) - f_base))))
+            if not all(0 < idx[i] < shape[i] - 1 for i in range(d)):
+                continue
+            ahead = [idx[:i] + (idx[i] + 1,) + idx[i + 1 :] for i in range(d)]
+            back = [idx[:i] + (idx[i] - 1,) + idx[i + 1 :] for i in range(d)]
+            if not all(patch.filled[p] and patch.filled[m] for p, m in zip(ahead, back)):
+                continue
+            try:
+                am = self.alpha(mx, self.cperp.T @ self.b0)
+            except CofinalBreach:
+                failures += 1
+                continue
+            scale = (1.0 + op_norm(am)) ** 3
+            for i in range(d):
+                deriv = (patch.psi[ahead[i]] - patch.psi[back[i]]) / (2.0 * spacing[i])
+                resid = float(np.max(np.abs(deriv - am[:, i])))
+                ode = max(ode, resid)
+                ode_scaled = max(ode_scaled, resid / scale)
+        return failures, level, ode, ode_scaled
+
+    def tangency(self, patch):
+        worst = 0.0
+        for idx in itertools.product(*map(range, patch.shape)):
+            if not patch.filled[idx]:
+                continue
+            derivs = [_axis_derivative(patch, idx, i) for i in range(patch.m0_dim)]
+            if all(dv is None for dv in derivs):
+                continue
+            try:
+                mx = self.family.eval(self.ambient(patch.node_coords(idx), patch.psi[idx]))
+            except EvalError:
+                continue
+            reject = np.eye(self.family.ambient_dim) - mx.orthogonal_projector()
+            for i, dv in enumerate(derivs):
+                if dv is not None:
+                    tangent = self.b0[:, i] + self.bs @ dv
+                    worst = max(worst, float(np.linalg.norm(reject @ tangent) / np.linalg.norm(tangent)))
+        return worst
+
+    def run(self, patch, step):
+        """What a serial integrate plus tangency_check give on the patch's
+        lattice: the patch with reference psi and diagnostics."""
+        self.alpha(self.family.eval(self.family.base_point), self.cperp.T @ self.b0)
+        order = tuple(range(patch.m0_dim))
+        psi, filled, breaches = self.sweep(patch, step, order)
+        psi_rev, filled_rev, _ = self.sweep(patch, step, order[::-1])
+        both = filled & filled_rev
+        diag = dataclasses.replace(patch.diagnostics)
+        diag.path_residual = float(np.nanmax(np.abs(psi[both] - psi_rev[both])))
+        diag.unfilled = int(filled.size - filled.sum())
+        ref = dataclasses.replace(patch, psi=psi, filled=filled, diagnostics=diag)
+        diag.cofinal_failures, diag.level_set_residual, diag.ode_residual, diag.ode_residual_scaled = (
+            self.node_checks(ref)
+        )
+        diag.breached = breaches > 0 or diag.cofinal_failures > 0
+        diag.tangency_residual = self.tangency(ref)
+        return ref
+
+
+def sphere_variant(region, calls=None):
+    """Kernel family of |x|^2 around (0, 0, 1) that misbehaves off an
+    oblique region: it loses the splitting, fails to evaluate, or drops to
+    a one-dimensional subspace there.  Evaluations are counted in
+    ``calls[0]`` when a list is given."""
+    f, x0 = builtin_map("sphere_3d")
+    fam = kernel_family(f, x0)
+    flat = Subspace.span([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])  # contains E* = span(e3)
+    line = Subspace.span([1.0, 0.0, 0.0])
+
+    def eval_fn(x):
+        if calls is not None:
+            calls[0] += 1
+        if region == "breach" and x[0] ** 2 + 2.0 * x[1] ** 2 > 0.12:
+            return flat
+        if region == "eval_error" and x[0] + 0.5 * x[1] > 0.25:
+            raise ValueError("outside the chart")
+        if region == "dimension_drift" and x[1] - x[0] > 0.3:
+            return line
+        return fam.eval_fn(x)
+
+    return SubspaceFamily(
+        eval_fn=eval_fn,
+        base_point=x0,
+        base_subspace=fam.base_subspace,
+        complement=fam.complement,
+        source_map=f,
+    )
+
+
+def assert_matches_reference(patch, ref):
+    assert patch.psi.tobytes() == ref.psi.tobytes()
+    assert patch.filled.tobytes() == ref.filled.tobytes()
+    assert patch.diagnostics.to_dict() == ref.diagnostics.to_dict()
+
+
+@pytest.mark.parametrize("region", ["breach", "eval_error", "dimension_drift"])
+def test_batched_sweep_matches_serial_reference(region):
+    calls = [0]
+    fam = sphere_variant(region, calls)
+    calls[0] = 0
+    patch = integrate(fam, 0.5, 2e-2, grid_points=11)
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 2e-2)
+    assert_matches_reference(patch, ref)
+    assert batched == calls[0]
+    assert patch.diagnostics.breached and patch.diagnostics.unfilled > 0
+    if region == "breach":
+        # lines of the second pass stop at different hops
+        assert len({int(n) for n in patch.filled.sum(axis=1) if n}) > 1
+
+
+@pytest.mark.parametrize("region", ["eval_error", "dimension_drift"])
+def test_batched_tangency_matches_serial_reference(region):
+    # a clean patch checked against a family that fails or changes dimension
+    # at some of its nodes
+    f, x0 = builtin_map("sphere_3d")
+    patch = integrate(kernel_family(f, x0), 0.5, 2e-2, grid_points=11)
+    fam = sphere_variant(region)
+    assert tangency_check(patch, fam) == SerialReference(fam).tangency(patch) > 0.0
+
+
+def test_batched_lattice_makes_the_serial_number_of_evaluations():
+    f, x0 = builtin_map("sphere_3d")
+    kernels = kernel_family(f, x0)
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return kernels.eval_fn(x)
+
+    fam = SubspaceFamily(
+        eval_fn=counted,
+        base_point=x0,
+        base_subspace=kernels.base_subspace,
+        complement=kernels.complement,
+        source_map=f,
+    )
+    calls[0] = 0
+    patch = integrate(fam, 0.5, 1e-2, grid_points=21)
+    tangency_check(patch, fam)
+    batched = calls[0]
+
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 1e-2)
+    assert batched == calls[0] > 0
+    assert_matches_reference(patch, ref)
+    assert patch.diagnostics.unfilled == 0
