@@ -7,6 +7,7 @@ families from differentiable maps, and probe whether a base point of a family
 keeps transversality (and a continuous coordinate operator) nearby.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +21,7 @@ from .linalg import (
     direct_sum_check,
     intersection_margin,
     kernel_of,
+    kernels_of,
     oblique_projector,
     op_norm,
     orth_basis,
@@ -155,8 +157,62 @@ class SubspaceFamily:
             raise EvalError("family evaluation returned an incompatible subspace")
         return sub
 
+    def eval_many(self, points) -> list[Subspace | None]:
+        """The family at each point; None where ``eval`` raises EvalError."""
+        out: list[Subspace | None] = []
+        for u in points:
+            try:
+                out.append(self.eval(u))
+            except EvalError:
+                out.append(None)
+        return out
+
     def alpha_at(self, x, cfg: Numerics = DEFAULTS) -> CoordinateOperator:
         return coordinate_operator(self.base_subspace, self.complement, self.eval(x), cfg)
+
+
+class _JacobianKernels:
+    """x -> N(f'(x)) at a fixed rank tolerance: a kernel family's ``eval_fn``."""
+
+    def __init__(self, f: DifferentiableMap, cfg: Numerics, tol: float | None):
+        self.f, self.cfg, self.tol = f, cfg, tol
+
+    def __call__(self, x) -> Subspace:
+        return kernel_of(self.f.jacobian(x, self.cfg), self.tol)
+
+
+class _KernelFamily(SubspaceFamily):
+    """A family whose ``eval_fn`` is a ``_JacobianKernels``, as built by
+    ``kernel_family``.  A batch takes the Jacobians point by point and their
+    kernels from one stacked SVD, bit for bit what ``eval`` gives."""
+
+    def eval_many(self, points) -> list[Subspace | None]:
+        kernels = self.eval_fn
+        if not isinstance(kernels, _JacobianKernels):  # eval_fn was replaced
+            return super().eval_many(points)
+        out: list[Subspace | None] = [None] * len(points)
+        rows, jacs = [], []
+        for i, u in enumerate(points):
+            point = np.asarray(u, dtype=float).ravel()
+            if point.size != self.param_dim:
+                continue
+            try:
+                jacs.append(kernels.f.jacobian(point, kernels.cfg))
+            except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
+                continue
+            rows.append(i)
+        if not rows:
+            return out
+        stack = np.stack(jacs)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        try:
+            subs = kernels_of(stack[finite], kernels.tol)
+        except np.linalg.LinAlgError:
+            # an SVD of the stack did not converge: find which, point by point
+            return super().eval_many(points)
+        for i, sub in zip(itertools.compress(rows, finite), subs):
+            out[i] = sub
+        return out
 
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:
@@ -210,8 +266,8 @@ def kernel_family(
     base_subspace = kernel_of(t0, tol)
     if estar is None:
         estar = moore_penrose(t0).range_complement
-    return SubspaceFamily(
-        eval_fn=lambda x: kernel_of(f.jacobian(x, cfg), tol),
+    return _KernelFamily(
+        eval_fn=_JacobianKernels(f, cfg, tol),
         base_point=base,
         base_subspace=base_subspace,
         complement=estar,

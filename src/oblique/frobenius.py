@@ -13,10 +13,10 @@ axis-ordered polyline paths and re-filled in the reversed order, the maximal
 disagreement doubling as an integrability diagnostic.
 
 The lines of one axis pass are independent initial-value problems, so they
-advance together, hop by hop, as stacked arrays: each RK4 stage evaluates the
-family once per active line and then takes the splitting margins and solves
-of all lines in one stacked call.  The per-node checks of a finished patch
-are batched the same way.
+advance together, hop by hop, as stacked arrays: each RK4 stage takes one
+batched family evaluation (``SubspaceFamily.eval_many``) over the active
+lines, then their splitting margins and solves in one stacked call each.
+The per-node checks of a finished patch are batched the same way.
 """
 
 import itertools
@@ -29,7 +29,6 @@ from .config import DEFAULTS, Numerics
 from .errors import (
     CofinalBreach,
     DimensionError,
-    EvalError,
     GridError,
     NewtonDivergence,
     StepError,
@@ -175,16 +174,6 @@ class _AlphaEvaluator:
         one matrix-vector product per row as for a single point."""
         return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
 
-    def subspaces(self, points: np.ndarray) -> list[Subspace | None]:
-        """The family at each point; None where its evaluation fails."""
-        out: list[Subspace | None] = []
-        for u in points:
-            try:
-                out.append(self.family.eval(u))
-            except EvalError:
-                out.append(None)
-        return out
-
     def splits(self, subs: list[Subspace | None]) -> np.ndarray:
         """``direct_sum_check`` against the complement for each subspace,
         from one stacked SVD; False where the evaluation failed."""
@@ -254,7 +243,7 @@ def _rk4_hop(
                 point = ev.ambient(z + frac * hj * e_axis, wj + frac * hj * ks[-1])
             else:
                 point = ev.ambient(z, wj)
-            k, good = ev.alpha(ev.subspaces(point), rhs)
+            k, good = ev.alpha(ev.family.eval_many(point), rhs)
             if not good.all():
                 ok[rows[~good]] = False
                 rows, hj, z, wj = rows[good], hj[good], z[good], wj[good]
@@ -388,9 +377,10 @@ def integrate(
     axes = tuple(axes)
     center = tuple((c - 1) // 2 for c in counts)
 
-    at_base = family.eval(x0)
-    if not ev.alpha([at_base], ev.full_rhs)[1][0]:
-        raise CofinalBreach(f"no splitting at the base point (subspace of dim {at_base.dim}, expected {d})")
+    at_base = family.eval_many(x0[None])
+    if not ev.alpha(at_base, ev.full_rhs)[1][0]:
+        found = "no subspace" if at_base[0] is None else f"subspace of dim {at_base[0].dim}"
+        raise CofinalBreach(f"no splitting at the base point ({found}, expected dim {d})")
 
     order = tuple(range(d))
     psi, filled, breaches = _sweep(ev, axes, center, base_estar, step, order)
@@ -426,7 +416,7 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     """Per-node checks: splitting holds, grid derivative matches the field,
     and (for kernel families) the patch stays on the level set.
 
-    All filled nodes are evaluated first; their splitting checks, alpha
+    All filled nodes are evaluated in one batch; their splitting checks, alpha
     values and norms are then taken as stacked calls.  ``f`` runs per node.
     """
     d, shape = patch.m0_dim, patch.shape
@@ -435,7 +425,7 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
 
     nodes = np.argwhere(patch.filled)
     points = ev.ambient(patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
-    subs = ev.subspaces(points)
+    subs = ev.family.eval_many(points)
     split = ev.splits(subs)
     failures = int(np.count_nonzero(~split))
 
@@ -529,8 +519,8 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics =
     psi derivative), lifted to ambient space, are projected onto the
     orthogonal complement of the subspace at the reconstructed point; the
     maximal relative projection norm is returned and stored in the patch
-    diagnostics.  The family is evaluated once per node; the rejections and
-    projections of all nodes are then taken as stacked calls.
+    diagnostics.  The family is evaluated in one batch, once per node; the
+    rejections and projections of all nodes are then taken as stacked calls.
     """
     if any(len(ax) < 3 for ax in patch.axes):
         raise GridError("tangency check needs at least 3 nodes per axis")
@@ -539,7 +529,7 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics =
     derivs = [[_axis_derivative(patch, tuple(idx), i) for i in range(patch.m0_dim)] for idx in nodes]
     keep = [any(dv is not None for dv in dvs) for dvs in derivs]
     derivs = list(itertools.compress(derivs, keep))
-    subs = ev.subspaces(ev.ambient(patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
+    subs = family.eval_many(ev.ambient(patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
 
     worst = 0.0
     # the rejections stack only across subspaces of one dimension
@@ -576,33 +566,42 @@ def explicit_psi(
     projector onto E* along N0).  Raises NewtonDivergence with the residual
     trace if the update norm does not reach ``newton_tol``.
     """
+    return _graph_solver(f, gi0, x0, cfg)(z, w0)
+
+
+def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
+    """``explicit_psi`` at fixed ``f``, ``gi0`` and ``x0`` as a function of
+    ``(z, w0)``, with the quantities that do not depend on z computed once."""
     base = np.asarray(x0, dtype=float).ravel()
     t0 = gi0.forward
     m0 = kernel_of(t0, cfg.rank_tol)
     estar = gi0.range_complement
-    z = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
-    if z.size != m0.dim:
-        raise DimensionError(f"z has {z.size} coordinates, base subspace has dim {m0.dim}")
     f_base = f(base)
-    onto_estar = gi0.inverse @ t0
-    w = estar.basis.T @ (onto_estar @ base) if w0 is None else np.asarray(w0, dtype=float).ravel()
+    w_base = estar.basis.T @ ((gi0.inverse @ t0) @ base)
 
-    lift = m0.basis @ z
-    trace: list[float] = []
-    for _ in range(cfg.newton_max_iter):
-        u = lift + estar.basis @ w
-        residual = gi0.inverse @ (f(u) - f_base)
-        dw = estar.basis.T @ residual
-        update = float(np.linalg.norm(dw))
-        trace.append(update)
-        w = w - dw
-        if update <= cfg.newton_tol:
-            return w
-        if not math.isfinite(update) or update > 1e9:
-            raise NewtonDivergence(f"graph solve diverged at z={z.tolist()}", trace)
-    raise NewtonDivergence(
-        f"graph solve did not reach {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations", trace
-    )
+    def solve(z, w0=None) -> np.ndarray:
+        z = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
+        if z.size != m0.dim:
+            raise DimensionError(f"z has {z.size} coordinates, base subspace has dim {m0.dim}")
+        w = w_base if w0 is None else np.asarray(w0, dtype=float).ravel()
+        lift = m0.basis @ z
+        trace: list[float] = []
+        for _ in range(cfg.newton_max_iter):
+            u = lift + estar.basis @ w
+            residual = gi0.inverse @ (f(u) - f_base)
+            dw = estar.basis.T @ residual
+            update = float(np.linalg.norm(dw))
+            trace.append(update)
+            w = w - dw
+            if update <= cfg.newton_tol:
+                return w
+            if not math.isfinite(update) or update > 1e9:
+                raise NewtonDivergence(f"graph solve diverged at z={z.tolist()}", trace)
+        raise NewtonDivergence(
+            f"graph solve did not reach {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations", trace
+        )
+
+    return solve
 
 
 def explicit_patch(
@@ -619,9 +618,10 @@ def explicit_patch(
     solve from its already-computed neighbor; unreachable nodes come back as
     NaN.  Returns an array shaped like ``patch.psi``.
     """
+    solve = _graph_solver(f, gi0, x0, cfg)
     center = patch.center_index
     out = np.full_like(patch.psi, np.nan)
-    out[center] = explicit_psi(f, gi0, patch.node_coords(center), x0=x0, cfg=cfg)
+    out[center] = solve(patch.node_coords(center))
 
     for pos in range(patch.m0_dim):
         reached = ~np.isnan(out).any(axis=-1)
@@ -629,7 +629,7 @@ def explicit_patch(
             prev = out[line[0]]
             for idx in line[1:]:
                 try:
-                    prev = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=prev, cfg=cfg)
+                    prev = solve(patch.node_coords(idx), prev)
                 except NewtonDivergence:
                     break
                 out[idx] = prev

@@ -20,6 +20,8 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import ComplementError
 
+_EPS = np.finfo(float).eps
+
 __all__ = [
     "Subspace",
     "Projector",
@@ -27,6 +29,7 @@ __all__ = [
     "op_norm",
     "rank_of",
     "kernel_of",
+    "kernels_of",
     "range_of",
     "Factors",
     "svd_factors",
@@ -57,11 +60,15 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _ranks(s: np.ndarray, shape, tol: float | None) -> np.ndarray:
+    """Numerical ranks from descending singular values, one row per matrix:
+    the count above ``tol * sigma_max`` (0 for a zero or empty matrix)."""
+    rel = max(shape) * _EPS if tol is None else tol
+    return (s > rel * s[..., :1]).sum(axis=-1)
+
+
 def _rank_from_singular_values(s: np.ndarray, shape, tol: float | None) -> int:
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    rel = max(shape) * np.finfo(float).eps if tol is None else tol
-    return int(np.sum(s > rel * s[0]))
+    return int(_ranks(s, shape, tol))
 
 
 def rank_of(a, tol: float | None = None) -> int:
@@ -187,6 +194,20 @@ def kernel_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the null space at the given rank tolerance."""
     _, r, vh = _svd_cut(a, tol)
     return Subspace._wrap(vh[r:].T)
+
+
+def kernels_of(a, tol: float | None = None) -> list[Subspace]:
+    """``kernel_of`` of each matrix in a stack shaped (count, m, n), bit for
+    bit, from one stacked SVD and the same rank decision row by row."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 3:
+        raise ValueError(f"stack must be 3-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        return [kernel_of(x, tol) for x in arr]
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("stack contains non-finite entries")
+    _, s, vh = np.linalg.svd(arr)
+    return [Subspace._wrap(v[r:].T) for v, r in zip(vh, _ranks(s, arr.shape[1:], tol))]
 
 
 def range_of(a, tol: float | None = None) -> Subspace:

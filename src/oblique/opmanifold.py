@@ -59,6 +59,12 @@ __all__ = [
 ]
 
 
+# Margin below 1 at which a Frobenius norm settles the chart-region check.
+# The rounding of either norm grows like (entries) * eps, so it stays under
+# 1e-10 up to a million entries.
+_FROBENIUS_SLACK = 1e-8
+
+
 def vec(mat: np.ndarray) -> np.ndarray:
     """Row-major vectorization of an operator."""
     return np.asarray(mat, dtype=float).reshape(-1)
@@ -68,10 +74,16 @@ def unvec(v: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(m, n)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, bit for bit, as one broadcast product."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def _tangent_slice(f: Factors) -> Subspace:
     """Orthonormal basis [U (x) I_n | U_perp (x) V_row] of M(X) in R^{mn}."""
     identity = np.eye(f.row.ambient_dim)
-    return Subspace._wrap(np.hstack([np.kron(f.range.basis, identity), np.kron(f.cokernel.basis, f.row.basis)]))
+    return Subspace._wrap(np.hstack([_kron(f.range.basis, identity), _kron(f.cokernel.basis, f.row.basis)]))
 
 
 def _slice_defect(f: Factors, t: np.ndarray) -> np.ndarray:
@@ -154,7 +166,7 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
         raise ComplementError("complement element violates its range/kernel characterization")
     return OperatorFamilyContext(
         a=arr, ainv=ainv, factors=f,
-        m0=_tangent_slice(f), estar=Subspace._wrap(np.kron(n_plus, r_plus_perp)),
+        m0=_tangent_slice(f), estar=Subspace._wrap(_kron(n_plus, r_plus_perp)),
         p_ra=p_ra, p_na_plus=p_na_plus, p_ra_plus=p_ra_plus, p_na=p_na,
     )
 
@@ -199,11 +211,16 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
     )
 
 
-def _require_in_v1(ctx: OperatorFamilyContext, x: np.ndarray) -> float:
-    gap = op_norm((x - ctx.a) @ ctx.ainv.inverse)
-    if gap >= 1.0:
-        raise BallError(f"||(X - A) A+|| = {gap:.6g} >= 1: outside the chart region")
-    return gap
+def _require_in_v1(ctx: OperatorFamilyContext, x: np.ndarray) -> None:
+    """Raise BallError unless ||(X - A) A+|| < 1.  The spectral norm is at
+    most the Frobenius norm, so it is taken only when that one is not safely
+    below 1."""
+    gap = (x - ctx.a) @ ctx.ainv.inverse
+    if np.linalg.norm(gap) < 1.0 - _FROBENIUS_SLACK:
+        return
+    norm = op_norm(gap)
+    if norm >= 1.0:
+        raise BallError(f"||(X - A) A+|| = {norm:.6g} >= 1: outside the chart region")
 
 
 def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -262,7 +279,7 @@ def sample_fixed_rank_near(
     Multiplies the base operator by Gaussian perturbations of the identity on
     both sides (which preserves the rank exactly) and shrinks the
     perturbation until the result sits well inside both the perturbation ball
-    and the chart region.
+    and the chart region.  Raises BallError if 60 halvings do not get there.
     """
     g_left = rng.standard_normal((ctx.m, ctx.m))
     g_right = rng.standard_normal((ctx.n, ctx.n))
@@ -275,7 +292,7 @@ def sample_fixed_rank_near(
         if gap < ball_fraction * radius and v1_gap < ball_fraction:
             return x
         eps *= 0.5
-    return ctx.a.copy()
+    raise BallError(f"no sample within {ball_fraction:g} of the ball and the chart region after 60 halvings")
 
 
 @dataclass

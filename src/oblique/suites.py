@@ -26,7 +26,7 @@ import numpy as np
 
 from .builtins import builtin_map, rank_jump_family, sec4_context
 from .config import DEFAULTS, Numerics
-from .errors import UnknownSuite
+from .errors import BallError, UnknownSuite
 from .families import (
     CoordinateOperator,
     coordinate_operator,
@@ -162,7 +162,8 @@ def random_gi(rng: np.random.Generator, a: np.ndarray, cfg: Numerics = DEFAULTS)
 
 def sample_inside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fraction: float = 0.3) -> np.ndarray:
     """Perturbation in the ball that provably keeps the rank (hence stays
-    transversal): two-sided multiplication by near-identity factors."""
+    transversal): two-sided multiplication by near-identity factors.  Raises
+    BallError if 60 halvings do not bring it within ``fraction`` of the ball."""
     m, n = a.shape
     radius = ainv.ball_radius
     cap = fraction * (radius if math.isfinite(radius) else 1.0)
@@ -174,7 +175,7 @@ def sample_inside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fra
         if op_norm(t - a) < cap:
             return t
         eps *= 0.5
-    return a.copy()
+    raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
 
 
 def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fraction: float = 0.3) -> np.ndarray | None:

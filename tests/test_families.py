@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from oblique import (
     DimensionError,
     EvalError,
     Subspace,
+    SubspaceFamily,
     cofinal_member,
     coordinate_operator,
     generalized_regular_probe,
@@ -166,6 +169,74 @@ def test_cofinal_failure_on_kernel_dimension_drift():
     fam = kernel_family(f, [0.0, 0.0])
     assert cofinal_member(fam, [0.0, 0.0])
     assert not cofinal_member(fam, [0.3, 0.0])  # dimension drift, not an exception
+
+
+def misbehaving_sphere_map(calls=None, analytic=True):
+    """|x|^2 on R^3 whose Jacobian raises for x0 > 1.5, is NaN for x1 < -1.5
+    and vanishes at the origin (where the kernel jumps to all of R^3).
+    Jacobian calls are counted in ``calls[0]`` when a list is given."""
+
+    def jac(p):
+        if calls is not None:
+            calls[0] += 1
+        if p[0] > 1.5:
+            raise ArithmeticError("outside the chart")
+        if p[1] < -1.5:
+            return np.full((1, 3), np.nan)
+        return 2 * p.reshape(1, -1)
+
+    def func(p):
+        if p[0] > 1.5:
+            raise ArithmeticError("outside the chart")
+        return np.array([p @ p if p[1] >= -1.5 else np.nan])
+
+    return DifferentiableMap(3, 1, func, jac if analytic else None)
+
+
+def eval_or_none(fam, point):
+    try:
+        return fam.eval(point)
+    except EvalError:
+        return None
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_kernel_family_eval_many_matches_eval(rng, analytic):
+    calls = [0]
+    fam = kernel_family(misbehaving_sphere_map(calls, analytic), [0.0, 0.0, 1.0])
+    points = list(rng.uniform(-2.0, 2.0, size=(40, 3)))
+    points += [np.zeros(3), np.array([1.0, -0.3, 0.2]), np.zeros(2), np.zeros(4)]
+    rng.shuffle(points)
+    calls[0] = 0
+    single = [eval_or_none(fam, p) for p in points]
+    single_calls = calls[0]
+    calls[0] = 0
+    batched = fam.eval_many(points)
+    assert calls[0] == single_calls
+    assert [s is None for s in batched] == [s is None for s in single]
+    for b, s in zip(batched, single):
+        if s is not None:
+            assert b.basis.tobytes() == s.basis.tobytes() and b.basis.shape == s.basis.shape
+    dims = {s.dim for s in single if s is not None}
+    assert None in single and dims == {2, 3}
+    if analytic:
+        # wrong sizes, a raising Jacobian and a NaN Jacobian all give None
+        assert sum(s is None for s in single) >= 4
+    assert fam.eval_many([]) == []
+
+
+def test_generic_eval_many_maps_eval_errors_to_none():
+    fam = kernel_family(misbehaving_sphere_map(), [0.0, 0.0, 1.0])
+    generic = SubspaceFamily(
+        eval_fn=fam.eval_fn, base_point=fam.base_point, base_subspace=fam.base_subspace, complement=fam.complement
+    )
+    # a kernel family whose eval_fn is replaced evaluates through the new one
+    flat = dataclasses.replace(fam, eval_fn=lambda x: fam.eval_fn(x) if x[0] < 1.0 else Subspace.full(3))
+    points = [np.array([0.1, 0.2, 0.9]), np.array([2.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0]), np.zeros(2)]
+    subs = generic.eval_many(points)
+    assert [s is None for s in subs] == [False, True, True, True]
+    assert subs[0].basis.tobytes() == fam.eval_many(points)[0].basis.tobytes()
+    assert [s if s is None else s.dim for s in flat.eval_many(points)] == [2, 3, None, None]
 
 
 # ---------------------------------------------------------------------------

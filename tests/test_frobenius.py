@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oblique import (
+    DifferentiableMap,
     GridError,
     NewtonDivergence,
     StepError,
@@ -20,7 +21,7 @@ from oblique import (
 from oblique.builtins import builtin_family, builtin_map
 from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
-from oblique.frobenius import _axis_derivative, explicit_patch
+from oblique.frobenius import _axis_derivative, _outward_lines, explicit_patch
 from oblique.linalg import direct_sum_check, oblique_projector, op_norm
 
 
@@ -440,3 +441,70 @@ def test_batched_lattice_makes_the_serial_number_of_evaluations():
     assert batched == calls[0] > 0
     assert_matches_reference(patch, ref)
     assert patch.diagnostics.unfilled == 0
+
+
+def sphere_kernels(region, calls):
+    """``kernel_family`` of |x|^2 around (0, 0, 1) itself, whose analytic
+    Jacobian raises, turns NaN or vanishes (the kernel jumps to R^3) off an
+    oblique region.  Jacobian calls are counted in ``calls[0]``."""
+
+    def jac(p):
+        calls[0] += 1
+        if region == "raises" and p[0] + 0.5 * p[1] > 0.25:
+            raise ValueError("outside the chart")
+        if region == "nan" and p[0] ** 2 + 2.0 * p[1] ** 2 > 0.12:
+            return np.full((1, 3), np.nan)
+        if region == "vanishes" and p[1] - p[0] > 0.3:
+            return np.zeros((1, 3))
+        return 2.0 * p.reshape(1, -1)
+
+    f = DifferentiableMap(3, 1, lambda p: np.array([p @ p]), jac)
+    return kernel_family(f, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("region", ["clean", "raises", "nan", "vanishes"])
+def test_kernel_family_stacked_evaluation_matches_serial_reference(region):
+    calls = [0]
+    fam = sphere_kernels(region, calls)
+    assert type(fam).eval_many is not SubspaceFamily.eval_many  # the stacked-SVD path
+    calls[0] = 0
+    patch = integrate(fam, 0.5, 2e-2, grid_points=11)
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 2e-2)
+    assert_matches_reference(patch, ref)
+    assert batched == calls[0] > 0
+    assert patch.diagnostics.breached == (region != "clean")
+    assert (patch.diagnostics.unfilled > 0) == (region != "clean")
+
+
+@pytest.mark.parametrize("region", ["raises", "nan", "vanishes"])
+def test_kernel_family_stacked_tangency_matches_serial_reference(region):
+    # a clean patch checked against the kernel family where its Jacobian
+    # fails or drops rank at some of the patch's nodes
+    clean = sphere_kernels("clean", [0])
+    patch = integrate(clean, 0.5, 2e-2, grid_points=11)
+    calls = [0]
+    fam = sphere_kernels(region, calls)
+    calls[0] = 0
+    batched = tangency_check(patch, fam)
+    batched_calls = calls[0]
+    calls[0] = 0
+    assert batched == SerialReference(fam).tangency(patch) > 0.0
+    assert batched_calls == calls[0] > 0
+
+
+def test_explicit_patch_matches_node_by_node_solves():
+    f, x0 = builtin_map("sphere_3d")
+    patch = integrate(kernel_family(f, x0), 0.4, 2e-2, grid_points=9)
+    gi0 = moore_penrose(f.jacobian(x0))
+    ref = np.full_like(patch.psi, np.nan)
+    center = patch.center_index
+    ref[center] = explicit_psi(f, gi0, patch.node_coords(center), x0=x0)
+    for pos in range(patch.m0_dim):
+        reached = ~np.isnan(ref).any(axis=-1)
+        for line in _outward_lines(reached, center, range(pos), pos):
+            for prev, idx in zip(line, line[1:]):
+                ref[idx] = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=ref[prev])
+    assert explicit_patch(f, gi0, patch, x0=x0).tobytes() == ref.tobytes()

@@ -15,6 +15,7 @@ from oblique import (
     rank_of,
     subspace_distance,
 )
+from oblique.linalg import kernels_of
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -87,6 +88,36 @@ def test_kernel_and_range_of_diag10():
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(a):
     assert rank_of(a) + kernel_of(a).dim == a.shape[1]
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 4), (3, 3), (4, 2), (0, 3), (2, 0)])
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_kernels_of_is_kernel_of_per_matrix(rng, shape, tol):
+    # matrices at scales far from 1 whose trailing singular values are shrunk
+    # by 1e-7: kept by the default relative cut, dropped by the cut at 1e-6
+    m, n = shape
+    stack, ranks = [np.zeros((m, n))], [0]
+    for j in range(24):
+        u, s, vh = np.linalg.svd(rng.standard_normal((m, n)), full_matrices=False)
+        s *= 10.0 ** rng.integers(-9, 9)
+        r = 1 + j % len(s) if len(s) else 0
+        s[r:] *= 1e-7
+        stack.append((u * s) @ vh)
+        ranks.append(len(s) if tol is None else r)
+    stacked = kernels_of(np.array(stack), tol)
+    assert [ker.dim for ker in stacked] == [n - r for r in ranks]
+    for a, ker in zip(stack, stacked):
+        single = kernel_of(a, tol)
+        assert ker.basis.shape == single.basis.shape
+        assert ker.basis.tobytes() == single.basis.tobytes()
+    assert kernels_of(np.empty((0, m, n)), tol) == []
+
+
+def test_kernels_of_rejects_bad_stacks():
+    with pytest.raises(ValueError):
+        kernels_of(np.eye(2))
+    with pytest.raises(ValueError):
+        kernels_of(np.full((2, 1, 3), np.nan))
 
 
 # ---------------------------------------------------------------------------

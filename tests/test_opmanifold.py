@@ -174,6 +174,33 @@ def test_chart_ball_guard():
         chart_d(ctx, np.array([[1.0, 0.0], [1.5, 0.0]]))
 
 
+def test_chart_region_verdict_is_the_spectral_norm(rng):
+    # ||(X - A) A+|| placed around 1 and within ulps of it, for rank-one gaps
+    # (whose computed Frobenius norm can fall below 1 while the spectral norm
+    # does not) and higher-rank ones (Frobenius norm well above it)
+    ctx = operator_context(random_rank_matrix(rng, 5, 4, 3))
+    near_one = [1.0 + k * np.finfo(float).eps for k in range(-8, 9)]
+    for rank in (1,) * 10 + (5,):
+        g = rng.standard_normal((5, rank)) @ rng.standard_normal((rank, 5))
+        e = g @ ctx.a
+        e /= op_norm(e @ ctx.ainv.inverse)
+        for t in [0.3, 1.0 - 2e-8, 1.0 - 5e-9, *near_one, 1.0 + 1e-12, 1.5]:
+            x = ctx.a + t * e
+            outside = op_norm((x - ctx.a) @ ctx.ainv.inverse) >= 1.0
+            try:
+                chart_d_star(ctx, x)
+            except BallError:
+                assert outside
+            else:
+                assert not outside
+
+
+def test_fixed_rank_sampler_fails_loudly(rng):
+    ctx = sec4_context()
+    with pytest.raises(BallError):
+        sample_fixed_rank_near(ctx, rng, ball_fraction=0.0)
+
+
 def test_chart_straightens_rank_and_preserves_it():
     ctx = sec4_context()
     rep = fixed_rank_chart_check(ctx, samples=50, seed=11)

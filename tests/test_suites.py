@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from oblique.errors import UnknownSuite
-from oblique.suites import SUITE_NAMES, run_suite
+from oblique import moore_penrose
+from oblique.errors import BallError, UnknownSuite
+from oblique.suites import SUITE_NAMES, run_suite, sample_inside
 
 
 @pytest.mark.parametrize("name", ["thm1_1", "thm1_2", "thm1_5"])
@@ -43,3 +45,9 @@ def test_reports_are_reproducible():
 
 def test_suite_registry_is_complete():
     assert set(SUITE_NAMES) == {"thm1_1", "thm1_2", "thm1_4", "thm1_5", "frobenius", "section4", "all"}
+
+
+def test_inside_sampler_fails_loudly():
+    a = np.diag([1.0, 0.5, 0.0])
+    with pytest.raises(BallError):
+        sample_inside(np.random.default_rng(3), a, moore_penrose(a), fraction=0.0)
