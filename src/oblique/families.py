@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, DimensionError, EvalError, TransversalityError
-from .geninv import GenInverse, _solve_c, d_op, locally_fine_probe, moore_penrose, trial_rng
+from .geninv import GenInverse, _probe_directions, _require_in_ball, _solve_c, d_op, locally_fine_probe, moore_penrose
 from .linalg import (
     Subspace,
     direct_sum_check,
@@ -287,9 +287,7 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     """
     tx = f.jacobian(np.asarray(x, dtype=float), cfg)
     t0 = gi0.forward
-    gap = op_norm(tx - t0)
-    if gap >= gi0.ball_radius:
-        raise BallError(f"Jacobian gap {gap:.6g} >= ball radius {gi0.ball_radius:.6g}")
+    _require_in_ball(t0, gi0, tx, cfg)
     margin = intersection_margin(range_of(tx, cfg.rank_tol), gi0.kernel_complement, cfg)
     if margin <= 0.0:
         raise TransversalityError(f"Jacobian range meets the kernel complement (margin {margin:.3e})")
@@ -322,14 +320,11 @@ def generalized_regular_probe(
     gi0 = moore_penrose(f.jacobian(base, cfg))
     report = locally_fine_probe(lambda p: f.jacobian(p, cfg), base, gi0, radii, samples, seed, cfg)
 
+    directions = _probe_directions(seed, samples, base.size)
     modulus: list[float | None] = []
     for radius in radii:
         worst = None
-        for j in range(samples):
-            rng = trial_rng(seed, j)
-            d = rng.standard_normal(base.size)
-            norm = np.linalg.norm(d)
-            d = d / norm if norm > 0 else np.ones(base.size) / np.sqrt(base.size)
+        for d in directions:
             try:
                 a = grp_alpha(f, gi0, base + radius * d, cfg)
             except (BallError, TransversalityError):

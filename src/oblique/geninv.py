@@ -36,6 +36,7 @@ from .linalg import (
     splitting_margin,
     subspace_distance,
     svd_factors,
+    unit,
 )
 
 __all__ = [
@@ -166,12 +167,30 @@ def d_op(a, ainv: GenInverse, t) -> np.ndarray:
     return np.eye(arr.shape[1]) + ainv.inverse @ (tm - arr)
 
 
-def _require_in_ball(a, ainv: GenInverse, t, cfg: Numerics) -> float:
+def _require_in_ball(a, ainv: GenInverse, t, cfg: Numerics) -> None:
     gap = op_norm(as_matrix(t) - as_matrix(a))
     radius = ainv.ball_radius
     if gap >= radius:
         raise BallError(f"perturbation gap {gap:.6g} >= ball radius {radius:.6g}")
-    return gap
+
+
+def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fraction: float, eps: float) -> np.ndarray:
+    """T = (I + eps G1) A (I + eps G2) for Gaussian G1 then G2: near-identity
+    factors keep the rank of A.  ``eps`` halves until ||T - A|| < fraction *
+    radius, radius = ||A+||^{-1} (1 for A+ = 0).  That also puts T in the
+    chart region of A, since ||(T - A) A+|| <= ||T - A|| ||A+|| < fraction.
+    Raises BallError after 60 halvings."""
+    m, n = a.shape
+    radius = ainv.ball_radius
+    cap = fraction * (radius if math.isfinite(radius) else 1.0)
+    g1 = rng.standard_normal((m, m))
+    g2 = rng.standard_normal((n, n))
+    for _ in range(60):
+        t = (np.eye(m) + eps * g1) @ a @ (np.eye(n) + eps * g2)
+        if op_norm(t - a) < cap:
+            return t
+        eps *= 0.5
+    raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
 
 
 def _solve_c(c: np.ndarray, rhs: np.ndarray, cfg: Numerics) -> np.ndarray:
@@ -315,6 +334,11 @@ def trial_rng(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
 
 
+def _probe_directions(seed: int, samples: int, dim: int) -> list[np.ndarray]:
+    """Unit ray directions of a probe, the j-th drawn from ``trial_rng(seed, j)``."""
+    return [unit(trial_rng(seed, j).standard_normal(dim)) for j in range(samples)]
+
+
 @dataclass
 class RadiusOutcome:
     radius: float
@@ -387,13 +411,7 @@ def locally_fine_probe(
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     t0 = as_matrix(family(base), "family value")
-    directions = []
-    for j in range(samples):
-        rng = trial_rng(seed, j)
-        d = rng.standard_normal(base.size)
-        norm = np.linalg.norm(d)
-        directions.append(d / norm if norm > 0 else np.ones(base.size) / math.sqrt(base.size))
-
+    directions = _probe_directions(seed, samples, base.size)
     outcomes = []
     for radius in radii:
         outcome = RadiusOutcome(radius=float(radius))

@@ -12,8 +12,9 @@ All values are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
 """
 
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,12 @@ def op_norm(a) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.linalg.svd(arr, compute_uv=False)[0])
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit norm; the normalized all-ones vector for v = 0."""
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 0 else np.ones_like(v) / np.sqrt(v.size)
 
 
 def _ranks(s: np.ndarray, shape, tol: float | None) -> np.ndarray:
@@ -223,13 +230,18 @@ class Projector:
     matrix: np.ndarray
 
 
-def _stacked_min_singular(u: Subspace, v: Subspace) -> float:
-    """Smallest singular value of [u.basis | v.basis]; 1.0 when empty."""
+def _margin(u: Subspace, v: Subspace, cfg: Numerics, fits: Callable[[int, int], bool]) -> float:
+    """Smallest singular value of [u.basis | v.basis] (1.0 when empty) minus
+    ``tol_split``; -1.0 when ``fits(dim u + dim v, ambient dim)`` is false.
+    Both predicates reject sums above the ambient dimension, so the stacked
+    basis never has more columns than rows."""
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+    if not fits(u.dim + v.dim, u.ambient_dim):
+        return -1.0
     stacked = np.hstack([u.basis, v.basis])
-    if stacked.shape[1] == 0:
-        return 1.0
-    s = np.linalg.svd(stacked, compute_uv=False)
-    return float(s[-1]) if stacked.shape[1] <= stacked.shape[0] else 0.0
+    smallest = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.shape[1] else 1.0
+    return float(smallest) - cfg.tol_split
 
 
 def splitting_margin(u: Subspace, v: Subspace, cfg: Numerics = DEFAULTS) -> float:
@@ -238,20 +250,12 @@ def splitting_margin(u: Subspace, v: Subspace, cfg: Numerics = DEFAULTS) -> floa
     Positive values certify transversality (smallest stacked singular value
     minus ``tol_split``); -1.0 flags a dimension count that cannot split.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    if u.dim + v.dim != u.ambient_dim:
-        return -1.0
-    return _stacked_min_singular(u, v) - cfg.tol_split
+    return _margin(u, v, cfg, operator.eq)
 
 
 def intersection_margin(u: Subspace, v: Subspace, cfg: Numerics = DEFAULTS) -> float:
     """Signed evidence that ``u`` and ``v`` intersect only in {0}."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    if u.dim + v.dim > u.ambient_dim:
-        return -1.0
-    return _stacked_min_singular(u, v) - cfg.tol_split
+    return _margin(u, v, cfg, operator.le)
 
 
 def direct_sum_check(u: Subspace, v: Subspace, cfg: Numerics = DEFAULTS) -> bool:
@@ -266,12 +270,10 @@ def oblique_projector(range_: Subspace, nullspace: Subspace, cfg: Numerics = DEF
     Built as ``B (C^T B)^{-1} C^T`` where B holds the range basis and the
     columns of C span the orthogonal complement of the nullspace.
 
-    Raises ComplementError unless range_ (+) nullspace spans the ambient
-    space transversally.
+    Raises ValueError for different ambient spaces and ComplementError
+    unless range_ (+) nullspace spans the ambient space transversally.
     """
     n = range_.ambient_dim
-    if nullspace.ambient_dim != n:
-        raise ValueError("range and nullspace live in different ambient spaces")
     margin = splitting_margin(range_, nullspace, cfg)
     if margin <= 0.0:
         raise ComplementError(

@@ -22,6 +22,7 @@ is a diffeomorphism of the region ||(X - A) A+|| < 1 onto itself that
 straightens the rank-k matrices near A into the linear slice M(A).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, MembershipError
 from .families import SubspaceFamily
-from .geninv import GenInverse, _solve_c, c_op, moore_penrose, perturbed_gi, trial_rng
+from .geninv import GenInverse, _near_identity_sample, _solve_c, c_op, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
     Factors,
     Subspace,
@@ -39,6 +40,7 @@ from .linalg import (
     op_norm,
     rank_of,
     svd_factors,
+    unit,
 )
 
 __all__ = [
@@ -105,7 +107,7 @@ class OperatorFamilyContext:
     """Base operator, inverse, pinned splitting of operator space, projectors.
 
     ``factors`` holds the SVD subspaces of A; ``m0`` spans the tangent slice
-    M(A) inside R^{mn}; ``estar`` spans the complement
+    M(A) inside R^{mn}; ``estar``, built on first access, spans the complement
     {T : R(T) in N(A+), N(T) contains R(A+)}.  The four cached projectors are
     the obliques onto R(A), N(A+), R(A+), N(A) determined by the complements
     of the inverse.
@@ -115,7 +117,6 @@ class OperatorFamilyContext:
     ainv: GenInverse
     factors: Factors
     m0: Subspace
-    estar: Subspace
     p_ra: np.ndarray        # onto R(A)  along N(A+)   (codomain)
     p_na_plus: np.ndarray   # onto N(A+) along R(A)    (codomain)
     p_ra_plus: np.ndarray   # onto R(A+) along N(A)    (domain)
@@ -136,6 +137,13 @@ class OperatorFamilyContext:
     @property
     def ball_radius(self) -> float:
         return self.ainv.ball_radius
+
+    @functools.cached_property
+    def estar(self) -> Subspace:
+        """N(A+) (x) R(A+)^perp, an (mn) x (m - k)(n - k) basis that only the
+        generic ``SubspaceFamily`` route reads."""
+        r_plus_perp = self.ainv.range_complement.orthogonal_complement().basis
+        return Subspace._wrap(_kron(self.ainv.kernel_complement.basis, r_plus_perp))
 
 
 def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS) -> OperatorFamilyContext:
@@ -165,8 +173,7 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
     if op_norm(p_ra @ n_plus) > cfg.tol_num or op_norm(r_plus_perp.T @ p_ra_plus) > cfg.tol_num:
         raise ComplementError("complement element violates its range/kernel characterization")
     return OperatorFamilyContext(
-        a=arr, ainv=ainv, factors=f,
-        m0=_tangent_slice(f), estar=Subspace._wrap(_kron(n_plus, r_plus_perp)),
+        a=arr, ainv=ainv, factors=f, m0=_tangent_slice(f),
         p_ra=p_ra, p_na_plus=p_na_plus, p_ra_plus=p_ra_plus, p_na=p_na,
     )
 
@@ -277,22 +284,11 @@ def sample_fixed_rank_near(
     """Random operator of the base rank inside the chart region.
 
     Multiplies the base operator by Gaussian perturbations of the identity on
-    both sides (which preserves the rank exactly) and shrinks the
-    perturbation until the result sits well inside both the perturbation ball
-    and the chart region.  Raises BallError if 60 halvings do not get there.
+    both sides (which preserves the rank exactly), starting at ``scale`` and
+    halving until the result is within ``ball_fraction`` of the perturbation
+    ball, and so of the chart region.  Raises BallError after 60 halvings.
     """
-    g_left = rng.standard_normal((ctx.m, ctx.m))
-    g_right = rng.standard_normal((ctx.n, ctx.n))
-    eps = scale
-    radius = ctx.ball_radius
-    for _ in range(60):
-        x = (np.eye(ctx.m) + eps * g_left) @ ctx.a @ (np.eye(ctx.n) + eps * g_right)
-        gap = op_norm(x - ctx.a)
-        v1_gap = op_norm((x - ctx.a) @ ctx.ainv.inverse)
-        if gap < ball_fraction * radius and v1_gap < ball_fraction:
-            return x
-        eps *= 0.5
-    raise BallError(f"no sample within {ball_fraction:g} of the ball and the chart region after 60 halvings")
+    return _near_identity_sample(rng, ctx.a, ctx.ainv, ball_fraction, scale)
 
 
 @dataclass
@@ -341,9 +337,7 @@ def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int =
             round_trip_max, op_norm(back - x) / max(1.0, op_norm(x))
         )
 
-        coeffs = rng.standard_normal(ctx.m0.dim)
-        coeffs /= np.linalg.norm(coeffs)
-        dt = unvec(ctx.m0.basis @ coeffs, ctx.m, ctx.n)
+        dt = unvec(ctx.m0.basis @ unit(rng.standard_normal(ctx.m0.dim)), ctx.m, ctx.n)
         t2 = ctx.a + (0.3 * ctx.ball_radius if math.isfinite(ctx.ball_radius) else 0.3) * dt
         x2 = chart_d_star(ctx, t2, cfg)
         # Rank decided with slack for roundoff accumulated through the chart;
@@ -402,9 +396,7 @@ def tangency_fixed_rank(
     velocities = []
     for j in range(curves):
         rng = trial_rng(seed, j)
-        coeffs = rng.standard_normal(ctx.m0.dim)
-        coeffs /= np.linalg.norm(coeffs)
-        dt = unvec(ctx.m0.basis @ coeffs, ctx.m, ctx.n)
+        dt = unvec(ctx.m0.basis @ unit(rng.standard_normal(ctx.m0.dim)), ctx.m, ctx.n)
         plus = chart_d_star(ctx, t0 + h * dt, cfg)
         minus = chart_d_star(ctx, t0 - h * dt, cfg)
         velocity = (plus - minus) / (2.0 * h)

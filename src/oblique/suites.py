@@ -24,11 +24,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .builtins import builtin_map, rank_jump_family, sec4_context
+from .builtins import builtin_family, builtin_map, rank_jump_family, sec4_context
 from .config import DEFAULTS, Numerics
-from .errors import BallError, UnknownSuite
+from .errors import UnknownSuite
 from .families import (
     CoordinateOperator,
+    cofinal_member,
     coordinate_operator,
     generalized_regular_probe,
     graph_subspace,
@@ -37,9 +38,12 @@ from .families import (
 from .frobenius import explicit_patch, integrate, tangency_check
 from .geninv import (
     GenInverse,
+    _near_identity_sample,
+    c_op,
     gi_from_complements,
     locally_fine_probe,
     moore_penrose,
+    perturbed_gi,
     seven_conditions,
     rank_class_preserved,
     trial_rng,
@@ -51,6 +55,7 @@ from .linalg import (
     orth_basis,
     range_of,
     subspace_distance,
+    unit,
 )
 from .opmanifold import (
     alpha_operator_family,
@@ -64,7 +69,6 @@ from .opmanifold import (
     unvec,
     vec,
 )
-from .geninv import c_op, perturbed_gi
 
 __all__ = [
     "VerificationReport",
@@ -164,18 +168,7 @@ def sample_inside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fra
     """Perturbation in the ball that provably keeps the rank (hence stays
     transversal): two-sided multiplication by near-identity factors.  Raises
     BallError if 60 halvings do not bring it within ``fraction`` of the ball."""
-    m, n = a.shape
-    radius = ainv.ball_radius
-    cap = fraction * (radius if math.isfinite(radius) else 1.0)
-    g1 = rng.standard_normal((m, m))
-    g2 = rng.standard_normal((n, n))
-    eps = 0.2
-    for _ in range(60):
-        t = (np.eye(m) + eps * g1) @ a @ (np.eye(n) + eps * g2)
-        if op_norm(t - a) < cap:
-            return t
-        eps *= 0.5
-    raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
+    return _near_identity_sample(rng, a, ainv, fraction, 0.2)
 
 
 def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fraction: float = 0.3) -> np.ndarray | None:
@@ -185,16 +178,11 @@ def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fr
     nplus = ainv.kernel_complement
     if ker.dim == 0 or nplus.dim == 0:
         return None
-    u = nplus.basis @ _unit(rng.standard_normal(nplus.dim))
-    v = ker.basis @ _unit(rng.standard_normal(ker.dim))
+    u = nplus.basis @ unit(rng.standard_normal(nplus.dim))
+    v = ker.basis @ unit(rng.standard_normal(ker.dim))
     radius = ainv.ball_radius
     delta = fraction * (radius if math.isfinite(radius) else 1.0)
     return a + delta * np.outer(u, v)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    return v / norm if norm > 0 else np.ones_like(v) / math.sqrt(v.size)
 
 
 def _trial_operator(rng: np.random.Generator, trial: int, cfg: Numerics):
@@ -384,8 +372,6 @@ def run_frobenius(trials: int, seed: int, cfg: Numerics, step: float = 1e-3) -> 
     check("sphere_explicit_agreement", gap <= 1e-6, gap)
 
     # rank-one 2x2 slice: the patch must stay on the determinant-zero set
-    from .builtins import builtin_family
-
     fam = builtin_family("sec4_2x2", cfg)
     patch = integrate(fam, 0.2, 5e-3, grid_points=5, cfg=cfg)
     amb = patch.reconstruct().reshape(-1, 4)
@@ -411,8 +397,6 @@ def run_section4(trials: int, seed: int, cfg: Numerics) -> VerificationReport:
     check("tangent_slice_kills_corner", free_pattern)
 
     fam = operator_family(ctx, rank_tol=1e-8, cfg=cfg)
-    from .families import cofinal_member
-
     mp = ctx.ainv
     for eps in (0.5, -0.5, 0.1, -0.1, 0.01, -0.01):
         a_eps = np.diag([1.0, eps])
@@ -480,7 +464,7 @@ def run_section4(trials: int, seed: int, cfg: Numerics) -> VerificationReport:
         for trial in range(max(5, trials // 10)):
             rng = trial_rng(seed, m, n, k, trial, 11)
             x = sample_fixed_rank_near(ctx_k, rng)
-            coeffs = _unit(rng.standard_normal(ctx_k.m0.dim))
+            coeffs = unit(rng.standard_normal(ctx_k.m0.dim))
             dx = unvec(ctx_k.m0.basis @ coeffs, m, n)
             value = alpha_operator_family(ctx_k, x, dx, cfg)
 

@@ -16,9 +16,11 @@ from oblique import (
     graph_subspace,
     grp_alpha,
     kernel_family,
+    locally_fine_probe,
     moore_penrose,
     subspace_distance,
 )
+from oblique.geninv import trial_rng
 from oblique.suites import random_complement, random_subspace
 
 
@@ -309,3 +311,40 @@ def test_generalized_regular_probe_rank_jump_fails():
     rep = generalized_regular_probe(f, [0.0, 0.0], [0.2, 0.1], samples=5, seed=0)
     assert not rep.all_pass
     assert all(not o.all_pass for o in rep.outcomes)
+
+
+def _inline_directions(seed, samples, dim):
+    """The probes' ray directions as each probe generated them inline."""
+    directions = []
+    for j in range(samples):
+        d = trial_rng(seed, j).standard_normal(dim)
+        directions.append(d / np.linalg.norm(d))
+    return directions
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11])
+def test_probes_use_the_inline_ray_directions(seed):
+    f = sphere_map()
+    points = []
+
+    def jac(p):
+        points.append(np.array(p))
+        return f.jac(p)
+
+    base, radii, samples = np.array([0.3, -0.2, 0.9]), [0.2, 0.05], 6
+    expected = [base + r * d for r in radii for d in _inline_directions(seed, samples, base.size)]
+    recorder = DifferentiableMap(3, 1, f.func, jac)
+    gi0 = moore_penrose(f.jac(base))
+
+    locally_fine_probe(recorder.jac, base, gi0, radii, samples, seed)
+    assert len(points) == 1 + len(expected)
+    for got, want in zip(points[1:], expected):
+        np.testing.assert_array_equal(got, want)
+
+    points.clear()
+    generalized_regular_probe(recorder, base, radii, samples, seed)
+    # the base point twice (gi0, then the continuity probe), the continuity
+    # probe's rays, then the alpha-modulus rays
+    assert len(points) == 2 + 2 * len(expected)
+    for got, want in zip(points[2:], expected + expected):
+        np.testing.assert_array_equal(got, want)

@@ -15,7 +15,9 @@ from oblique import (
     rank_of,
     subspace_distance,
 )
+from oblique.config import DEFAULTS
 from oblique.linalg import kernels_of
+from oblique.linalg import intersection_margin, splitting_margin
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -231,3 +233,30 @@ def test_direct_sum_check_examples():
     assert not direct_sum_check(Subspace.span([1.0, 0.0]), Subspace.span([1.0, 0.0]))
     # dimension excess: a full plane plus a line cannot split R^2
     assert not direct_sum_check(Subspace.full(2), Subspace.span([0.0, 1.0]))
+
+
+SPLIT_FREE = 1.0 - DEFAULTS.tol_split  # margin of an orthonormal (or empty) stack
+
+
+@pytest.mark.parametrize(
+    "u, v, splitting, intersection",
+    [
+        # empty stacked basis: independent, and a splitting only of R^0
+        (Subspace.trivial(0), Subspace.trivial(0), SPLIT_FREE, SPLIT_FREE),
+        (Subspace.trivial(3), Subspace.trivial(3), -1.0, SPLIT_FREE),
+        # independent lines too few to split R^3
+        (Subspace.span([1.0, 0.0, 0.0]), Subspace.span([0.0, 1.0, 0.0]), -1.0, SPLIT_FREE),
+        # dimension count too big: the stack has more columns than rows
+        (Subspace.full(2), Subspace.span([0.0, 1.0]), -1.0, -1.0),
+        (Subspace.full(3), Subspace.full(3), -1.0, -1.0),
+    ],
+)
+def test_margins_on_degenerate_dimension_counts(u, v, splitting, intersection):
+    assert splitting_margin(u, v) == pytest.approx(splitting, abs=1e-15)
+    assert intersection_margin(u, v) == pytest.approx(intersection, abs=1e-15)
+
+
+def test_margins_reject_mixed_ambient_spaces():
+    for margin in (splitting_margin, intersection_margin):
+        with pytest.raises(ValueError):
+            margin(Subspace.trivial(2), Subspace.trivial(3))

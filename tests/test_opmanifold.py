@@ -201,6 +201,42 @@ def test_fixed_rank_sampler_fails_loudly(rng):
         sample_fixed_rank_near(ctx, rng, ball_fraction=0.0)
 
 
+def two_test_sample(ctx, rng, scale=0.1, ball_fraction=0.4):
+    """The fixed-rank sampler with its former second test: each halving also
+    asked for ||(X - A) A+|| < ball_fraction."""
+    g_left = rng.standard_normal((ctx.m, ctx.m))
+    g_right = rng.standard_normal((ctx.n, ctx.n))
+    eps = scale
+    for _ in range(60):
+        x = (np.eye(ctx.m) + eps * g_left) @ ctx.a @ (np.eye(ctx.n) + eps * g_right)
+        gap = op_norm(x - ctx.a)
+        v1_gap = op_norm((x - ctx.a) @ ctx.ainv.inverse)
+        if gap < ball_fraction * ctx.ball_radius and v1_gap < ball_fraction:
+            return x
+        eps *= 0.5
+    raise BallError("no sample after 60 halvings")
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+def test_fixed_rank_sampler_matches_two_test_reference(kappa):
+    for seed in range(12):
+        rng = np.random.default_rng([seed, round(np.log10(kappa))])
+        m, n = (int(v) for v in rng.integers(2, 9, size=2))
+        k = int(rng.integers(1, min(m, n) + 1))
+        s = np.logspace(0.0, -np.log10(kappa), k)
+        u, v = np.linalg.qr(rng.standard_normal((m, k)))[0], np.linalg.qr(rng.standard_normal((n, k)))[0]
+        a = (u * s) @ v.T
+        contexts = [operator_context(a)]
+        if kappa <= 1e4:  # at 1e8 an oblique inverse can fail the context's absolute tol_num
+            contexts.append(operator_context(a, random_gi(rng, a)))
+        for ctx in contexts:
+            for j in range(5):
+                for scale, fraction in ((0.1, 0.4), (1.0, 0.05)):
+                    got = sample_fixed_rank_near(ctx, np.random.default_rng([seed, j]), scale, fraction)
+                    want = two_test_sample(ctx, np.random.default_rng([seed, j]), scale, fraction)
+                    np.testing.assert_array_equal(got, want)
+
+
 def test_chart_straightens_rank_and_preserves_it():
     ctx = sec4_context()
     rep = fixed_rank_chart_check(ctx, samples=50, seed=11)
