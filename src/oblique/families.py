@@ -7,7 +7,6 @@ families from differentiable maps, and probe whether a base point of a family
 keeps transversality (and a continuous coordinate operator) nearby.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,10 +17,11 @@ from .errors import BallError, ComplementError, DimensionError, EvalError, Trans
 from .geninv import GenInverse, _probe_directions, _require_in_ball, _solve_c, d_op, locally_fine_probe, moore_penrose
 from .linalg import (
     Subspace,
+    SubspaceBatch,
+    _kernel_batch,
     direct_sum_check,
     intersection_margin,
     kernel_of,
-    kernels_of,
     oblique_projector,
     op_norm,
     orth_basis,
@@ -157,15 +157,23 @@ class SubspaceFamily:
             raise EvalError("family evaluation returned an incompatible subspace")
         return sub
 
-    def eval_many(self, points) -> list[Subspace | None]:
-        """The family at each point; None where ``eval`` raises EvalError."""
-        out: list[Subspace | None] = []
+    def eval_batch(self, points) -> SubspaceBatch:
+        """The family at each point as one batch, one ``np.stack`` per
+        dimension; dimension -1 where ``eval`` raises EvalError."""
+        subs: list[Subspace | None] = []
         for u in points:
             try:
-                out.append(self.eval(u))
+                subs.append(self.eval(u))
             except EvalError:
-                out.append(None)
-        return out
+                subs.append(None)
+        dims = np.array([-1 if s is None else s.dim for s in subs], dtype=int)
+        stacks = {k: np.stack([s.basis for s in subs if s is not None and s.dim == k])
+                  for k in set(dims.tolist()) - {-1}}
+        return SubspaceBatch(self.ambient_dim, dims, stacks)
+
+    def eval_many(self, points) -> list[Subspace | None]:
+        """The family at each point; None where ``eval`` raises EvalError."""
+        return list(self.eval_batch(points))
 
     def alpha_at(self, x, cfg: Numerics = DEFAULTS) -> CoordinateOperator:
         return coordinate_operator(self.base_subspace, self.complement, self.eval(x), cfg)
@@ -184,13 +192,13 @@ class _JacobianKernels:
 class _KernelFamily(SubspaceFamily):
     """A family whose ``eval_fn`` is a ``_JacobianKernels``, as built by
     ``kernel_family``.  A batch takes the Jacobians point by point and their
-    kernels from one stacked SVD, bit for bit what ``eval`` gives."""
+    kernels from one stacked SVD, bit for bit what ``eval`` gives, without
+    wrapping a ``Subspace`` per point."""
 
-    def eval_many(self, points) -> list[Subspace | None]:
+    def eval_batch(self, points) -> SubspaceBatch:
         kernels = self.eval_fn
         if not isinstance(kernels, _JacobianKernels):  # eval_fn was replaced
-            return super().eval_many(points)
-        out: list[Subspace | None] = [None] * len(points)
+            return super().eval_batch(points)
         rows, jacs = [], []
         for i, u in enumerate(points):
             point = np.asarray(u, dtype=float).ravel()
@@ -201,18 +209,25 @@ class _KernelFamily(SubspaceFamily):
             except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
                 continue
             rows.append(i)
+        dims = np.full(len(points), -1)
         if not rows:
-            return out
-        stack = np.stack(jacs)
+            return SubspaceBatch(self.ambient_dim, dims, {})
+        stack = np.array(jacs)
         finite = np.isfinite(stack).all(axis=(1, 2))
+        whole = len(rows) == len(points) and finite.all()
         try:
-            subs = kernels_of(stack[finite], kernels.tol)
+            found = _kernel_batch(stack if whole else stack[finite], kernels.tol)
         except np.linalg.LinAlgError:
             # an SVD of the stack did not converge: find which, point by point
-            return super().eval_many(points)
-        for i, sub in zip(itertools.compress(rows, finite), subs):
-            out[i] = sub
-        return out
+            return super().eval_batch(points)
+        if whole:
+            return found
+        dims[np.array(rows)[finite]] = found.dims
+        return SubspaceBatch(self.ambient_dim, dims, found.stacks)
+
+    def eval_many(self, points) -> list[Subspace | None]:
+        """The list view of the stacked ``eval_batch``."""
+        return list(self.eval_batch(points))
 
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:

@@ -14,9 +14,10 @@ disagreement doubling as an integrability diagnostic.
 
 The lines of one axis pass are independent initial-value problems, so they
 advance together, hop by hop, as stacked arrays: each RK4 stage takes one
-batched family evaluation (``SubspaceFamily.eval_many``) over the active
-lines, then their splitting margins and solves in one stacked call each.
-The per-node checks of a finished patch are batched the same way.
+batched family evaluation (``SubspaceFamily.eval_batch``, one stacked basis
+array per subspace dimension) over the active lines, then their splitting
+margins and solves in one stacked call each.  The per-node checks of a
+finished patch are batched the same way.
 """
 
 import itertools
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily
 from .geninv import GenInverse
-from .linalg import Subspace, kernel_of, oblique_projector
+from .linalg import SubspaceBatch, kernel_of, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -174,38 +175,30 @@ class _AlphaEvaluator:
         one matrix-vector product per row as for a single point."""
         return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
 
-    def splits(self, subs: list[Subspace | None]) -> np.ndarray:
-        """``direct_sum_check`` against the complement for each subspace,
-        from one stacked SVD; False where the evaluation failed."""
-        n = self.family.ambient_dim
-        ok = np.array([s is not None and s.dim == self.d for s in subs], dtype=bool)
-        bases = self._stack(subs, ok)
-        stacked = np.concatenate([bases, np.broadcast_to(self.bs, (len(bases), n, self.e))], axis=2)
+    def splits(self, batch: SubspaceBatch) -> np.ndarray:
+        """``direct_sum_check`` against the complement for each row of the
+        batch, from one stacked SVD; False where the evaluation failed."""
+        ok, bases = batch.of_dim(self.d)
+        stacked = np.concatenate([bases, np.broadcast_to(self.bs, (len(bases),) + self.bs.shape)], axis=2)
         ok[ok] = np.linalg.svd(stacked, compute_uv=False)[:, -1] - self.cfg.tol_split > 0.0
         return ok
 
-    def alpha(self, subs: list[Subspace | None], rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def alpha(self, batch: SubspaceBatch, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate operator times ``rhs`` (``full_rhs`` or an ``axis_rhs``)
-        at each subspace, as one stacked SVD and one stacked solve.
+        at each row of the batch, as one stacked SVD and one stacked solve.
 
-        Returns the values of the kept subspaces, shaped (kept, dim E*, cols),
-        and the mask of kept ones.  A subspace is dropped when its evaluation
-        failed, its dimension drifted or its splitting margin against the
-        complement is at most ``tol_split``.
+        Returns the values of the kept rows, shaped (kept, dim E*, cols), and
+        the mask of kept rows.  A row is dropped when its evaluation failed,
+        its dimension drifted or its splitting margin against the complement
+        is at most ``tol_split``.
         """
-        ok = np.array([s is not None and s.dim == self.d for s in subs], dtype=bool)
-        bases = self._stack(subs, ok)
+        ok, bases = batch.of_dim(self.d)
         cross = self.cperp.T @ bases
         keep = np.linalg.svd(cross, compute_uv=False)[:, -1] > self.cfg.tol_split
+        if not keep.all():
+            bases, cross = bases[keep], cross[keep]
         ok[ok] = keep
-        lifted = bases[keep] @ np.linalg.solve(cross[keep], rhs)
-        return self.estar_rows @ lifted, ok
-
-    def _stack(self, subs: list[Subspace | None], ok: np.ndarray) -> np.ndarray:
-        """The bases of the masked subspaces, shaped (count, ambient, dim M0)."""
-        if not ok.any():
-            return np.empty((0, self.family.ambient_dim, self.d))
-        return np.stack([s.basis for s in itertools.compress(subs, ok)])
+        return self.estar_rows @ (bases @ np.linalg.solve(cross, rhs)), ok
 
 
 def _rk4_hop(
@@ -243,7 +236,7 @@ def _rk4_hop(
                 point = ev.ambient(z + frac * hj * e_axis, wj + frac * hj * ks[-1])
             else:
                 point = ev.ambient(z, wj)
-            k, good = ev.alpha(ev.family.eval_many(point), rhs)
+            k, good = ev.alpha(ev.family.eval_batch(point), rhs)
             if not good.all():
                 ok[rows[~good]] = False
                 rows, hj, z, wj = rows[good], hj[good], z[good], wj[good]
@@ -255,26 +248,26 @@ def _rk4_hop(
     return w, ok
 
 
-def _outward_lines(
-    reached: np.ndarray, center: tuple[int, ...], done, axis: int
-) -> list[list[tuple[int, ...]]]:
-    """The lattice lines of one axis pass, each as the node indices it visits.
+def _line_heads(reached: np.ndarray, center: tuple[int, ...], done, axis: int) -> tuple[np.ndarray, ...]:
+    """The lattice lines of one axis pass: start nodes (lines, d), directions
+    (+1 or -1 along ``axis``) and lengths in nodes, start node included.
 
     Every reached node of the slab through the center that is free along the
     axes in ``done`` starts two lines, one per direction, running outward
-    along ``axis`` to the lattice boundary; the start node comes first.
+    along ``axis`` to the lattice boundary.
     """
     shape = reached.shape
     ranges = [range(n) if i in done else (center[i],) for i, n in enumerate(shape)]
-    lines = []
-    for start in itertools.product(*ranges):
-        if not reached[start]:
-            continue
-        for stop, direction in ((shape[axis], 1), (-1, -1)):
-            lines.append(
-                [start[:axis] + (i,) + start[axis + 1 :] for i in range(start[axis], stop, direction)]
-            )
-    return lines
+    starts = [start for start in itertools.product(*ranges) if reached[start]]
+    starts = np.repeat(np.array(starts, dtype=int).reshape(-1, len(shape)), 2, axis=0)
+    signs = np.tile([1, -1], len(starts) // 2)
+    return starts, signs, np.where(signs > 0, shape[axis] - starts[:, axis], starts[:, axis] + 1)
+
+
+def _outward_lines(reached: np.ndarray, center: tuple[int, ...], done, axis: int) -> list[list[tuple[int, ...]]]:
+    """The lines of ``_line_heads``, each as the node indices it visits."""
+    heads = zip(*(a.tolist() for a in _line_heads(reached, center, done, axis)))
+    return [[(*s[:axis], s[axis] + j * sign, *s[axis + 1 :]) for j in range(count)] for s, sign, count in heads]
 
 
 def _sweep(
@@ -290,7 +283,6 @@ def _sweep(
     at its first breach, which counts once.  Returns psi, the reached mask
     and the breach count."""
     shape = tuple(len(ax) for ax in axes)
-    d = len(axes)
     psi = np.full(shape + (ev.e,), np.nan)
     filled = np.zeros(shape, dtype=bool)
     psi[center] = base_estar
@@ -298,21 +290,22 @@ def _sweep(
     breaches = 0
 
     for pos, ax in enumerate(order):
-        lines = _outward_lines(filled, center, order[:pos], ax)
-        z = np.array([[axes[i][line[0][i]] for i in range(d)] for line in lines])
-        w = np.array([psi[line[0]] for line in lines])
-        live = np.arange(len(lines))
+        starts, signs, lengths = _line_heads(filled, center, order[:pos], ax)
+        z = np.column_stack([axis[starts[:, i]] for i, axis in enumerate(axes)])
+        w = psi[tuple(starts.T)]
+        live = np.arange(len(starts))
         for hop in range(1, shape[ax]):
-            live = live[[len(lines[r]) > hop for r in live]]
+            live = live[lengths[live] > hop]
             if not live.size:
                 break
-            nodes = [lines[r][hop] for r in live]
-            target = axes[ax][[idx[ax] for idx in nodes]]
+            nodes = starts[live]
+            nodes[:, ax] += hop * signs[live]
+            target = axes[ax][nodes[:, ax]]
             w_new, ok = _rk4_hop(ev, z[live], w[live], ax, target - z[live, ax], step)
             breaches += int(np.count_nonzero(~ok))
-            for idx, w_node in zip(itertools.compress(nodes, ok), w_new[ok]):
-                psi[idx] = w_node
-                filled[idx] = True
+            reached = tuple(nodes[ok].T)
+            psi[reached] = w_new[ok]
+            filled[reached] = True
             live = live[ok]
             z[live, ax] = target[ok]
             w[live] = w_new[ok]
@@ -377,9 +370,9 @@ def integrate(
     axes = tuple(axes)
     center = tuple((c - 1) // 2 for c in counts)
 
-    at_base = family.eval_many(x0[None])
+    at_base = family.eval_batch(x0[None])
     if not ev.alpha(at_base, ev.full_rhs)[1][0]:
-        found = "no subspace" if at_base[0] is None else f"subspace of dim {at_base[0].dim}"
+        found = "no subspace" if at_base.dims[0] < 0 else f"subspace of dim {at_base.dims[0]}"
         raise CofinalBreach(f"no splitting at the base point ({found}, expected dim {d})")
 
     order = tuple(range(d))
@@ -425,15 +418,16 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
 
     nodes = np.argwhere(patch.filled)
     points = ev.ambient(patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
-    subs = ev.family.eval_many(points)
-    split = ev.splits(subs)
+    batch = ev.family.eval_batch(points)
+    split = ev.splits(batch)
     failures = int(np.count_nonzero(~split))
 
     level_worst = 0.0
     if f is not None:
         f_base = f(ev.family.base_point)
-        for u in points[split]:
-            level_worst = max(level_worst, float(np.max(np.abs(f(u) - f_base))))
+        gaps = np.abs(np.array([f(u) for u in points[split]]).reshape(-1, f.cod_dim) - f_base).max(axis=1)
+        # a node with a NaN component does not count, as in a running max
+        level_worst = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))
 
     # interior nodes whose axis neighbors are all filled get the ODE check
     inner = split & np.all((nodes > 0) & (nodes < np.array(shape) - 1), axis=1)
@@ -441,10 +435,10 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     for i in range(d):
         inner[inner] &= patch.filled[tuple((nodes[inner] + unit[i]).T)]
         inner[inner] &= patch.filled[tuple((nodes[inner] - unit[i]).T)]
-    rows = np.flatnonzero(inner)
-    am, ok = ev.alpha([subs[r] for r in rows], ev.full_rhs)
-    failures += int(np.count_nonzero(~ok))
-    rows = rows[ok]
+    am, ok = ev.alpha(batch, ev.full_rhs)
+    failures += int(np.count_nonzero(inner & ~ok))
+    am = am[inner[ok]]
+    rows = np.flatnonzero(inner & ok)
 
     ode_worst = 0.0
     ode_scaled_worst = 0.0
@@ -482,34 +476,36 @@ _STENCILS_5 = (
 )
 
 
-def _axis_derivative(patch: IntegralPatch, idx: tuple[int, ...], axis: int) -> np.ndarray | None:
-    """Grid derivative of psi along an axis at an interior node.
+def _axis_derivatives(patch: IntegralPatch, nodes: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid derivatives of psi along an axis at nodes given as index rows.
 
     Fourth order wherever five aligned filled nodes exist (central,
-    forward-shifted or backward-shifted); second-order central fallback on
-    coarse grids.  Boundary nodes return None.
+    forward-shifted or backward-shifted, first fit wins); second-order
+    central fallback on coarse grids.  Returns the mask of nodes that have a
+    derivative (boundary nodes never do) and the derivatives, NaN elsewhere.
     """
-    n = patch.shape[axis]
-    i = idx[axis]
-    h = patch.diagnostics.spacing[axis]
-    if i == 0 or i == n - 1:
-        return None
-
-    def at(j: int) -> np.ndarray | None:
-        pos = idx[:axis] + (j,) + idx[axis + 1 :]
-        return patch.psi[pos] if patch.filled[pos] else None
-
+    n, h, i = patch.shape[axis], patch.diagnostics.spacing[axis], nodes[:, axis]
+    at = {}  # offset -> (the node there is filled, psi there)
+    for o in range(-3, 4):
+        idx = nodes.copy()
+        idx[:, axis] = np.clip(i + o, 0, n - 1)
+        at[o] = (idx[:, axis] == i + o) & patch.filled[tuple(idx.T)], patch.psi[tuple(idx.T)]
+    interior = (i > 0) & (i < n - 1)
+    todo = interior.copy()
+    out = np.full((len(nodes), patch.estar_dim), np.nan)
     for offsets, coeffs in _STENCILS_5:
-        if not all(0 <= i + o <= n - 1 for o in offsets):
-            continue
-        vals = [at(i + o) for o in offsets]
-        if any(v is None for v in vals):
-            continue
-        return sum(c * v for c, v in zip(coeffs, vals)) / (12.0 * h)
-    m1, p1 = at(i - 1), at(i + 1)
-    if m1 is not None and p1 is not None:
-        return (p1 - m1) / (2.0 * h)
-    return None
+        fits = todo & np.logical_and.reduce([at[o][0] for o in offsets])
+        out[fits] = sum(c * at[o][1][fits] for c, o in zip(coeffs, offsets)) / (12.0 * h)
+        todo &= ~fits
+    fits = todo & at[-1][0] & at[1][0]
+    out[fits] = (at[1][1][fits] - at[-1][1][fits]) / (2.0 * h)
+    return (interior & ~todo) | fits, out
+
+
+def _axis_derivative(patch: IntegralPatch, idx: tuple[int, ...], axis: int) -> np.ndarray | None:
+    """``_axis_derivatives`` at one node; None where it has no derivative."""
+    has, values = _axis_derivatives(patch, np.array([idx]), axis)
+    return values[0] if has[0] else None
 
 
 def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics = DEFAULTS) -> float:
@@ -520,28 +516,28 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics =
     orthogonal complement of the subspace at the reconstructed point; the
     maximal relative projection norm is returned and stored in the patch
     diagnostics.  The family is evaluated in one batch, once per node; the
-    rejections and projections of all nodes are then taken as stacked calls.
+    derivatives, rejections and projections of all nodes are then taken as
+    stacked calls.
     """
     if any(len(ax) < 3 for ax in patch.axes):
         raise GridError("tangency check needs at least 3 nodes per axis")
     ev = _AlphaEvaluator(family, cfg)
     nodes = np.argwhere(patch.filled)
-    derivs = [[_axis_derivative(patch, tuple(idx), i) for i in range(patch.m0_dim)] for idx in nodes]
-    keep = [any(dv is not None for dv in dvs) for dvs in derivs]
-    derivs = list(itertools.compress(derivs, keep))
-    subs = family.eval_many(ev.ambient(patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
+    derivs = [_axis_derivatives(patch, nodes, i) for i in range(patch.m0_dim)]
+    keep = np.logical_or.reduce([has for has, _ in derivs])
+    derivs = [(has[keep], values[keep]) for has, values in derivs]
+    batch = family.eval_batch(ev.ambient(patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
 
     worst = 0.0
     # the rejections stack only across subspaces of one dimension
-    for dim in {s.dim for s in subs if s is not None}:
-        group = [j for j, s in enumerate(subs) if s is not None and s.dim == dim]
-        q = np.stack([subs[j].basis for j in group])
+    for dim in set(batch.dims.tolist()) - {-1}:
+        group, q = batch.of_dim(dim)
         reject = np.eye(family.ambient_dim) - q @ q.transpose(0, 2, 1)
-        for i in range(patch.m0_dim):
-            sel = [g for g, j in enumerate(group) if derivs[j][i] is not None]
-            if not sel:
+        for i, (has, values) in enumerate(derivs):
+            sel = has[group]
+            if not sel.any():
                 continue
-            dv = np.stack([derivs[group[g]][i] for g in sel])
+            dv = values[group][sel]
             tangent = ev.b0[:, i] + np.matmul(ev.bs, dv[..., None])[..., 0]
             resid = _norms(np.matmul(reject[sel], tangent[..., None])[..., 0]) / _norms(tangent)
             worst = max(worst, float(resid.max()))
@@ -573,24 +569,25 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
     """``explicit_psi`` at fixed ``f``, ``gi0`` and ``x0`` as a function of
     ``(z, w0)``, with the quantities that do not depend on z computed once."""
     base = np.asarray(x0, dtype=float).ravel()
-    t0 = gi0.forward
-    m0 = kernel_of(t0, cfg.rank_tol)
-    estar = gi0.range_complement
+    t0, t0_plus = gi0.forward, gi0.inverse
+    m0 = kernel_of(t0, cfg.rank_tol).basis
+    estar = gi0.range_complement.basis
+    estar_t = np.ascontiguousarray(estar.T)
     f_base = f(base)
-    w_base = estar.basis.T @ ((gi0.inverse @ t0) @ base)
+    w_base = estar_t @ ((t0_plus @ t0) @ base)
 
     def solve(z, w0=None) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
-        if z.size != m0.dim:
-            raise DimensionError(f"z has {z.size} coordinates, base subspace has dim {m0.dim}")
+        if z.size != m0.shape[1]:
+            raise DimensionError(f"z has {z.size} coordinates, base subspace has dim {m0.shape[1]}")
         w = w_base if w0 is None else np.asarray(w0, dtype=float).ravel()
-        lift = m0.basis @ z
+        lift = m0 @ z
         trace: list[float] = []
         for _ in range(cfg.newton_max_iter):
-            u = lift + estar.basis @ w
-            residual = gi0.inverse @ (f(u) - f_base)
-            dw = estar.basis.T @ residual
-            update = float(np.linalg.norm(dw))
+            u = lift + estar @ w
+            dw = estar_t @ (t0_plus @ (f(u) - f_base))
+            # bit for bit np.linalg.norm of a real vector: sqrt of its dot product
+            update = math.sqrt(dw @ dw)
             trace.append(update)
             w = w - dw
             if update <= cfg.newton_tol:

@@ -25,6 +25,7 @@ _EPS = np.finfo(float).eps
 
 __all__ = [
     "Subspace",
+    "SubspaceBatch",
     "Projector",
     "as_matrix",
     "op_norm",
@@ -155,6 +156,25 @@ class Subspace:
         return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
 
+class SubspaceBatch:
+    """Subspaces of R^n at a batch of points, one stacked basis array per
+    dimension: ``dims[i]`` is the dimension of row i (-1 where its evaluation
+    failed), and ``stacks[k]`` holds the bases of the rows of dimension k in
+    row order, shaped (count, n, k).  Iterating yields ``Subspace | None``
+    per row, wrapped on demand."""
+
+    def __init__(self, ambient_dim: int, dims: np.ndarray, stacks: dict[int, np.ndarray]):
+        self.ambient_dim, self.dims, self.stacks = ambient_dim, dims, stacks
+
+    def of_dim(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The mask of the rows of dimension k and their stacked bases."""
+        return self.dims == k, self.stacks.get(k, np.empty((0, self.ambient_dim, k)))
+
+    def __iter__(self):
+        rows = {k: iter(bases) for k, bases in self.stacks.items()}
+        return (None if k < 0 else Subspace._wrap(next(rows[k])) for k in self.dims.tolist())
+
+
 def orth_basis(a, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column space of ``a`` (SVD-based)."""
     arr = as_matrix(a)
@@ -209,12 +229,20 @@ def kernels_of(a, tol: float | None = None) -> list[Subspace]:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 3:
         raise ValueError(f"stack must be 3-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        return [kernel_of(x, tol) for x in arr]
     if not np.all(np.isfinite(arr)):
         raise ValueError("stack contains non-finite entries")
-    _, s, vh = np.linalg.svd(arr)
-    return [Subspace._wrap(v[r:].T) for v, r in zip(vh, _ranks(s, arr.shape[1:], tol))]
+    return list(_kernel_batch(arr, tol))
+
+
+def _kernel_batch(arr: np.ndarray, tol: float | None) -> SubspaceBatch:
+    """The kernels of a finite (count, m, n) stack from one stacked SVD, each
+    basis column-major like the ``kernel_of`` one, so products round alike."""
+    _, m, n = arr.shape
+    _, s, vh = np.linalg.svd(arr)  # V^T is the identity for empty matrices
+    ranks = _ranks(s, (m, n), tol)
+    found = set(ranks.tolist())
+    stacks = {n - r: (vh[ranks == r, r:] if len(found) > 1 else vh[:, r:]).transpose(0, 2, 1) for r in found}
+    return SubspaceBatch(n, n - ranks, stacks)
 
 
 def range_of(a, tol: float | None = None) -> Subspace:

@@ -348,3 +348,78 @@ def test_probes_use_the_inline_ray_directions(seed):
     assert len(points) == 2 + 2 * len(expected)
     for got, want in zip(points[2:], expected + expected):
         np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# stacked batches: SubspaceFamily.eval_batch
+
+
+def batch_families():
+    """Kernel families (analytic and finite-difference Jacobians), the generic
+    loop around the same eval_fn, and a kernel family whose eval_fn was
+    replaced by one that mixes dimensions 2 and 3."""
+    kernels = kernel_family(misbehaving_sphere_map(), [0.0, 0.0, 1.0])
+    generic = SubspaceFamily(
+        eval_fn=kernels.eval_fn,
+        base_point=kernels.base_point,
+        base_subspace=kernels.base_subspace,
+        complement=kernels.complement,
+    )
+    replaced = dataclasses.replace(kernels, eval_fn=lambda x: kernels.eval_fn(x) if x[2] > 0.5 else Subspace.full(3))
+    return {
+        "kernel": kernels,
+        "kernel_fd": kernel_family(misbehaving_sphere_map(analytic=False), [0.0, 0.0, 1.0]),
+        "generic": generic,
+        "replaced": replaced,
+    }
+
+
+@pytest.mark.parametrize("kind", ["kernel", "kernel_fd", "generic", "replaced"])
+def test_eval_batch_matches_eval_point_by_point(rng, kind):
+    fam = batch_families()[kind]
+    points = list(rng.uniform(-2.0, 2.0, size=(40, 3)))
+    points += [np.zeros(3), np.array([1.9, 0.1, 0.2]), np.array([0.1, -1.9, 0.2]), np.zeros(2), np.zeros(4)]
+    rng.shuffle(points)
+    single = [eval_or_none(fam, p) for p in points]
+    batch = fam.eval_batch(points)
+    assert batch.ambient_dim == 3
+    assert batch.dims.tolist() == [-1 if s is None else s.dim for s in single]
+    assert {-1, 2, 3} <= set(batch.dims.tolist())
+    for k in (0, 1, 2, 3):
+        mask, bases = batch.of_dim(k)
+        assert mask.tolist() == [s is not None and s.dim == k for s in single]
+        members = [s.basis for s in single if s is not None and s.dim == k]
+        if not members:
+            assert bases.shape == (0, 3, k)
+            continue
+        ref = np.stack(members)
+        # equal bytes and the same per-basis memory layout, so that products
+        # with the stack round exactly as products with the single bases
+        assert bases.shape == ref.shape and bases.tobytes() == ref.tobytes()
+        assert bases.strides[1:] == ref.strides[1:]
+    for b, s in zip(batch, single):
+        assert (b is None) == (s is None)
+        if s is not None:
+            assert b.basis.tobytes() == s.basis.tobytes() and b.basis.shape == s.basis.shape
+    empty = fam.eval_batch([])
+    assert len(empty.dims) == 0 and list(empty) == []
+
+
+def test_eval_batch_falls_back_when_the_stacked_svd_fails(rng, monkeypatch):
+    fam = batch_families()["kernel"]
+    points = list(rng.uniform(-2.0, 2.0, size=(12, 3))) + [np.zeros(3)]
+    expected = fam.eval_batch(points)
+    svd, stacked_calls = np.linalg.svd, [0]
+
+    def failing_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked_calls[0] += 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    batch = fam.eval_batch(points)
+    assert stacked_calls[0] == 1
+    assert batch.dims.tolist() == expected.dims.tolist()
+    for k in set(expected.dims.tolist()) - {-1}:
+        assert batch.of_dim(k)[1].tobytes() == expected.of_dim(k)[1].tobytes()

@@ -22,6 +22,7 @@ from oblique.builtins import builtin_family, builtin_map
 from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
 from oblique.frobenius import _axis_derivative, _outward_lines, explicit_patch
+from oblique.frobenius import _axis_derivatives
 from oblique.linalg import direct_sum_check, oblique_projector, op_norm
 
 
@@ -508,3 +509,157 @@ def test_explicit_patch_matches_node_by_node_solves():
             for prev, idx in zip(line, line[1:]):
                 ref[idx] = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=ref[prev])
     assert explicit_patch(f, gi0, patch, x0=x0).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# vectorised stencils and the array-native lattice path
+
+
+def node_by_node_axis_derivative(patch, idx, axis):
+    """The per-node grid derivative the vectorised stencils replaced."""
+    n = patch.shape[axis]
+    i = idx[axis]
+    h = patch.diagnostics.spacing[axis]
+    if i == 0 or i == n - 1:
+        return None
+
+    def at(j):
+        pos = idx[:axis] + (j,) + idx[axis + 1 :]
+        return patch.psi[pos] if patch.filled[pos] else None
+
+    stencils = (
+        ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0)),
+        ((-1, 0, 1, 2, 3), (-3.0, -10.0, 18.0, -6.0, 1.0)),
+        ((-3, -2, -1, 0, 1), (-1.0, 6.0, -18.0, 10.0, 3.0)),
+    )
+    for offsets, coeffs in stencils:
+        if not all(0 <= i + o <= n - 1 for o in offsets):
+            continue
+        vals = [at(i + o) for o in offsets]
+        if any(v is None for v in vals):
+            continue
+        return sum(c * v for c, v in zip(coeffs, vals)) / (12.0 * h)
+    m1, p1 = at(i - 1), at(i + 1)
+    if m1 is not None and p1 is not None:
+        return (p1 - m1) / (2.0 * h)
+    return None
+
+
+def holed(patch, rng, share):
+    """The patch with a random share of its non-center nodes unfilled."""
+    drop = rng.random(patch.filled.shape) < share
+    drop[patch.center_index] = False
+    psi = patch.psi.copy()
+    psi[drop] = np.nan
+    return dataclasses.replace(patch, psi=psi, filled=patch.filled & ~drop)
+
+
+def stencil_patches(rng):
+    f, x0 = builtin_map("sphere_3d")
+    clean = integrate(kernel_family(f, x0), 0.5, 2e-2, grid_points=11)
+    circle = integrate(circle_family()[2], 0.5, 1e-2, grid_points=21)
+    yield clean
+    for region in ("breach", "eval_error", "dimension_drift"):
+        yield integrate(sphere_variant(region), 0.5, 2e-2, grid_points=11)
+    yield integrate(kernel_family(f, x0), 0.2, 2e-2, grid_points=3)  # only the fallback fits
+    yield integrate(kernel_family(f, x0), 0.2, 2e-2, grid_points=(3, 7))
+    for share in (0.1, 0.3, 0.6):
+        yield holed(clean, rng, share)
+        yield holed(circle, rng, share)
+
+
+def test_vectorised_stencils_match_node_by_node(rng):
+    fallbacks = 0
+    for patch in stencil_patches(rng):
+        nodes = np.argwhere(patch.filled)
+        for axis in range(patch.m0_dim):
+            has, values = _axis_derivatives(patch, nodes, axis)
+            for idx, h, v in zip(map(tuple, nodes.tolist()), has, values):
+                ref = node_by_node_axis_derivative(patch, idx, axis)
+                single = _axis_derivative(patch, idx, axis)
+                assert h == (ref is not None) == (single is not None)
+                if ref is not None:
+                    assert v.tobytes() == ref.tobytes() == single.tobytes()
+                    fallbacks += patch.shape[axis] == 3
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("region", ["flat", "nan"])
+def test_long_line_breaching_partway_matches_serial_reference(region):
+    # a 451-node circle line whose family loses the splitting (flat: a generic
+    # family turns parallel to E*) or whose Jacobian turns NaN (nan: the
+    # stacked kernel path) beyond x = 0.6, so the forward line stops partway
+    f, x0 = builtin_map("sphere_2d")
+    calls = [0]
+
+    def jac(p):
+        calls[0] += 1
+        return np.full((1, 2), np.nan) if region == "nan" and p[0] > 0.6 else 2.0 * p.reshape(1, -1)
+
+    fam = kernel_family(DifferentiableMap(2, 1, f.func, jac), x0)
+    if region == "flat":
+        kernels = fam
+
+        def eval_fn(x):
+            calls[0] += 1
+            return Subspace.span([0.0, 1.0]) if x[0] > 0.6 else kernels.eval_fn(x)
+
+        fam = SubspaceFamily(
+            eval_fn=eval_fn,
+            base_point=x0,
+            base_subspace=kernels.base_subspace,
+            complement=kernels.complement,
+            source_map=f,
+        )
+    calls[0] = 0
+    patch = integrate(fam, 0.9, 4e-3)
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 4e-3)
+    serial = calls[0]
+    # the reference sweeps a line twice (both axis orders); integrate once
+    calls[0] = 0
+    SerialReference(fam).sweep(patch, 4e-3, (0,))
+    assert patch.shape == (451,)
+    assert_matches_reference(patch, ref)
+    assert batched == serial - calls[0] > 0
+    assert patch.diagnostics.breached
+    short, full = sorted((int(patch.filled[:225].sum()), int(patch.filled[226:].sum())))
+    assert full == 225 and 0 < short < 225
+
+
+def test_integrate_wraps_no_subspace_per_node(monkeypatch):
+    # the lattice path reads stacked bases: the number of Subspace objects
+    # made during integrate does not grow with the number of nodes
+    wrap, made = Subspace._wrap, [0]
+
+    def counted(basis):
+        made[0] += 1
+        return wrap(basis)
+
+    monkeypatch.setattr(Subspace, "_wrap", staticmethod(counted))
+    fam = circle_family()[2]
+    counts = []
+    for step in (2e-2, 5e-3):
+        made[0] = 0
+        patch = integrate(fam, 0.9, step)
+        counts.append((patch.filled.sum(), made[0]))
+    assert counts[0][0] < counts[1][0]
+    assert counts[0][1] == counts[1][1] < 10
+
+
+def test_level_set_residual_skips_nodes_where_f_is_not_finite():
+    # f = (|x|^2, 0), but off x0 > 0.2 its first component is shifted by 1
+    # and its second is NaN: those nodes still split, and the level-set
+    # residual skips them whole, as a node-by-node running max does
+    def func(p):
+        off = p[0] > 0.2
+        return np.array([p @ p + off, np.nan if off else 0.0])
+
+    f = DifferentiableMap(3, 2, func, lambda p: np.vstack([2.0 * p, np.zeros(3)]))
+    fam = kernel_family(f, np.array([0.0, 0.0, 1.0]))
+    patch = integrate(fam, 0.5, 2e-2, grid_points=11)
+    _, level, _, _ = SerialReference(fam).node_checks(patch)
+    assert patch.diagnostics.level_set_residual == level < 1e-6
+    assert patch.diagnostics.cofinal_failures == 0 and patch.filled.all()
