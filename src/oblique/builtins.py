@@ -92,16 +92,16 @@ def default_grid(name: str):
     return _GRIDS.get(name)
 
 
-def rank_jump_family(x0=(0.0, 0.0)):
-    """Operator-valued map diag(1, ||x - x0||): rank jumps 1 -> 2 off the base.
+def rank_jump_family():
+    """Operator-valued map diag(1, ||x||) on R^2: rank jumps 1 -> 2 off the
+    base, the origin.
 
-    The base operator admits no continuous family of inverses around x0, so
-    continuity probes must fail at every radius.
+    The base operator admits no continuous family of inverses around the
+    origin, so continuity probes must fail at every radius.
     """
-    base = np.asarray(x0, dtype=float).ravel()
 
     def family(p: np.ndarray) -> np.ndarray:
-        return np.diag([1.0, float(np.linalg.norm(np.asarray(p, dtype=float).ravel() - base))])
+        return np.diag([1.0, float(np.linalg.norm(np.asarray(p, dtype=float).ravel()))])
 
     return family
 

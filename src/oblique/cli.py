@@ -25,12 +25,11 @@ from .builtins import (
 from .config import DEFAULTS
 from .errors import NumericalError, ValidationError
 from .frobenius import integrate, tangency_check
-from .geninv import GenInverse, gi_from_complements, moore_penrose, seven_conditions
+from .geninv import GenInverse, gi_from_complements, moore_penrose, seven_conditions, trial_rng
 from .linalg import Subspace, kernel_of, orth_basis, range_of
 from .matio import dump_json, load_json, matrix_to_dict, read_matrix
 from .opmanifold import fixed_rank_chart_check, operator_context, sample_fixed_rank_near, tangency_fixed_rank
 from .suites import SUITE_NAMES, run_suite
-from .geninv import trial_rng
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +84,7 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _subspace_from_file(path: str, name: str) -> Subspace:
+def _subspace_from_file(path: str) -> Subspace:
     return Subspace(orth_basis(read_matrix(path)))
 
 
@@ -96,11 +95,7 @@ def _cmd_gi(args) -> int:
     if args.r_plus is None:
         gi = moore_penrose(a)
     else:
-        gi = gi_from_complements(
-            a,
-            _subspace_from_file(args.r_plus, "r_plus"),
-            _subspace_from_file(args.n_plus, "n_plus"),
-        )
+        gi = gi_from_complements(a, _subspace_from_file(args.r_plus), _subspace_from_file(args.n_plus))
     _emit(
         {
             "A_plus": matrix_to_dict(gi.inverse),

@@ -2,7 +2,9 @@
 
 Two branches matter for the CLI exit-code contract: ``ValidationError``
 (malformed input, exit code 2) and ``NumericalError`` (a numerical
-precondition failed on well-formed input, exit code 3).
+precondition failed on well-formed input, exit code 3).  Shape mismatches
+and an inverse that belongs to a different operator are ``ValidationError``;
+it is also a ``ValueError``.
 """
 
 
@@ -10,7 +12,7 @@ class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ValidationError(ToolkitError):
+class ValidationError(ToolkitError, ValueError):
     """Malformed or inconsistent input (bad JSON, shapes, flags)."""
 
 

@@ -280,7 +280,7 @@ def kernel_family(
     tol = cfg.rank_tol if rank_tol is None else rank_tol
     base_subspace = kernel_of(t0, tol)
     if estar is None:
-        estar = moore_penrose(t0).range_complement
+        estar = moore_penrose(t0, tol).range_complement
     return _KernelFamily(
         eval_fn=_JacobianKernels(f, cfg, tol),
         base_point=base,
@@ -300,9 +300,7 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     where E* = R(T0+).  Requires ``x`` inside the perturbation ball with the
     range of T_x transversal to N(T0+).
     """
-    tx = f.jacobian(np.asarray(x, dtype=float), cfg)
-    t0 = gi0.forward
-    _require_in_ball(t0, gi0, tx, cfg)
+    t0, tx = _require_in_ball(gi0.forward, gi0, f.jacobian(np.asarray(x, dtype=float), cfg))
     margin = intersection_margin(range_of(tx, cfg.rank_tol), gi0.kernel_complement, cfg)
     if margin <= 0.0:
         raise TransversalityError(f"Jacobian range meets the kernel complement (margin {margin:.3e})")

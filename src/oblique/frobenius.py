@@ -162,9 +162,9 @@ class _AlphaEvaluator:
         self.d = family.base_subspace.dim
         self.e = family.complement.dim
         n = family.ambient_dim
-        onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
+        self.onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
         # rows extracting E*-coordinates of the projection along M0
-        self.estar_rows = self.bs.T @ (np.eye(n) - onto_m0)
+        self.estar_rows = self.bs.T @ (np.eye(n) - self.onto_m0)
         self.cperp = family.complement.orthogonal_complement().basis
         # right-hand sides of the solve: all columns of alpha, or one axis
         self.full_rhs = self.cperp.T @ self.b0
@@ -343,6 +343,9 @@ def integrate(
     if d == 0:
         raise ValidationError("base subspace is trivial; nothing to integrate over")
 
+    for name, values in (("extent", extent), ("grid_points", grid_points)):
+        if np.size(values) not in (1, d):
+            raise ValidationError(f"{name} has {np.size(values)} values for a base of dimension {d}")
     extent_arr = np.broadcast_to(np.asarray(extent, dtype=float).ravel(), (d,)).copy()
     if np.any(extent_arr <= 0):
         raise ValidationError("extents must be positive")
@@ -356,9 +359,8 @@ def integrate(
 
     ev = _AlphaEvaluator(family, cfg)
     x0 = family.base_point
-    onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
-    base_m0 = ev.b0.T @ (onto_m0 @ x0)
-    base_estar = ev.bs.T @ (x0 - onto_m0 @ x0)
+    base_m0 = ev.b0.T @ (ev.onto_m0 @ x0)
+    base_estar = ev.bs.T @ (x0 - ev.onto_m0 @ x0)
 
     axes = []
     spacing = []

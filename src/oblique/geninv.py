@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULTS, Numerics
-from .errors import BallError, ComplementError, ToolkitError, TransversalityError
+from .errors import BallError, ComplementError, ToolkitError, TransversalityError, ValidationError
 from .linalg import (
     Subspace,
-    _rank_from_singular_values,
+    _ranks,
     as_matrix,
     direct_sum_check,
     intersection_margin,
@@ -76,13 +76,11 @@ class GenInverse:
         object.__setattr__(self, "inverse", as_matrix(self.inverse, "inverse"))
         m, n = self.forward.shape
         if self.inverse.shape != (n, m):
-            raise ValueError(
-                f"inverse shape {self.inverse.shape} does not match forward {self.forward.shape}"
-            )
+            raise ValidationError(f"inverse shape {self.inverse.shape} does not match forward {self.forward.shape}")
         if self.range_complement.ambient_dim != n:
-            raise ValueError("range complement must live in the domain")
+            raise ValidationError(f"range complement in R^{self.range_complement.ambient_dim}, domain is R^{n}")
         if self.kernel_complement.ambient_dim != m:
-            raise ValueError("kernel complement must live in the codomain")
+            raise ValidationError(f"kernel complement in R^{self.kernel_complement.ambient_dim}, codomain is R^{m}")
 
     @property
     def dom_dim(self) -> int:
@@ -127,7 +125,7 @@ def moore_penrose(a, tol: float | None = None) -> GenInverse:
     if arr.size == 0 or not arr.any():
         return GenInverse(arr, np.zeros((n, m)), Subspace.trivial(n), Subspace.full(m))
     u, s, vh = np.linalg.svd(arr)
-    r = _rank_from_singular_values(s, arr.shape, tol)
+    r = int(_ranks(s, arr.shape, tol))
     inv = (vh[:r].T / s[:r]) @ u[:, :r].T
     return GenInverse(arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:]))
 
@@ -167,11 +165,20 @@ def d_op(a, ainv: GenInverse, t) -> np.ndarray:
     return np.eye(arr.shape[1]) + ainv.inverse @ (tm - arr)
 
 
-def _require_in_ball(a, ainv: GenInverse, t, cfg: Numerics) -> None:
-    gap = op_norm(as_matrix(t) - as_matrix(a))
+def _require_in_ball(a, ainv: GenInverse, t) -> tuple[np.ndarray, np.ndarray]:
+    """The admission of a perturbation, and the one check of A and T: both
+    finite matrices of one shape, ``ainv`` an inverse of this A, and T inside
+    the ball ``||T - A|| < ||A+||^{-1}``.  Returns the checked (A, T)."""
+    arr, tm = as_matrix(a), as_matrix(t)
+    if tm.shape != arr.shape:
+        raise ValidationError(f"perturbed operator has shape {tm.shape}, base operator {arr.shape}")
+    if not np.array_equal(ainv.forward, arr):
+        raise ValidationError(f"inverse belongs to a different operator than the {arr.shape} base")
+    gap = op_norm(tm - arr)
     radius = ainv.ball_radius
     if gap >= radius:
         raise BallError(f"perturbation gap {gap:.6g} >= ball radius {radius:.6g}")
+    return arr, tm
 
 
 def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fraction: float, eps: float) -> np.ndarray:
@@ -206,8 +213,7 @@ def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse
     N(A+) only in {0}, returns B = A+ C^{-1}(A+, T) with R(B) = R(A+) and
     N(B) = N(A+).  Raises BallError / TransversalityError otherwise.
     """
-    arr, tm = as_matrix(a), as_matrix(t)
-    _require_in_ball(arr, ainv, tm, cfg)
+    arr, tm = _require_in_ball(a, ainv, t)
     margin = intersection_margin(range_of(tm, cfg.rank_tol), ainv.kernel_complement, cfg)
     if margin <= 0.0:
         raise TransversalityError(
@@ -270,9 +276,8 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     (vi)  C^{-1} T N(A) lies in R(A);
     (vii) R(C^{-1} T) lies in R(A).
     """
-    arr, tm = as_matrix(a), as_matrix(t)
-    _require_in_ball(arr, ainv, tm, cfg)
-    m, n = arr.shape
+    arr, tm = _require_in_ball(a, ainv, t)
+    n = arr.shape[1]
 
     rng_t, _, _, ker_t = svd_factors(tm, cfg.rank_tol)
     rng_a, _, _, ker_a = svd_factors(arr, cfg.rank_tol)
@@ -318,8 +323,7 @@ def rank_class_preserved(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> bo
     disagreement between the two routes indicates a broken rank decision and
     raises ToolkitError.
     """
-    arr, tm = as_matrix(a), as_matrix(t)
-    _require_in_ball(arr, ainv, tm, cfg)
+    arr, tm = _require_in_ball(a, ainv, t)
     preserved = rank_of(tm, cfg.rank_tol) == rank_of(arr, cfg.rank_tol)
     margin = intersection_margin(range_of(tm, cfg.rank_tol), ainv.kernel_complement, cfg)
     if abs(margin) >= 10.0 * cfg.tol_num and preserved != (margin > 0.0):
@@ -369,10 +373,6 @@ class ProbeReport:
 
     outcomes: list[RadiusOutcome]
     alpha_modulus: list[float | None] | None = None
-
-    @property
-    def radii(self) -> list[float]:
-        return [o.radius for o in self.outcomes]
 
     @property
     def fine_radii(self) -> list[float]:

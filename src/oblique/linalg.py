@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULTS, Numerics
-from .errors import ComplementError
+from .errors import ComplementError, ValidationError
 
 _EPS = np.finfo(float).eps
 
@@ -75,10 +75,6 @@ def _ranks(s: np.ndarray, shape, tol: float | None) -> np.ndarray:
     return (s > rel * s[..., :1]).sum(axis=-1)
 
 
-def _rank_from_singular_values(s: np.ndarray, shape, tol: float | None) -> int:
-    return int(_ranks(s, shape, tol))
-
-
 def rank_of(a, tol: float | None = None) -> int:
     """Numerical rank: count of singular values above ``tol * sigma_max``.
 
@@ -89,7 +85,7 @@ def rank_of(a, tol: float | None = None) -> int:
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    return _rank_from_singular_values(s, arr.shape, tol)
+    return int(_ranks(s, arr.shape, tol))
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,7 @@ def orth_basis(a, tol: float | None = None) -> np.ndarray:
     if arr.shape[1] == 0:
         return np.zeros((arr.shape[0], 0))
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    r = _rank_from_singular_values(s, arr.shape, tol)
+    r = int(_ranks(s, arr.shape, tol))
     return u[:, :r]
 
 
@@ -201,7 +197,7 @@ def _svd_cut(a, tol: float | None):
     if arr.size == 0:
         return np.eye(m), 0, np.eye(n)
     u, s, vh = np.linalg.svd(arr)
-    return u, _rank_from_singular_values(s, arr.shape, tol), vh
+    return u, int(_ranks(s, arr.shape, tol)), vh
 
 
 def svd_factors(a, tol: float | None = None) -> Factors:
@@ -264,7 +260,7 @@ def _margin(u: Subspace, v: Subspace, cfg: Numerics, fits: Callable[[int, int], 
     Both predicates reject sums above the ambient dimension, so the stacked
     basis never has more columns than rows."""
     if u.ambient_dim != v.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
+        raise ValidationError(f"subspaces live in different ambient spaces: R^{u.ambient_dim} and R^{v.ambient_dim}")
     if not fits(u.dim + v.dim, u.ambient_dim):
         return -1.0
     stacked = np.hstack([u.basis, v.basis])

@@ -24,12 +24,12 @@ straightens the rank-k matrices near A into the linear slice M(A).
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import DEFAULTS, Numerics
-from .errors import BallError, ComplementError, MembershipError
+from .errors import BallError, ComplementError, MembershipError, ValidationError
 from .families import SubspaceFamily
 from .geninv import GenInverse, _near_identity_sample, _solve_c, c_op, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
@@ -153,6 +153,8 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
         raise ValueError("base operator must be nonzero")
     if ainv is None:
         ainv = moore_penrose(arr)
+    elif not np.array_equal(ainv.forward, arr):
+        raise ValidationError(f"inverse belongs to a different operator than the {arr.shape} base")
     m, n = arr.shape
     p_ra = arr @ ainv.inverse
     p_ra_plus = ainv.inverse @ arr
@@ -264,8 +266,7 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
     if dX lies outside M(A).
     """
     xm, dxm = as_matrix(x), as_matrix(dx)
-    gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
-    del gi_x
+    perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
     if membership_residual(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
     c = c_op(ctx.a, ctx.ainv, xm)
@@ -301,14 +302,7 @@ class ChartCheckReport:
     rank_failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "m0_dim": self.m0_dim,
-            "round_trip_max": self.round_trip_max,
-            "membership_max": self.membership_max,
-            "membership_failures": self.membership_failures,
-            "rank_failures": self.rank_failures,
-        }
+        return asdict(self)
 
 
 def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int = 0, cfg: Numerics = DEFAULTS) -> ChartCheckReport:
@@ -363,12 +357,7 @@ class TangencyReport:
     curves: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "tangent_span_dim": self.tangent_span_dim,
-            "expected_dim": self.expected_dim,
-            "curves": self.curves,
-        }
+        return asdict(self)
 
 
 def tangency_fixed_rank(
@@ -377,7 +366,6 @@ def tangency_fixed_rank(
     curves: int,
     seed: int = 0,
     cfg: Numerics = DEFAULTS,
-    fd_step: float = 1e-6,
 ) -> TangencyReport:
     """Velocities of rank-preserving curves through X stay in M(X).
 
@@ -390,7 +378,7 @@ def tangency_fixed_rank(
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
     factors_x = _factors_at(xm, gi_x, cfg)
     t0 = chart_d(ctx, xm, cfg)
-    h = fd_step * (1.0 + op_norm(t0))
+    h = 1e-6 * (1.0 + op_norm(t0))
 
     worst = 0.0
     velocities = []

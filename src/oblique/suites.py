@@ -133,14 +133,14 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_rank_matrix(rng: np.random.Generator, m: int, n: int, r: int, scale: float = 1.0) -> np.ndarray:
+def random_rank_matrix(rng: np.random.Generator, m: int, n: int, r: int) -> np.ndarray:
     """Well-conditioned random matrix of exact rank r (singular values in
-    [0.3, 1] * scale)."""
+    [0.3, 1])."""
     if r == 0:
         return np.zeros((m, n))
     u = random_orthogonal(rng, m)[:, :r]
     v = random_orthogonal(rng, n)[:, :r]
-    s = scale * rng.uniform(0.3, 1.0, size=r)
+    s = rng.uniform(0.3, 1.0, size=r)
     return (u * s) @ v.T
 
 
@@ -148,13 +148,13 @@ def random_subspace(rng: np.random.Generator, n: int, k: int) -> Subspace:
     return Subspace(random_orthogonal(rng, n)[:, :k])
 
 
-def random_complement(rng: np.random.Generator, sub: Subspace, tilt: float = 1.0) -> Subspace:
+def random_complement(rng: np.random.Generator, sub: Subspace) -> Subspace:
     """A random transversal complement: the orthogonal one tilted by a
     bounded graph map over it."""
     ortho = sub.orthogonal_complement()
     if sub.dim == 0 or ortho.dim == 0:
         return ortho
-    shear = tilt * rng.uniform(-1.0, 1.0, size=(sub.dim, ortho.dim))
+    shear = rng.uniform(-1.0, 1.0, size=(sub.dim, ortho.dim))
     return Subspace(orth_basis(ortho.basis + sub.basis @ shear))
 
 
@@ -171,9 +171,10 @@ def sample_inside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fra
     return _near_identity_sample(rng, a, ainv, fraction, 0.2)
 
 
-def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fraction: float = 0.3) -> np.ndarray | None:
+def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse) -> np.ndarray | None:
     """Perturbation in the ball that bumps the rank: a rank-one term from the
-    kernel into the complement of the range.  None when the rank is full."""
+    kernel into the complement of the range, at 0.3 of the ball radius.  None
+    when the rank is full."""
     ker = kernel_of(a)
     nplus = ainv.kernel_complement
     if ker.dim == 0 or nplus.dim == 0:
@@ -181,7 +182,7 @@ def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fr
     u = nplus.basis @ unit(rng.standard_normal(nplus.dim))
     v = ker.basis @ unit(rng.standard_normal(ker.dim))
     radius = ainv.ball_radius
-    delta = fraction * (radius if math.isfinite(radius) else 1.0)
+    delta = 0.3 * (radius if math.isfinite(radius) else 1.0)
     return a + delta * np.outer(u, v)
 
 
@@ -249,9 +250,8 @@ def run_thm1_2(trials: int, seed: int, cfg: Numerics) -> VerificationReport:
     return _finish(report)
 
 
-def _monotone_within(values: list[float], slack: float = 1.1) -> bool:
-    pairs = zip(values, values[1:])
-    return all(b <= slack * a for a, b in pairs)
+def _monotone_within(values: list[float]) -> bool:
+    return all(b <= 1.1 * a for a, b in zip(values, values[1:]))
 
 
 def run_thm1_4(samples: int, seed: int, cfg: Numerics) -> VerificationReport:

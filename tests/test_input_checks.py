@@ -1,0 +1,136 @@
+"""Malformed and inconsistent inputs are ValidationError (CLI exit code 2),
+and a kernel family cut at its own rank tolerance splits with its default
+complement."""
+
+import json
+
+import numpy as np
+import pytest
+
+from oblique import (
+    DifferentiableMap,
+    GenInverse,
+    Subspace,
+    integrate,
+    kernel_family,
+    moore_penrose,
+    operator_context,
+    perturbed_gi,
+    rank_class_preserved,
+    seven_conditions,
+)
+from oblique.builtins import family_from_manifest
+from oblique.cli import main
+from oblique.errors import ValidationError
+from oblique.matio import matrix_to_dict
+
+A2 = np.diag([1.0, 0.0])
+T2 = np.array([[1.0, 0.05], [0.0, 0.0]])
+
+
+def write_matrix(path, a):
+    path.write_text(json.dumps(matrix_to_dict(np.asarray(a, dtype=float))))
+    return str(path)
+
+
+# ---------------------------------------------------------------------------
+# shapes at the CLI
+
+
+def _conditions_shape_mismatch(tmp_path):
+    a = write_matrix(tmp_path / "a.json", A2)
+    t = write_matrix(tmp_path / "t.json", np.eye(3))
+    return ["conditions", "--a", a, "--t", t], ("(3, 3)", "(2, 2)")
+
+
+def _conditions_inverse_shape(tmp_path):
+    a = write_matrix(tmp_path / "a.json", A2)
+    ap = write_matrix(tmp_path / "ap.json", np.eye(3))
+    return ["conditions", "--a", a, "--ainv", ap, "--t", a], ("(3, 3)", "(2, 2)")
+
+
+def _gi_complement_ambient(tmp_path):
+    a = write_matrix(tmp_path / "a.json", A2)
+    r = write_matrix(tmp_path / "r.json", [[1.0], [0.0], [0.0]])
+    return ["gi", "--a", a, "--r-plus", r, "--n-plus", r], ("R^3", "R^2")
+
+
+def _integrate_extent_count(tmp_path):
+    return ["integrate", "--builtin", "sphere_3d", "--extent", "0.1", "0.2", "0.3"], ("3 values", "dimension 2")
+
+
+@pytest.mark.parametrize(
+    "case", [_conditions_shape_mismatch, _conditions_inverse_shape, _gi_complement_ambient, _integrate_extent_count]
+)
+def test_cli_malformed_shapes_exit_2(tmp_path, capsys, case):
+    argv, shapes = case(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for shape in shapes:
+        assert shape in err
+
+
+def test_shape_errors_keep_the_value_error_contract():
+    with pytest.raises(ValueError) as exc:
+        GenInverse(A2, np.eye(3), Subspace.trivial(2), Subspace.full(2))
+    assert isinstance(exc.value, ValidationError)
+
+
+def test_integrate_rejects_grid_count_above_base_dimension():
+    f = DifferentiableMap(2, 1, lambda p: np.array([p @ p]), lambda p: 2 * p.reshape(1, -1))
+    fam = kernel_family(f, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="grid_points has 2 values"):
+        integrate(fam, 0.1, 1e-2, grid_points=[5, 5])
+
+
+# ---------------------------------------------------------------------------
+# an inverse of a different operator
+
+
+def test_operator_context_rejects_inverse_of_another_operator():
+    with pytest.raises(ValidationError):
+        operator_context(A2, moore_penrose(np.diag([2.0, 0.0])))
+    assert operator_context(A2, moore_penrose(A2)).rank == 1
+
+
+@pytest.mark.parametrize("fn", [seven_conditions, perturbed_gi, rank_class_preserved])
+def test_perturbation_functions_reject_inverse_of_another_operator(fn):
+    with pytest.raises(ValidationError):
+        fn(A2, moore_penrose(np.diag([2.0, 0.0])), T2)
+    fn(A2, moore_penrose(A2), T2)
+
+
+# ---------------------------------------------------------------------------
+# a kernel family cut at its own rank tolerance
+
+# f(x) = (x1 + x3^2 / 2, 1e-10 x2): the Jacobian at the origin has singular
+# values (1, 1e-10), so at rank_tol 1e-6 its kernel is 2-dimensional.
+NEAR_SINGULAR = {
+    "dom_dim": 3,
+    "components": [[[1.0, [1, 0, 0]], [0.5, [0, 0, 2]]], [[1e-10, [0, 1, 0]]]],
+}
+
+
+def _near_singular_map():
+    return DifferentiableMap(
+        3,
+        2,
+        lambda p: np.array([p[0] + 0.5 * p[2] ** 2, 1e-10 * p[1]]),
+        lambda p: np.array([[1.0, 0.0, p[2]], [0.0, 1e-10, 0.0]]),
+    )
+
+
+@pytest.mark.parametrize("route", ["function", "manifest"])
+def test_near_singular_kernel_family_splits(route):
+    if route == "function":
+        fam = kernel_family(_near_singular_map(), np.zeros(3), rank_tol=1e-6)
+    else:
+        fam = family_from_manifest({"kind": "kernel", "map": NEAR_SINGULAR, "x0": [0.0, 0.0, 0.0], "rank_tol": 1e-6})
+    assert (fam.base_subspace.dim, fam.complement.dim) == (2, 1)
+    points = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.0, 0.5, -0.4]])
+    assert [s.dim for s in fam.eval_many(points)] == [2, 2, 2]
+    # the kernel at x is spanned by e2 and (-x3, 0, 1): its graph over M0
+    alpha = fam.alpha_at(points[1]).alpha
+    assert alpha.shape == (1, 2)
+    assert np.max(np.abs(np.abs(alpha) - [0.0, 0.3])) <= 1e-12
