@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, DimensionError, EvalError, TransversalityError
-from .geninv import GenInverse, _probe_directions, _require_in_ball, _solve_c, d_op, locally_fine_probe, moore_penrose
+from .geninv import GenInverse, _conditioned, _probe_directions, _require_in_ball, d_op, locally_fine_probe, moore_penrose
 from .linalg import (
     Subspace,
     SubspaceBatch,
@@ -225,10 +225,6 @@ class _KernelFamily(SubspaceFamily):
         dims[np.array(rows)[finite]] = found.dims
         return SubspaceBatch(self.ambient_dim, dims, found.stacks)
 
-    def eval_many(self, points) -> list[Subspace | None]:
-        """The list view of the stacked ``eval_batch``."""
-        return list(self.eval_batch(points))
-
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:
     """True iff the family's subspace at ``x`` still splits off the pinned
@@ -309,8 +305,8 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     onto_kernel = np.eye(n) - onto_estar
     m0 = kernel_of(t0, cfg.rank_tol)
     estar = gi0.range_complement
-    d = d_op(t0, gi0, tx)
-    lifted = onto_estar @ _solve_c(d, onto_kernel @ m0.basis, cfg)
+    d = _conditioned(d_op(t0, gi0, tx), cfg)
+    lifted = onto_estar @ np.linalg.solve(d, onto_kernel @ m0.basis)
     return CoordinateOperator(estar.basis.T @ lifted)
 
 

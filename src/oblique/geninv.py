@@ -25,6 +25,7 @@ from .errors import BallError, ComplementError, ToolkitError, TransversalityErro
 from .linalg import (
     Subspace,
     _ranks,
+    _screened_norm,
     as_matrix,
     direct_sum_check,
     intersection_margin,
@@ -174,8 +175,8 @@ def _require_in_ball(a, ainv: GenInverse, t) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"perturbed operator has shape {tm.shape}, base operator {arr.shape}")
     if not np.array_equal(ainv.forward, arr):
         raise ValidationError(f"inverse belongs to a different operator than the {arr.shape} base")
-    gap = op_norm(tm - arr)
     radius = ainv.ball_radius
+    gap = _screened_norm(tm - arr, radius)
     if gap >= radius:
         raise BallError(f"perturbation gap {gap:.6g} >= ball radius {radius:.6g}")
     return arr, tm
@@ -194,16 +195,18 @@ def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fractio
     g2 = rng.standard_normal((n, n))
     for _ in range(60):
         t = (np.eye(m) + eps * g1) @ a @ (np.eye(n) + eps * g2)
-        if op_norm(t - a) < cap:
+        if _screened_norm(t - a, cap) < cap:
             return t
         eps *= 0.5
     raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
 
 
-def _solve_c(c: np.ndarray, rhs: np.ndarray, cfg: Numerics) -> np.ndarray:
-    if np.linalg.cond(c) > cfg.cond_limit:
+def _conditioned(factor: np.ndarray, cfg: Numerics) -> np.ndarray:
+    """A perturbation factor C or D, checked once where it is formed, before
+    any solve with it: BallError when it is numerically singular."""
+    if np.linalg.cond(factor) > cfg.cond_limit:
         raise BallError("perturbation factor is numerically singular near the ball boundary")
-    return np.linalg.solve(c, rhs)
+    return factor
 
 
 def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse:
@@ -219,8 +222,8 @@ def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse
         raise TransversalityError(
             f"range of the perturbed operator meets the kernel complement (margin {margin:.3e})"
         )
-    c = c_op(arr, ainv, tm)
-    b = _solve_c(c.T, ainv.inverse.T, cfg).T  # A+ C^{-1} without forming C^{-1}
+    c = _conditioned(c_op(arr, ainv, tm), cfg)
+    b = np.linalg.solve(c.T, ainv.inverse.T).T  # A+ C^{-1} without forming C^{-1}
     resid = op_norm(tm @ b @ tm - tm) / (1.0 + op_norm(tm))
     if resid > cfg.cond_tol:
         raise TransversalityError(f"candidate violates T B T = T (residual {resid:.3e})")
@@ -283,8 +286,8 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     rng_a, _, _, ker_a = svd_factors(arr, cfg.rank_tol)
     onto_range_a = rng_a.orthogonal_projector()
 
-    c = c_op(arr, ainv, tm)
-    b = _solve_c(c.T, ainv.inverse.T, cfg).T
+    c = _conditioned(c_op(arr, ainv, tm), cfg)
+    b = np.linalg.solve(c.T, ainv.inverse.T).T
 
     margins: dict[str, float] = {}
 
@@ -304,11 +307,11 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     if ker_a.dim == 0:
         margins["vi"] = cfg.cond_tol
     else:
-        mapped = _solve_c(c, tm @ ker_a.basis, cfg)
+        mapped = np.linalg.solve(c, tm @ ker_a.basis)
         resid = op_norm(mapped - onto_range_a @ mapped) / (1.0 + op_norm(mapped))
         margins["vi"] = cfg.cond_tol - resid
 
-    mapped_full = _solve_c(c, tm, cfg)
+    mapped_full = np.linalg.solve(c, tm)
     resid = op_norm(mapped_full - onto_range_a @ mapped_full) / (1.0 + op_norm(mapped_full))
     margins["vii"] = cfg.cond_tol - resid
 

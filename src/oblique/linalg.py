@@ -62,6 +62,20 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _screened_norm(m: np.ndarray, bound: float) -> float:
+    """An upper bound of ||m||_2 that decides ``||m||_2 < bound``: the
+    Frobenius norm when it is below ``bound * (1 - 1e-8)``, else the spectral
+    norm from an SVD.  So the result is below ``bound`` exactly when
+    ``op_norm(m)`` is, and equals it whenever it is not below.
+
+    The spectral norm is at most the Frobenius norm, and the rounding of
+    either grows like (entries) * eps, so the 1e-8 slack covers it up to a
+    million entries and bounds above 1e-150 (below that, squared entries
+    underflow)."""
+    frobenius = float(np.linalg.norm(m))
+    return frobenius if frobenius < bound * (1.0 - 1e-8) else op_norm(m)
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """``v`` scaled to unit norm; the normalized all-ones vector for v = 0."""
     norm = np.linalg.norm(v)

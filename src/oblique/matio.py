@@ -17,7 +17,6 @@ __all__ = [
     "matrix_to_dict",
     "matrix_from_dict",
     "read_matrix",
-    "write_matrix_json",
     "load_json",
     "dump_json",
 ]
@@ -80,10 +79,6 @@ def read_matrix(path) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     return matrix_from_dict(payload, name=str(p))
-
-
-def write_matrix_json(a, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(a), indent=2) + "\n")
 
 
 def load_json(path) -> dict:

@@ -31,10 +31,11 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, MembershipError, ValidationError
 from .families import SubspaceFamily
-from .geninv import GenInverse, _near_identity_sample, _solve_c, c_op, moore_penrose, perturbed_gi, trial_rng
+from .geninv import GenInverse, _conditioned, _near_identity_sample, c_op, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
     Factors,
     Subspace,
+    _screened_norm,
     as_matrix,
     direct_sum_check,
     op_norm,
@@ -59,12 +60,6 @@ __all__ = [
     "TangencyReport",
     "sample_fixed_rank_near",
 ]
-
-
-# Margin below 1 at which a Frobenius norm settles the chart-region check.
-# The rounding of either norm grows like (entries) * eps, so it stays under
-# 1e-10 up to a million entries.
-_FROBENIUS_SLACK = 1e-8
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -150,7 +145,7 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
     """Build the pinned splitting of operator space at a nonzero base operator."""
     arr = as_matrix(a)
     if not arr.any():
-        raise ValueError("base operator must be nonzero")
+        raise ValidationError("base operator must be nonzero")
     if ainv is None:
         ainv = moore_penrose(arr)
     elif not np.array_equal(ainv.forward, arr):
@@ -220,32 +215,27 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
     )
 
 
-def _require_in_v1(ctx: OperatorFamilyContext, x: np.ndarray) -> None:
-    """Raise BallError unless ||(X - A) A+|| < 1.  The spectral norm is at
-    most the Frobenius norm, so it is taken only when that one is not safely
-    below 1."""
+def _chart_factor(ctx: OperatorFamilyContext, x: np.ndarray) -> np.ndarray:
+    """C(A+, X) = I + (X - A) A+, formed as ``c_op`` forms it, for X in the
+    chart region ||(X - A) A+|| < 1; BallError outside it."""
     gap = (x - ctx.a) @ ctx.ainv.inverse
-    if np.linalg.norm(gap) < 1.0 - _FROBENIUS_SLACK:
-        return
-    norm = op_norm(gap)
+    norm = _screened_norm(gap, 1.0)
     if norm >= 1.0:
         raise BallError(f"||(X - A) A+|| = {norm:.6g} >= 1: outside the chart region")
+    return np.eye(ctx.m) + gap
 
 
 def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarray:
     """Forward chart D(X) = (X - A) P[R(A+)] + C^{-1}(A+, X) X; D(A) = A."""
     xm = as_matrix(x)
-    _require_in_v1(ctx, xm)
-    c = c_op(ctx.a, ctx.ainv, xm)
-    return (xm - ctx.a) @ ctx.p_ra_plus + _solve_c(c, xm, cfg)
+    c = _conditioned(_chart_factor(ctx, xm), cfg)
+    return (xm - ctx.a) @ ctx.p_ra_plus + np.linalg.solve(c, xm)
 
 
 def chart_d_star(ctx: OperatorFamilyContext, t, cfg: Numerics = DEFAULTS) -> np.ndarray:
     """Inverse chart D*(T) = T P[R(A+)] + C(A+, T) T P[N(A)]; D*(A) = A."""
     tm = as_matrix(t)
-    _require_in_v1(ctx, tm)
-    c = c_op(ctx.a, ctx.ainv, tm)
-    return tm @ ctx.p_ra_plus + c @ tm @ ctx.p_na
+    return tm @ ctx.p_ra_plus + _chart_factor(ctx, tm) @ tm @ ctx.p_na
 
 
 def membership_residual(ctx: OperatorFamilyContext, t) -> float:
@@ -269,9 +259,9 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
     perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
     if membership_residual(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
-    c = c_op(ctx.a, ctx.ainv, xm)
-    cinv_dx = _solve_c(c, dxm, cfg)
-    cinv_x = _solve_c(c, xm, cfg)
+    c = _conditioned(c_op(ctx.a, ctx.ainv, xm), cfg)
+    cinv_dx = np.linalg.solve(c, dxm)
+    cinv_x = np.linalg.solve(c, xm)
     inner = cinv_dx @ ctx.ainv.inverse @ cinv_x - cinv_dx
     return ctx.p_na_plus @ inner @ ctx.p_na
 

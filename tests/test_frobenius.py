@@ -467,7 +467,7 @@ def sphere_kernels(region, calls):
 def test_kernel_family_stacked_evaluation_matches_serial_reference(region):
     calls = [0]
     fam = sphere_kernels(region, calls)
-    assert type(fam).eval_many is not SubspaceFamily.eval_many  # the stacked-SVD path
+    assert type(fam).eval_batch is not SubspaceFamily.eval_batch  # the stacked-SVD path
     calls[0] = 0
     patch = integrate(fam, 0.5, 2e-2, grid_points=11)
     tangency_check(patch, fam)
