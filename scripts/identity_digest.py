@@ -9,8 +9,8 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of ``oblique verify all --trials 50 --seed 7`` with every
   ``timestamp`` value blanked;
 * for each benchmark workload at seeds 3 and 4, the sha1 of one pass's job
-  digests (the benchmark's own ``digest`` of each job's output) and the
-  pass's attempted/failed job counts.
+  digests and the pass's attempted/failed job counts, taken with the
+  benchmark's own pass loop (``harness.run_phase``) and job check.
 
 Run it in two checkouts and ``diff`` the outputs: equal lines mean equal
 bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
@@ -39,18 +39,11 @@ def verify_digest() -> str:
 def workload_digest(harness, name: str, seed: int) -> tuple[str, int, int]:
     """One untraced pass of a workload: (sha1 of its job digests, attempted, failed)."""
     wl = harness.workloads.WORKLOADS[name](seed, False)
-    off = harness.tracer.Tracer(enabled=False)
-    state = wl.setup(off)
     jobs = wl.jobs()
-    outputs = []
-    for job in jobs:
-        try:
-            outputs.append(wl.run_job(state, job, off))
-        except harness.JOB_ERRORS as exc:
-            outputs.append(harness.workloads.JobError(type(exc).__name__, str(exc)))
-    failed = sum(bool(wl.check(state, job, out)[0]) for job, out in zip(jobs, outputs))
-    joined = "\n".join(wl.digest(out) for out in outputs)
-    return hashlib.sha1(joined.encode()).hexdigest(), len(jobs), failed
+    phase = harness.run_phase(wl, jobs, harness.tracer.Tracer(enabled=False), 0.0, None)
+    outputs = zip(jobs, phase.first_outputs)
+    failed = sum(bool(wl.check(phase.first_state, job, out)[0]) for job, out in outputs)
+    return hashlib.sha1("\n".join(phase.reference).encode()).hexdigest(), len(jobs), failed
 
 
 def main() -> int:

@@ -68,12 +68,11 @@ def _screened_norm(m: np.ndarray, bound: float) -> float:
     norm from an SVD.  So the result is below ``bound`` exactly when
     ``op_norm(m)`` is, and equals it whenever it is not below.
 
-    The spectral norm is at most the Frobenius norm, and the rounding of
-    either grows like (entries) * eps, so the 1e-8 slack covers it up to a
-    million entries and bounds above 1e-150 (below that, squared entries
-    underflow)."""
+    ||m||_2 <= ||m||_F, and both round like (entries) * eps, so the slack
+    covers up to a million entries.  The unscaled Frobenius norm loses
+    squares below 5e-324, so bounds of 1e-150 or less always take the SVD."""
     frobenius = float(np.linalg.norm(m))
-    return frobenius if frobenius < bound * (1.0 - 1e-8) else op_norm(m)
+    return frobenius if bound > 1e-150 and frobenius < bound * (1.0 - 1e-8) else op_norm(m)
 
 
 def unit(v: np.ndarray) -> np.ndarray:

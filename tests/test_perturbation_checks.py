@@ -29,6 +29,7 @@ from oblique.opmanifold import _chart_factor, sample_fixed_rank_near, unvec
 from oblique.suites import random_rank_matrix
 
 BOUNDS = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+TINY_BOUNDS = [1e-150, 1e-165]  # squared entries of such matrices underflow
 SHAPES = [(1, 1), (2, 3), (7, 5), (40, 40), (200, 200)]
 ULPS = range(-4, 5)
 
@@ -57,7 +58,7 @@ def _scaled(g: np.ndarray, target: float, ulps: int) -> np.ndarray:
 def test_screened_norm_decides_like_the_spectral_norm(kind, shape):
     g = _gap_matrix(kind, shape, 5)
     frobenius = float(np.linalg.norm(g))
-    for bound in BOUNDS:
+    for bound in BOUNDS + TINY_BOUNDS:
         # at the spectral boundary and at the edge of the Frobenius screen
         for target in (bound, bound * (1.0 - 1e-8) / frobenius):
             for k in ULPS:
@@ -87,7 +88,19 @@ def test_screen_takes_an_svd_only_in_the_rounding_band(monkeypatch, bound):
         assert not calls
 
 
-@pytest.mark.parametrize("power", [-20, -10, 0, 10, 20])
+@pytest.mark.parametrize("bound", TINY_BOUNDS)
+def test_screen_leaves_tiny_bounds_to_the_svd(monkeypatch, bound):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    # the Frobenius norm of [[3b, 0]] underflows to 0 for b = 1e-165
+    m = np.array([[3.0 * bound, 0.0]])
+    assert _screened_norm(m, bound) == op_norm(m)
+    assert _screened_norm(m / 4.0, bound) == op_norm(m / 4.0)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("power", [-550, -20, -10, 0, 10, 20])
 @pytest.mark.parametrize("direction", ["axis", "oblique"])
 def test_perturbed_gi_ball_error_exactly_at_the_boundary(power, direction):
     # A+ = 2^-p diag(1, 1/2) is exact, so the ball radius is 2^p
@@ -112,6 +125,18 @@ def test_perturbed_gi_ball_error_exactly_at_the_boundary(power, direction):
             perturbed_gi(a, ainv, t)
 
 
+def test_tiny_operator_outside_the_ball_is_refused(tmp_path):
+    # ||T - A|| = 3e-165 is three ball radii; its Frobenius norm underflows to 0
+    a = 1e-165 * np.diag([1.0, 2.0])
+    t = a + np.diag([3e-165, 0.0])
+    assert np.linalg.norm(t - a) == 0.0
+    with pytest.raises(BallError, match="perturbation gap 3e-165 >= ball radius 1e-165"):
+        perturbed_gi(a, moore_penrose(a), t)
+    for name, mat in (("a", a), ("t", t)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(matrix_to_dict(mat)))
+    assert main(["conditions", "--a", str(tmp_path / "a.json"), "--t", str(tmp_path / "t.json")]) == 3
+
+
 def _sample_with_svd(rng, a, ainv, fraction, eps):
     """The near-identity sampler with the unscreened test op_norm(T - A) < cap."""
     m, n = a.shape
@@ -127,7 +152,7 @@ def _sample_with_svd(rng, a, ainv, fraction, eps):
     raise BallError("no sample")
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-170, 1e-6, 1.0, 1e6])
 def test_near_identity_sample_matches_the_unscreened_test(scale):
     for seed in range(8):
         a = scale * random_rank_matrix(trial_rng(seed, 1), 4, 5, 2)
