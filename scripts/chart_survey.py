@@ -27,7 +27,7 @@ def main():
         ctx = operator_context(random_rank_matrix(rng, m, n, k))
         rep = fixed_rank_chart_check(ctx, samples=args.samples, seed=args.seed)
         x = sample_fixed_rank_near(ctx, rng)
-        tan = tangency_fixed_rank(ctx, x, curves=ctx.m0.dim + 6, seed=args.seed)
+        tan = tangency_fixed_rank(ctx, x, curves=ctx.dim + 6, seed=args.seed)
         print(
             f"{f'{m}x{n}':>8} {k:>4} {rep.m0_dim:>4} {rep.round_trip_max:>12.2e} "
             f"{rep.rank_failures:>10} {tan.max_residual:>10.2e} "

@@ -164,7 +164,7 @@ def _cmd_chart(args) -> int:
         raise ValidationError(f"--k {args.k} does not match rank {ctx.rank} of the base operator")
     rep = fixed_rank_chart_check(ctx, samples=args.samples, seed=args.seed)
     x = sample_fixed_rank_near(ctx, trial_rng(args.seed, 999))
-    curves = args.curves if args.curves > 0 else ctx.m0.dim + 6
+    curves = args.curves if args.curves > 0 else ctx.dim + 6
     tan = tangency_fixed_rank(ctx, x, curves=curves, seed=args.seed)
     _emit(
         {

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, DimensionError, EvalError, TransversalityError
-from .geninv import GenInverse, _conditioned, _probe_directions, _require_in_ball, d_op, locally_fine_probe, moore_penrose
+from .geninv import GenInverse, _conditioned, _d_factor, _probe_directions, _require_in_ball, locally_fine_probe, moore_penrose
 from .linalg import (
     Subspace,
     SubspaceBatch,
@@ -305,7 +305,7 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     onto_kernel = np.eye(n) - onto_estar
     m0 = kernel_of(t0, cfg.rank_tol)
     estar = gi0.range_complement
-    d = _conditioned(d_op(t0, gi0, tx), cfg)
+    d = _conditioned(_d_factor(t0, gi0, tx), cfg)
     lifted = onto_estar @ np.linalg.solve(d, onto_kernel @ m0.basis)
     return CoordinateOperator(estar.basis.T @ lifted)
 

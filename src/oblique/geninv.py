@@ -25,6 +25,7 @@ from .errors import BallError, ComplementError, ToolkitError, TransversalityErro
 from .linalg import (
     Subspace,
     _ranks,
+    _norm_exceeds,
     _screened_norm,
     as_matrix,
     direct_sum_check,
@@ -156,14 +157,22 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
 
 def c_op(a, ainv: GenInverse, t) -> np.ndarray:
     """Codomain-side perturbation factor I + (T - A) A+."""
-    arr, tm = as_matrix(a), as_matrix(t)
-    return np.eye(arr.shape[0]) + (tm - arr) @ ainv.inverse
+    return _c_factor(as_matrix(a), ainv, as_matrix(t))
 
 
 def d_op(a, ainv: GenInverse, t) -> np.ndarray:
     """Domain-side perturbation factor I + A+ (T - A)."""
-    arr, tm = as_matrix(a), as_matrix(t)
-    return np.eye(arr.shape[1]) + ainv.inverse @ (tm - arr)
+    return _d_factor(as_matrix(a), ainv, as_matrix(t))
+
+
+def _c_factor(a: np.ndarray, ainv: GenInverse, t: np.ndarray) -> np.ndarray:
+    """``c_op`` of checked matrices."""
+    return np.eye(a.shape[0]) + (t - a) @ ainv.inverse
+
+
+def _d_factor(a: np.ndarray, ainv: GenInverse, t: np.ndarray) -> np.ndarray:
+    """``d_op`` of checked matrices."""
+    return np.eye(a.shape[1]) + ainv.inverse @ (t - a)
 
 
 def _require_in_ball(a, ainv: GenInverse, t) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +196,8 @@ def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fractio
     factors keep the rank of A.  ``eps`` halves until ||T - A|| < fraction *
     radius, radius = ||A+||^{-1} (1 for A+ = 0).  That also puts T in the
     chart region of A, since ||(T - A) A+|| <= ||T - A|| ||A+|| < fraction.
-    Raises BallError after 60 halvings."""
+    A power-step lower bound rejects most halvings before any SVD; it only
+    rejects what the SVD would.  Raises BallError after 60 halvings."""
     m, n = a.shape
     radius = ainv.ball_radius
     cap = fraction * (radius if math.isfinite(radius) else 1.0)
@@ -195,7 +205,8 @@ def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fractio
     g2 = rng.standard_normal((n, n))
     for _ in range(60):
         t = (np.eye(m) + eps * g1) @ a @ (np.eye(n) + eps * g2)
-        if _screened_norm(t - a, cap) < cap:
+        gap = t - a
+        if not _norm_exceeds(gap, cap) and _screened_norm(gap, cap) < cap:
             return t
         eps *= 0.5
     raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
@@ -222,7 +233,7 @@ def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse
         raise TransversalityError(
             f"range of the perturbed operator meets the kernel complement (margin {margin:.3e})"
         )
-    c = _conditioned(c_op(arr, ainv, tm), cfg)
+    c = _conditioned(_c_factor(arr, ainv, tm), cfg)
     b = np.linalg.solve(c.T, ainv.inverse.T).T  # A+ C^{-1} without forming C^{-1}
     resid = op_norm(tm @ b @ tm - tm) / (1.0 + op_norm(tm))
     if resid > cfg.cond_tol:
@@ -286,7 +297,7 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     rng_a, _, _, ker_a = svd_factors(arr, cfg.rank_tol)
     onto_range_a = rng_a.orthogonal_projector()
 
-    c = _conditioned(c_op(arr, ainv, tm), cfg)
+    c = _conditioned(_c_factor(arr, ainv, tm), cfg)
     b = np.linalg.solve(c.T, ainv.inverse.T).T
 
     margins: dict[str, float] = {}

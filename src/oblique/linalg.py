@@ -12,6 +12,7 @@ All values are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -72,7 +73,40 @@ def _screened_norm(m: np.ndarray, bound: float) -> float:
     covers up to a million entries.  The unscaled Frobenius norm loses
     squares below 5e-324, so bounds of 1e-150 or less always take the SVD."""
     frobenius = float(np.linalg.norm(m))
-    return frobenius if bound > 1e-150 and frobenius < bound * (1.0 - 1e-8) else op_norm(m)
+    return frobenius if _screen_settles(frobenius, bound) else op_norm(m)
+
+
+def _screen_settles(frobenius, bound: float):
+    """Where a Frobenius norm alone proves ||m||_2 < bound (elementwise)."""
+    return (frobenius < bound * (1.0 - 1e-8)) & (bound > 1e-150)
+
+
+def _screened_norms(stack: np.ndarray, bound: float) -> np.ndarray:
+    """``_screened_norm`` of each matrix in a stack (count, p, q): the
+    matrices the screen leaves open share one stacked SVD."""
+    norms = np.linalg.norm(stack, axis=(-2, -1))
+    open_ = ~_screen_settles(norms, bound)
+    if open_.any():
+        norms[open_] = np.linalg.svd(stack[open_], compute_uv=False)[:, 0]
+    return norms
+
+
+def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
+    """True when one power step proves ``||m||_2 > bound`` without an SVD.
+
+    With M = m / max|m| and v its largest row, ||M v|| / ||v|| <= ||M||_2.
+    The test asks that estimate to pass bound / max|m| by a factor 1 + 1e-8,
+    a slack that covers its rounding and the SVD's, so ``op_norm(m)`` is past
+    ``bound`` whenever this is True.  Outside 1e-150 < bound < 1e150, where
+    bound / max|m| can leave the normal range and lose the precision that
+    slack assumes, it is always False and the SVD decides."""
+    peak = float(np.max(np.abs(m), initial=0.0))
+    if not (1e-150 < bound < 1e150 and peak > 0.0):
+        return False
+    scaled = m / peak
+    rows = np.einsum("ij,ij->i", scaled, scaled)
+    i = int(np.argmax(rows))
+    return float(np.linalg.norm(scaled @ scaled[i])) / math.sqrt(rows[i]) > bound / peak * (1.0 + 1e-8)
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ U_perp^T T V_N = 0, so
 
     M(X) = span [U (x) I_n | U_perp (x) V_row],   dim = mn - (m - k)(n - k),
 
-and the distance of T from M(X) is ||U_perp^T T V_N||_F.  Around a base
+and the distance of T from M(X) is ||U_perp^T T V_N||_F.  The chart checks
+never form that (mn) x dim basis: the element with coefficients [vec G1;
+vec G2] is U G1 + U_perp G2 V_row^T, from the factors alone.  Around a base
 operator A with inverse A+, the complement E* = {T : R(T) in N(A+), N(T)
 contains R(A+)} is N(A+) (x) R(A+)^perp, and the chart
 
@@ -31,11 +33,13 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, MembershipError, ValidationError
 from .families import SubspaceFamily
-from .geninv import GenInverse, _conditioned, _near_identity_sample, c_op, moore_penrose, perturbed_gi, trial_rng
+from .geninv import GenInverse, _c_factor, _conditioned, _near_identity_sample, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
     Factors,
     Subspace,
+    _ranks,
     _screened_norm,
+    _screened_norms,
     as_matrix,
     direct_sum_check,
     op_norm,
@@ -43,6 +47,11 @@ from .linalg import (
     svd_factors,
     unit,
 )
+
+# Bytes of one stacked block of curve points (count, m, n) in the chart
+# check and the tangency check: large enough to amortize per-call overhead,
+# small enough to keep the peak memory near that of one matrix at a time.
+_BLOCK_BYTES = 1 << 19
 
 __all__ = [
     "OperatorFamilyContext",
@@ -83,6 +92,23 @@ def _tangent_slice(f: Factors) -> Subspace:
     return Subspace._wrap(np.hstack([_kron(f.range.basis, identity), _kron(f.cokernel.basis, f.row.basis)]))
 
 
+def _slice_directions(ctx: "OperatorFamilyContext", g: np.ndarray) -> np.ndarray:
+    """The slice elements U G1 + U_perp G2 V_row^T of M(A) with coefficients
+    g (count, dim), shaped (count, m, n): G1 is g[:, :k n] as (k, n) and G2
+    the rest as (m - k, k).  Equals unvec(m0.basis @ g) without the basis."""
+    f, k, m, n = ctx.factors, ctx.rank, ctx.m, ctx.n
+    count = g.shape[0]
+    g1 = g[:, : k * n].reshape(count, k, n)
+    g2 = g[:, k * n :].reshape(count, m - k, k)
+    return f.range.basis @ g1 + f.cokernel.basis @ g2 @ f.row.basis.T
+
+
+def _block(ctx: "OperatorFamilyContext") -> int:
+    """Samples or curves per stacked block: two m x n matrices each fit in
+    _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (16 * ctx.m * ctx.n))
+
+
 def _slice_defect(f: Factors, t: np.ndarray) -> np.ndarray:
     """||U_perp^T T V_N||_F over the last two axes: the distance of T from M(X)."""
     return np.linalg.norm(f.cokernel.basis.T @ t @ f.kernel.basis, axis=(-2, -1))
@@ -101,17 +127,16 @@ def _factors_at(x: np.ndarray, xinv: GenInverse, cfg: Numerics) -> Factors:
 class OperatorFamilyContext:
     """Base operator, inverse, pinned splitting of operator space, projectors.
 
-    ``factors`` holds the SVD subspaces of A; ``m0`` spans the tangent slice
-    M(A) inside R^{mn}; ``estar``, built on first access, spans the complement
-    {T : R(T) in N(A+), N(T) contains R(A+)}.  The four cached projectors are
-    the obliques onto R(A), N(A+), R(A+), N(A) determined by the complements
-    of the inverse.
+    ``factors`` holds the SVD subspaces of A, which give the slice elements
+    of M(A) of dimension ``dim``; ``m0``, built on first access, spans M(A)
+    inside R^{mn}, and ``estar`` the complement {T : R(T) in N(A+), N(T)
+    contains R(A+)}.  The four cached projectors are the obliques onto R(A),
+    N(A+), R(A+), N(A) determined by the complements of the inverse.
     """
 
     a: np.ndarray
     ainv: GenInverse
     factors: Factors
-    m0: Subspace
     p_ra: np.ndarray        # onto R(A)  along N(A+)   (codomain)
     p_na_plus: np.ndarray   # onto N(A+) along R(A)    (codomain)
     p_ra_plus: np.ndarray   # onto R(A+) along N(A)    (domain)
@@ -130,8 +155,19 @@ class OperatorFamilyContext:
         return self.factors.range.dim
 
     @property
+    def dim(self) -> int:
+        """dim M(A) = mn - (m - k)(n - k)."""
+        return self.m * self.n - (self.m - self.rank) * (self.n - self.rank)
+
+    @property
     def ball_radius(self) -> float:
         return self.ainv.ball_radius
+
+    @functools.cached_property
+    def m0(self) -> Subspace:
+        """[U (x) I_n | U_perp (x) V_row], an (mn) x dim basis of M(A) that only
+        the generic ``SubspaceFamily`` route reads."""
+        return _tangent_slice(self.factors)
 
     @functools.cached_property
     def estar(self) -> Subspace:
@@ -170,7 +206,7 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
     if op_norm(p_ra @ n_plus) > cfg.tol_num or op_norm(r_plus_perp.T @ p_ra_plus) > cfg.tol_num:
         raise ComplementError("complement element violates its range/kernel characterization")
     return OperatorFamilyContext(
-        a=arr, ainv=ainv, factors=f, m0=_tangent_slice(f),
+        a=arr, ainv=ainv, factors=f,
         p_ra=p_ra, p_na_plus=p_na_plus, p_ra_plus=p_ra_plus, p_na=p_na,
     )
 
@@ -216,32 +252,45 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
 
 
 def _chart_factor(ctx: OperatorFamilyContext, x: np.ndarray) -> np.ndarray:
-    """C(A+, X) = I + (X - A) A+, formed as ``c_op`` forms it, for X in the
-    chart region ||(X - A) A+|| < 1; BallError outside it."""
+    """C(A+, X) = I + (X - A) A+ of X, or of each X in a stack (count, m, n),
+    formed as ``c_op`` forms it, for X in the chart region ||(X - A) A+|| < 1;
+    BallError with the spectral norm of the first X outside it."""
     gap = (x - ctx.a) @ ctx.ainv.inverse
-    norm = _screened_norm(gap, 1.0)
-    if norm >= 1.0:
-        raise BallError(f"||(X - A) A+|| = {norm:.6g} >= 1: outside the chart region")
+    norms = _screened_norms(gap, 1.0) if gap.ndim == 3 else np.array([_screened_norm(gap, 1.0)])
+    outside = norms[norms >= 1.0]
+    if outside.size:
+        raise BallError(f"||(X - A) A+|| = {outside[0]:.6g} >= 1: outside the chart region")
     return np.eye(ctx.m) + gap
 
 
 def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarray:
     """Forward chart D(X) = (X - A) P[R(A+)] + C^{-1}(A+, X) X; D(A) = A."""
-    xm = as_matrix(x)
-    c = _conditioned(_chart_factor(ctx, xm), cfg)
-    return (xm - ctx.a) @ ctx.p_ra_plus + np.linalg.solve(c, xm)
+    return _chart_d(ctx, as_matrix(x), cfg)
+
+
+def _chart_d(ctx: OperatorFamilyContext, x: np.ndarray, cfg: Numerics) -> np.ndarray:
+    """``chart_d`` of a checked matrix."""
+    c = _conditioned(_chart_factor(ctx, x), cfg)
+    return (x - ctx.a) @ ctx.p_ra_plus + np.linalg.solve(c, x)
 
 
 def chart_d_star(ctx: OperatorFamilyContext, t, cfg: Numerics = DEFAULTS) -> np.ndarray:
     """Inverse chart D*(T) = T P[R(A+)] + C(A+, T) T P[N(A)]; D*(A) = A."""
-    tm = as_matrix(t)
-    return tm @ ctx.p_ra_plus + _chart_factor(ctx, tm) @ tm @ ctx.p_na
+    return _chart_d_star(ctx, as_matrix(t))
+
+
+def _chart_d_star(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
+    """``chart_d_star`` of a checked matrix or of each in a stack (count, m, n)."""
+    return t @ ctx.p_ra_plus + _chart_factor(ctx, t) @ t @ ctx.p_na
 
 
 def membership_residual(ctx: OperatorFamilyContext, t) -> float:
     """Relative orthogonal-projection defect of an operator against M(A)."""
-    tm = as_matrix(t)
-    return float(_slice_defect(ctx.factors, tm) / (1.0 + np.linalg.norm(tm)))
+    return _membership(ctx, as_matrix(t))
+
+
+def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
+    return float(_slice_defect(ctx.factors, t) / (1.0 + np.linalg.norm(t)))
 
 
 def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -257,9 +306,9 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
     """
     xm, dxm = as_matrix(x), as_matrix(dx)
     perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
-    if membership_residual(ctx, dxm) > cfg.tol_num:
+    if _membership(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
-    c = _conditioned(c_op(ctx.a, ctx.ainv, xm), cfg)
+    c = _conditioned(_c_factor(ctx.a, ctx.ainv, xm), cfg)
     cinv_dx = np.linalg.solve(c, dxm)
     cinv_x = np.linalg.solve(c, xm)
     inner = cinv_dx @ ctx.ainv.inverse @ cinv_x - cinv_dx
@@ -301,37 +350,38 @@ def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int =
     Forward: random operators of the base rank near A map under D into M(A)
     and round-trip through D* back to themselves.  Backward: random slice
     elements near A map under D* to operators of exactly the base rank.
+    Samples run in blocks that share one stacked SVD for their report norms.
     """
-    k = ctx.rank
+    m, n, k = ctx.m, ctx.n, ctx.rank
+    step = 0.3 * ctx.ball_radius if math.isfinite(ctx.ball_radius) else 0.3
     round_trip_max = 0.0
     membership_max = 0.0
     membership_failures = 0
     rank_failures = 0
 
-    for j in range(samples):
-        rng = trial_rng(seed, j)
-        x = sample_fixed_rank_near(ctx, rng)
-        t = chart_d(ctx, x, cfg)
-        resid = membership_residual(ctx, t)
-        membership_max = max(membership_max, resid)
-        if resid > cfg.tol_num:
-            membership_failures += 1
-        back = chart_d_star(ctx, t, cfg)
-        round_trip_max = max(
-            round_trip_max, op_norm(back - x) / max(1.0, op_norm(x))
-        )
-
-        dt = unvec(ctx.m0.basis @ unit(rng.standard_normal(ctx.m0.dim)), ctx.m, ctx.n)
-        t2 = ctx.a + (0.3 * ctx.ball_radius if math.isfinite(ctx.ball_radius) else 0.3) * dt
-        x2 = chart_d_star(ctx, t2, cfg)
+    for start in range(0, samples, _block(ctx)):
+        xs, misses, coeffs = [], [], []
+        for j in range(start, min(samples, start + _block(ctx))):
+            rng = trial_rng(seed, j)
+            x = sample_fixed_rank_near(ctx, rng)
+            t = _chart_d(ctx, x, cfg)
+            resid = _membership(ctx, t)
+            membership_max = max(membership_max, resid)
+            if resid > cfg.tol_num:
+                membership_failures += 1
+            xs.append(x)
+            misses.append(_chart_d_star(ctx, t) - x)
+            coeffs.append(unit(rng.standard_normal(ctx.dim)))
+        x2 = _chart_d_star(ctx, ctx.a + step * _slice_directions(ctx, np.array(coeffs)))
+        s_miss, s_x, s_x2 = np.linalg.svd(np.stack([misses, xs, x2]), compute_uv=False)
+        round_trip_max = max(round_trip_max, float(np.max(s_miss[:, 0] / np.maximum(1.0, s_x[:, 0]))))
         # Rank decided with slack for roundoff accumulated through the chart;
         # a genuine rank change would move a singular value by O(ball radius).
-        if rank_of(x2, 1e-9) != k:
-            rank_failures += 1
+        rank_failures += int(np.count_nonzero(_ranks(s_x2, (m, n), 1e-9) != k))
 
     return ChartCheckReport(
         samples=samples,
-        m0_dim=ctx.m0.dim,
+        m0_dim=ctx.dim,
         round_trip_max=round_trip_max,
         membership_max=membership_max,
         membership_failures=membership_failures,
@@ -362,31 +412,34 @@ def tangency_fixed_rank(
     Curves are c(t) = D*(D(X) + t dT) for random slice directions dT; the
     distance ||U_perp^T V V_N||_F of their finite-difference velocities V at
     t = 0 from M(X) is measured (max relative residual returned) and their
-    span is rank-checked against dim M(X) = mn - (m - k)(n - k).
+    span is rank-checked against dim M(X) = mn - (m - k)(n - k).  Curves run
+    in stacked blocks.
     """
     xm = as_matrix(x)
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
     factors_x = _factors_at(xm, gi_x, cfg)
-    t0 = chart_d(ctx, xm, cfg)
+    t0 = _chart_d(ctx, xm, cfg)
     h = 1e-6 * (1.0 + op_norm(t0))
+    m, n = ctx.m, ctx.n
 
     worst = 0.0
-    velocities = []
-    for j in range(curves):
-        rng = trial_rng(seed, j)
-        dt = unvec(ctx.m0.basis @ unit(rng.standard_normal(ctx.m0.dim)), ctx.m, ctx.n)
-        plus = chart_d_star(ctx, t0 + h * dt, cfg)
-        minus = chart_d_star(ctx, t0 - h * dt, cfg)
-        velocity = (plus - minus) / (2.0 * h)
-        speed = float(np.linalg.norm(velocity))
-        if speed == 0.0:
-            continue
-        worst = max(worst, float(_slice_defect(factors_x, velocity)) / speed)
-        velocities.append(vec(velocity))
+    velocities = np.empty((curves, m * n))
+    moving = 0
+    for start in range(0, curves, _block(ctx)):
+        block = range(start, min(curves, start + _block(ctx)))
+        step = h * _slice_directions(ctx, np.array([unit(trial_rng(seed, j).standard_normal(ctx.dim)) for j in block]))
+        # t0 + h dT and t0 - h dT of each curve in turn, the order in which
+        # the chart region is checked
+        ends = _chart_d_star(ctx, (t0 + np.stack([step, -step], axis=1)).reshape(-1, m, n))
+        velocity = (ends[0::2] - ends[1::2]) / (2.0 * h)
+        speed = np.linalg.norm(velocity, axis=(-2, -1))
+        velocity, speed = velocity[speed != 0.0], speed[speed != 0.0]
+        if speed.size:
+            worst = max(worst, float(np.max(_slice_defect(factors_x, velocity) / speed)))
+        velocities[moving : moving + speed.size] = velocity.reshape(speed.size, -1)
+        moving += speed.size
 
-    span_dim = rank_of(np.column_stack(velocities), 1e-6) if velocities else 0
-    k = ctx.rank
-    expected = ctx.m * ctx.n - (ctx.m - k) * (ctx.n - k)
+    span_dim = rank_of(velocities[:moving].T, 1e-6) if moving else 0
     return TangencyReport(
-        max_residual=worst, tangent_span_dim=span_dim, expected_dim=expected, curves=curves
+        max_residual=worst, tangent_span_dim=span_dim, expected_dim=ctx.dim, curves=curves
     )

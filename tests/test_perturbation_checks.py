@@ -23,7 +23,7 @@ from oblique import (
 from oblique.cli import main
 from oblique.errors import ValidationError
 from oblique.geninv import _near_identity_sample, c_op, trial_rng
-from oblique.linalg import _screened_norm
+from oblique.linalg import _norm_exceeds, _screened_norm
 from oblique.matio import matrix_to_dict
 from oblique.opmanifold import _chart_factor, sample_fixed_rank_near, unvec
 from oblique.suites import random_rank_matrix
@@ -215,3 +215,88 @@ def test_zero_base_operator_is_a_validation_error(tmp_path, capsys):
     path.write_text(json.dumps(matrix_to_dict(np.zeros((2, 2)))))
     assert main(["chart", "--a", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: base operator must be nonzero")
+
+
+# A power step settles most rejected halvings of the sampler without an SVD.
+
+SAMPLER_SCALES = [1e-170, 1e-6, 1.0, 1e6, 1e150, 1e170]
+# At 1e170 the squares of the Frobenius screen overflow to inf; the SVD decides.
+OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@OVERFLOW
+@pytest.mark.parametrize("scale", SAMPLER_SCALES)
+def test_near_identity_sample_matches_the_unscreened_test_at_all_scales(scale):
+    for seed in range(8):
+        for m, n, k in [(4, 5, 2), (9, 7, 3)]:
+            a = scale * random_rank_matrix(trial_rng(seed, 1), m, n, k)
+            ainv = moore_penrose(a)
+            for fraction, eps in [(0.4, 0.1), (0.9, 4.0)]:
+                got = _near_identity_sample(trial_rng(seed, 2), a, ainv, fraction, eps)
+                want = _sample_with_svd(trial_rng(seed, 2), a, ainv, fraction, eps)
+                assert got.tobytes() == want.tobytes(), (seed, m, fraction)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", ["rank_one", "full_rank"])
+def test_power_step_never_rejects_what_the_svd_accepts(kind, shape):
+    g = _gap_matrix(kind, shape, 6)
+    for bound in BOUNDS + [1e-100, 1e100]:
+        for k in ULPS:
+            m = _scaled(g, bound, k)
+            assert not (_norm_exceeds(m, bound) and op_norm(m) < bound), (bound, k)
+        if kind == "rank_one":  # one power step is exact on a rank-one matrix
+            assert _norm_exceeds(g * (bound * (1.0 + 1e-6)), bound)
+
+
+def test_power_step_rejects_only_strictly_past_its_slack():
+    bound = 1.0 / (1.0 + 1e-8)
+    assert bound * (1.0 + 1e-8) == 1.0  # so [[1]] ties the threshold exactly
+    assert not _norm_exceeds(np.array([[1.0]]), bound)
+    assert _norm_exceeds(np.array([[1.0]]), np.nextafter(bound, 0.0))
+
+
+def _halvings(rng, a, ainv, fraction, eps):
+    """The number of halvings the sampler makes, replayed with op_norm."""
+    m, n = a.shape
+    cap = fraction * ainv.ball_radius
+    g1 = rng.standard_normal((m, m))
+    g2 = rng.standard_normal((n, n))
+    count = 0
+    while op_norm((np.eye(m) + eps * g1) @ a @ (np.eye(n) + eps * g2) - a) >= cap:
+        eps *= 0.5
+        count += 1
+    return count
+
+
+def _sampler_svds(monkeypatch, a, fraction, eps, seeds):
+    """(SVD calls, halvings) of sampler draws from ``trial_rng(seed, 2)``."""
+    ainv = moore_penrose(a)
+    halvings = sum(_halvings(trial_rng(seed, 2), a, ainv, fraction, eps) for seed in seeds)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    for seed in seeds:
+        _near_identity_sample(trial_rng(seed, 2), a, ainv, fraction, eps)
+    monkeypatch.undo()
+    return len(calls), halvings
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
+def test_rejected_halvings_take_no_svd(monkeypatch, scale, shape):
+    # The gaps of a one-row or one-column operator have rank one, where the
+    # power step is exact, so it settles every rejected halving.
+    a = scale * trial_rng(5, *shape).standard_normal(shape)
+    svds, halvings = _sampler_svds(monkeypatch, a, 0.4, 4.0, range(6))
+    assert halvings >= 6 * 5
+    assert svds == 0
+
+
+@OVERFLOW
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_outside_the_guarded_scales_the_svd_decides_each_step(monkeypatch, scale):
+    a = scale * trial_rng(5, 1, 7).standard_normal((1, 7))
+    svds, halvings = _sampler_svds(monkeypatch, a, 0.4, 4.0, range(6))
+    assert halvings >= 6 * 5
+    assert svds == halvings + 6  # the accepting step of each draw too
