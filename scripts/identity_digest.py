@@ -10,13 +10,18 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   ``timestamp`` value blanked;
 * for each benchmark workload at seeds 3 and 4, the sha1 of one pass's job
   digests and the pass's attempted/failed job counts, taken with the
-  benchmark's own pass loop (``harness.run_phase``) and job check.
+  benchmark's own pass loop (``harness.run_phase``) and job check;
+* the sha1 of the stdout of ``oblique integrate --builtin sec4_2x2`` and of
+  ``oblique chart --builtin sec4_2x2``, which cover the operator-family
+  patch and the chart command that no workload runs.
 
 Run it in two checkouts and ``diff`` the outputs: equal lines mean equal
 bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
 """
 
+import contextlib
 import hashlib
+import io
 import re
 import sys
 import tempfile
@@ -34,6 +39,15 @@ def verify_digest() -> str:
         main(["verify", "all", "--trials", "50", "--seed", "7", "--out", str(out)])
         text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out.read_text())
     return hashlib.sha1(text.encode()).hexdigest()
+
+
+def cli_digest(argv: list[str]) -> str:
+    from oblique.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return hashlib.sha1(out.getvalue().encode()).hexdigest()
 
 
 def workload_digest(harness, name: str, seed: int) -> tuple[str, int, int]:
@@ -59,6 +73,8 @@ def main() -> int:
         for seed in SEEDS:
             digest, attempted, failed = workload_digest(harness, name, seed)
             print(f"perfbench {name} seed {seed}  {digest}  attempted {attempted} failed {failed}")
+    for command in ("integrate", "chart"):
+        print(f"{command} --builtin sec4_2x2  {cli_digest([command, '--builtin', 'sec4_2x2'])}")
     return 0
 
 

@@ -84,6 +84,13 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_at_least(args, **floors: int) -> None:
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value is not None and value < floor:
+            raise ValidationError(f"--{name} must be at least {floor}, got {value}")
+
+
 def _subspace_from_file(path: str) -> Subspace:
     return Subspace(orth_basis(read_matrix(path)))
 
@@ -156,6 +163,7 @@ def _write_patch_csv(patch, path: str) -> None:
 
 
 def _cmd_chart(args) -> int:
+    _require_at_least(args, samples=1, curves=0, seed=0)
     if args.builtin is not None:
         ctx = sec4_context()
     else:
@@ -184,6 +192,7 @@ def _cmd_chart(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_at_least(args, trials=1, seed=0)
     cfg = DEFAULTS
     if args.tol is not None:
         if args.tol <= 0:

@@ -329,7 +329,7 @@ def generalized_regular_probe(
     gi0 = moore_penrose(f.jacobian(base, cfg))
     report = locally_fine_probe(lambda p: f.jacobian(p, cfg), base, gi0, radii, samples, seed, cfg)
 
-    directions = _probe_directions(seed, samples, base.size)
+    directions = _probe_directions(seed, range(samples), base.size)
     modulus: list[float | None] = []
     for radius in radii:
         worst = None

@@ -22,7 +22,7 @@ finished patch are batched the same way.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,19 +64,7 @@ class PatchDiagnostics:
     cofinal_failures: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "spacing": list(self.spacing),
-            "initial_residual": self.initial_residual,
-            "path_residual": self.path_residual,
-            "ode_residual": self.ode_residual,
-            "ode_residual_scaled": self.ode_residual_scaled,
-            "level_set_residual": self.level_set_residual,
-            "tangency_residual": self.tangency_residual,
-            "breached": self.breached,
-            "unfilled": self.unfilled,
-            "cofinal_failures": self.cofinal_failures,
-        }
+        return asdict(self) | {"spacing": list(self.spacing)}
 
 
 @dataclass

@@ -256,8 +256,7 @@ class ConditionReport:
 
     @property
     def agree(self) -> bool:
-        values = list(self.holds.values())
-        return all(values) or not any(values)
+        return self.all_true or self.all_false
 
     @property
     def all_true(self) -> bool:
@@ -352,9 +351,9 @@ def trial_rng(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
 
 
-def _probe_directions(seed: int, samples: int, dim: int) -> list[np.ndarray]:
-    """Unit ray directions of a probe, the j-th drawn from ``trial_rng(seed, j)``."""
-    return [unit(trial_rng(seed, j).standard_normal(dim)) for j in range(samples)]
+def _probe_directions(seed: int, indices: Sequence[int], dim: int) -> list[np.ndarray]:
+    """Unit directions, the j-th drawn from ``trial_rng(seed, j)``."""
+    return [unit(trial_rng(seed, j).standard_normal(dim)) for j in indices]
 
 
 @dataclass
@@ -425,7 +424,7 @@ def locally_fine_probe(
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     t0 = as_matrix(family(base), "family value")
-    directions = _probe_directions(seed, samples, base.size)
+    directions = _probe_directions(seed, range(samples), base.size)
     outcomes = []
     for radius in radii:
         outcome = RadiusOutcome(radius=float(radius))

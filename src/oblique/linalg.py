@@ -71,8 +71,10 @@ def _screened_norm(m: np.ndarray, bound: float) -> float:
 
     ||m||_2 <= ||m||_F, and both round like (entries) * eps, so the slack
     covers up to a million entries.  The unscaled Frobenius norm loses
-    squares below 5e-324, so bounds of 1e-150 or less always take the SVD."""
-    frobenius = float(np.linalg.norm(m))
+    squares below 5e-324, so bounds of 1e-150 or less always take the SVD.
+    Past about 1e154 the squares overflow to inf, which the SVD decides too."""
+    with np.errstate(over="ignore"):
+        frobenius = float(np.linalg.norm(m))
     return frobenius if _screen_settles(frobenius, bound) else op_norm(m)
 
 
@@ -84,7 +86,8 @@ def _screen_settles(frobenius, bound: float):
 def _screened_norms(stack: np.ndarray, bound: float) -> np.ndarray:
     """``_screened_norm`` of each matrix in a stack (count, p, q): the
     matrices the screen leaves open share one stacked SVD."""
-    norms = np.linalg.norm(stack, axis=(-2, -1))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(stack, axis=(-2, -1))
     open_ = ~_screen_settles(norms, bound)
     if open_.any():
         norms[open_] = np.linalg.svd(stack[open_], compute_uv=False)[:, 0]

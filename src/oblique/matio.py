@@ -70,15 +70,11 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix from a .json or .csv file (decided by suffix)."""
     p = Path(path)
+    if p.suffix.lower() != ".csv":
+        return matrix_from_dict(load_json(p), name=str(p))
     if not p.exists():
         raise ValidationError(f"no such file: {p}")
-    if p.suffix.lower() == ".csv":
-        return _read_matrix_csv(p)
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return matrix_from_dict(payload, name=str(p))
+    return _read_matrix_csv(p)
 
 
 def load_json(path) -> dict:

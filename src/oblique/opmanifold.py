@@ -33,7 +33,7 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, MembershipError, ValidationError
 from .families import SubspaceFamily
-from .geninv import GenInverse, _c_factor, _conditioned, _near_identity_sample, moore_penrose, perturbed_gi, trial_rng
+from .geninv import GenInverse, _c_factor, _conditioned, _near_identity_sample, _probe_directions, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
     Factors,
     Subspace,
@@ -290,7 +290,15 @@ def membership_residual(ctx: OperatorFamilyContext, t) -> float:
 
 
 def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
-    return float(_slice_defect(ctx.factors, t) / (1.0 + np.linalg.norm(t)))
+    """Past about 1e154 the norms overflow; there the same ratio is taken
+    from t / max|t|."""
+    with np.errstate(over="ignore"):
+        defect, norm = _slice_defect(ctx.factors, t), np.linalg.norm(t)
+    if math.isfinite(defect) and math.isfinite(norm):
+        return float(defect / (1.0 + norm))
+    peak = float(np.max(np.abs(t)))
+    scaled = t / peak
+    return float(_slice_defect(ctx.factors, scaled) / (1.0 / peak + np.linalg.norm(scaled)))
 
 
 def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -427,7 +435,7 @@ def tangency_fixed_rank(
     moving = 0
     for start in range(0, curves, _block(ctx)):
         block = range(start, min(curves, start + _block(ctx)))
-        step = h * _slice_directions(ctx, np.array([unit(trial_rng(seed, j).standard_normal(ctx.dim)) for j in block]))
+        step = h * _slice_directions(ctx, np.array(_probe_directions(seed, block, ctx.dim)))
         # t0 + h dT and t0 - h dT of each curve in turn, the order in which
         # the chart region is checked
         ends = _chart_d_star(ctx, (t0 + np.stack([step, -step], axis=1)).reshape(-1, m, n))

@@ -19,7 +19,7 @@ Suite names are stable CLI identifiers:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -91,8 +91,8 @@ class VerificationReport:
     config: dict
     outcomes: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    sub_reports: list | None = None
     timestamp: str = ""
+    sub_reports: list | None = None
 
     @property
     def failures(self) -> int:
@@ -103,23 +103,17 @@ class VerificationReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        d = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "config": self.config,
-            "outcomes": self.outcomes,
-            "summary": self.summary,
-            "timestamp": self.timestamp,
-        }
-        if self.sub_reports is not None:
-            d["sub_reports"] = [r.to_dict() for r in self.sub_reports]
-        return d
+        return asdict(self, dict_factory=_report_dict)
+
+
+def _report_dict(items) -> dict:
+    """Dict of a report's fields, without ``sub_reports`` where it is None."""
+    return {k: v for k, v in items if not (k == "sub_reports" and v is None)}
 
 
 def _finish(report: VerificationReport) -> VerificationReport:
     fails = sum(1 for o in report.outcomes if not o.get("pass", True))
-    report.summary.setdefault("failures", fails)
+    report.summary = {"failures": fails, **report.summary}
     report.timestamp = datetime.now(timezone.utc).isoformat()
     return report
 
@@ -231,7 +225,6 @@ def run_thm1_1(trials: int, seed: int, cfg: Numerics) -> VerificationReport:
             }
         )
     report.summary = {
-        "failures": sum(1 for o in report.outcomes if not o["pass"]),
         "indecisive": sum(1 for o in report.outcomes if not o["decisive"]),
         "min_decisive_margin": None if math.isinf(min_margin) else min_margin,
     }
@@ -312,7 +305,6 @@ def run_thm1_5(trials: int, seed: int, cfg: Numerics) -> VerificationReport:
             {"trial": trial, "pass": bool(ok and unique_ok), "alpha_gap": gap_alpha, "graph_gap": gap_graph}
         )
     report.summary = {
-        "failures": sum(1 for o in report.outcomes if not o["pass"]),
         "max_alpha_gap": worst_alpha,
         "max_graph_gap": worst_graph,
     }

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -192,6 +193,33 @@ def test_rank_one_slice_patch_stays_singular():
     dets = np.abs(amb[:, 0] * amb[:, 3] - amb[:, 1] * amb[:, 2])
     assert float(dets.max()) <= 1e-8
     assert patch.diagnostics.path_residual <= 1e-8
+
+
+DIAGNOSTIC_KEYS = [
+    "step",
+    "spacing",
+    "initial_residual",
+    "path_residual",
+    "ode_residual",
+    "ode_residual_scaled",
+    "level_set_residual",
+    "tangency_residual",
+    "breached",
+    "unfilled",
+    "cofinal_failures",
+]
+
+
+@pytest.mark.parametrize("source", ["kernel", "sec4_2x2"])
+def test_patch_diagnostics_serialise_in_field_order(source):
+    if source == "kernel":
+        patch = integrate(circle_family()[2], 0.3, 1e-2)
+    else:
+        patch = integrate(builtin_family("sec4_2x2"), 0.2, 5e-3, grid_points=5)
+    d = json.loads(json.dumps(patch.diagnostics.to_dict()))
+    assert list(d) == DIAGNOSTIC_KEYS
+    assert d["spacing"] == list(patch.diagnostics.spacing)
+    assert (d["level_set_residual"] is None) == (source == "sec4_2x2")
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,20 @@ def test_cli_verify_deterministic(tmp_path):
     a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
     a.pop("timestamp"), b.pop("timestamp")
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chart", "--builtin", "sec4_2x2", "--samples", "-3"],
+        ["chart", "--builtin", "sec4_2x2", "--samples", "0"],
+        ["chart", "--builtin", "sec4_2x2", "--curves", "-4"],
+        ["chart", "--builtin", "sec4_2x2", "--seed", "-1"],
+        ["verify", "thm1_1", "--trials", "-2"],
+        ["verify", "thm1_1", "--trials", "0"],
+        ["verify", "thm1_1", "--seed", "-1"],
+    ],
+)
+def test_cli_rejects_counts_and_seeds_below_their_floor(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must be at least")

@@ -11,6 +11,7 @@ import pytest
 
 from oblique import (
     BallError,
+    MembershipError,
     alpha_operator_family,
     chart_d,
     chart_d_star,
@@ -25,7 +26,7 @@ from oblique.errors import ValidationError
 from oblique.geninv import _near_identity_sample, c_op, trial_rng
 from oblique.linalg import _norm_exceeds, _screened_norm
 from oblique.matio import matrix_to_dict
-from oblique.opmanifold import _chart_factor, sample_fixed_rank_near, unvec
+from oblique.opmanifold import _chart_factor, fixed_rank_chart_check, membership_residual, sample_fixed_rank_near, unvec
 from oblique.suites import random_rank_matrix
 
 BOUNDS = [1e-6, 1e-3, 1.0, 1e3, 1e6]
@@ -220,11 +221,8 @@ def test_zero_base_operator_is_a_validation_error(tmp_path, capsys):
 # A power step settles most rejected halvings of the sampler without an SVD.
 
 SAMPLER_SCALES = [1e-170, 1e-6, 1.0, 1e6, 1e150, 1e170]
-# At 1e170 the squares of the Frobenius screen overflow to inf; the SVD decides.
-OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 
-@OVERFLOW
 @pytest.mark.parametrize("scale", SAMPLER_SCALES)
 def test_near_identity_sample_matches_the_unscreened_test_at_all_scales(scale):
     for seed in range(8):
@@ -293,10 +291,35 @@ def test_rejected_halvings_take_no_svd(monkeypatch, scale, shape):
     assert svds == 0
 
 
-@OVERFLOW
 @pytest.mark.parametrize("scale", [1e-170, 1e170])
 def test_outside_the_guarded_scales_the_svd_decides_each_step(monkeypatch, scale):
     a = scale * trial_rng(5, 1, 7).standard_normal((1, 7))
     svds, halvings = _sampler_svds(monkeypatch, a, 0.4, 4.0, range(6))
     assert halvings >= 6 * 5
     assert svds == halvings + 6  # the accepting step of each draw too
+
+
+# Past about 1e154 squared entries overflow: the Frobenius screen leaves such
+# matrices to the SVD, and the membership ratio is taken from t / max|t|.
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_operators_raise_no_overflow_warning():
+    a = 1e170 * random_rank_matrix(trial_rng(3, 1), 4, 5, 2)
+    ainv = moore_penrose(a)
+    t = _near_identity_sample(trial_rng(3, 2), a, ainv, 0.4, 0.1)
+    perturbed_gi(a, ainv, t)
+    assert seven_conditions(a, ainv, t).all_true
+    rep = fixed_rank_chart_check(operator_context(a), samples=10, seed=3)
+    assert rep.membership_failures == rep.rank_failures == 0
+    assert 0.0 < rep.membership_max <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e170, 1e300])
+def test_membership_stays_decisive_past_the_overflow_scale(scale):
+    ctx = operator_context(scale * np.diag([1.0, 0.0]))
+    corner = scale * np.diag([0.0, 1.0])  # outside M(A)
+    assert membership_residual(ctx, corner) == pytest.approx(1.0)
+    with pytest.raises(MembershipError):
+        alpha_operator_family(ctx, ctx.a, corner)

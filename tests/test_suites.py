@@ -51,3 +51,12 @@ def test_inside_sampler_fails_loudly():
     a = np.diag([1.0, 0.5, 0.0])
     with pytest.raises(BallError):
         sample_inside(np.random.default_rng(3), a, moore_penrose(a), fraction=0.0)
+
+
+def test_report_keys_keep_their_order_and_sub_reports_only_at_the_top():
+    d = run_suite("all", trials=2).to_dict()
+    assert list(d) == ["suite", "seed", "trials", "config", "outcomes", "summary", "timestamp", "sub_reports"]
+    assert next(iter(d["summary"])) == "failures"
+    for sub in d["sub_reports"]:
+        assert list(sub) == list(d)[:-1]
+        assert next(iter(sub["summary"])) == "failures"
