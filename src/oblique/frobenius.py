@@ -29,7 +29,6 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import (
     CofinalBreach,
-    DimensionError,
     GridError,
     NewtonDivergence,
     StepError,
@@ -465,6 +464,17 @@ _STENCILS_5 = (
     ((-3, -2, -1, 0, 1), (-1.0, 6.0, -18.0, 10.0, 3.0)),
 )
 
+# Extrapolation to the next node of a uniformly spaced lattice line: row j
+# weighs its last j + 1 nodes, newest first, by the polynomial of degree j
+# through them (binomial coefficients with alternating signs).
+_PREDICTORS = (
+    (1.0,),
+    (2.0, -1.0),
+    (3.0, -3.0, 1.0),
+    (4.0, -6.0, 4.0, -1.0),
+    (5.0, -10.0, 10.0, -5.0, 1.0),
+)
+
 
 def _axis_derivatives(patch: IntegralPatch, nodes: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid derivatives of psi along an axis at nodes given as index rows.
@@ -549,28 +559,45 @@ def explicit_psi(
     Solves ``T0+ (f(lift(z) + w) - f(x0)) = 0`` for ``w`` in E*-coordinates by
     the constant-linear-model iteration ``w <- w - E*^T T0+ (f(u) - f(x0))``
     (the exact local model, since the relevant derivative is the constant
-    projector onto E* along N0).  Raises NewtonDivergence with the residual
-    trace if the update norm does not reach ``newton_tol``.
+    projector onto E* along N0), started from ``w0``, by default the
+    E*-coordinates of ``x0``.  ``explicit_patch`` passes each node a start
+    predicted from the nodes before it on its lattice line.  Raises
+    ValidationError for a ``z``, ``w0`` or ``x0`` of the wrong size or with a
+    non-finite entry, and NewtonDivergence with the residual trace if the
+    update norm does not reach ``newton_tol``.
     """
-    return _graph_solver(f, gi0, x0, cfg)(z, w0)
+    solve, (m0_dim, estar_dim) = _graph_solver(f, gi0, x0, cfg)
+    w0 = None if w0 is None else _finite_vector(w0, estar_dim, "w0")
+    return solve(_finite_vector(z, m0_dim, "z"), w0)
+
+
+def _finite_vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as a flat float vector of ``size`` finite entries."""
+    v = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
+    if v.size != size:
+        raise ValidationError(f"{name} has {v.size} coordinates, expected {size}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} has non-finite entries: {v.tolist()}")
+    return v
 
 
 def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
     """``explicit_psi`` at fixed ``f``, ``gi0`` and ``x0`` as a function of
-    ``(z, w0)``, with the quantities that do not depend on z computed once."""
-    base = np.asarray(x0, dtype=float).ravel()
+    ``(z, w0)``, with the quantities that do not depend on z computed once.
+
+    Checks ``x0`` and returns the solver with ``(dim M0, dim E*)``; the solver
+    takes ``z`` and ``w0`` as finite flat vectors of those sizes, unchecked.
+    """
     t0, t0_plus = gi0.forward, gi0.inverse
+    base = _finite_vector(x0, t0.shape[1], "x0")
     m0 = kernel_of(t0, cfg.rank_tol).basis
     estar = gi0.range_complement.basis
     estar_t = np.ascontiguousarray(estar.T)
     f_base = f(base)
     w_base = estar_t @ ((t0_plus @ t0) @ base)
 
-    def solve(z, w0=None) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
-        if z.size != m0.shape[1]:
-            raise DimensionError(f"z has {z.size} coordinates, base subspace has dim {m0.shape[1]}")
-        w = w_base if w0 is None else np.asarray(w0, dtype=float).ravel()
+    def solve(z: np.ndarray, w0: np.ndarray | None = None) -> np.ndarray:
+        w = w_base if w0 is None else w0
         lift = m0 @ z
         trace: list[float] = []
         for _ in range(cfg.newton_max_iter):
@@ -588,7 +615,14 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
             f"graph solve did not reach {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations", trace
         )
 
-    return solve
+    return solve, (m0.shape[1], estar.shape[1])
+
+
+def _predict(history: list[np.ndarray]) -> np.ndarray:
+    """Start for the next node of a lattice line from its solved nodes, newest
+    first: degree 4 through the last five, lower while there are fewer."""
+    weights = _PREDICTORS[min(len(history), len(_PREDICTORS)) - 1]
+    return sum(c * w for c, w in zip(weights, history))
 
 
 def explicit_patch(
@@ -601,11 +635,18 @@ def explicit_patch(
 ) -> np.ndarray:
     """Evaluate the explicit graph map on a patch's lattice.
 
-    Nodes are visited marching outward from the center, warm-starting each
-    solve from its already-computed neighbor; unreachable nodes come back as
-    NaN.  Returns an array shaped like ``patch.psi``.
+    Nodes are visited marching outward from the center along the lattice
+    lines of ``integrate``'s axis passes.  Each solve starts from the
+    polynomial extrapolation (``_predict``) of the nodes already solved on its
+    line; if that start diverges, it is retried once from the previous node.
+    A line stops where both starts fail, and unreachable nodes come back as
+    NaN.  The integrated psi never enters a solve, so the result checks it
+    independently.  Returns an array shaped like ``patch.psi``.
     """
-    solve = _graph_solver(f, gi0, x0, cfg)
+    solve, dims = _graph_solver(f, gi0, x0, cfg)
+    if dims != (patch.m0_dim, patch.estar_dim):
+        got = (patch.m0_dim, patch.estar_dim)
+        raise ValidationError(f"patch has (dim M0, dim E*) = {got}, the map gives {dims}")
     center = patch.center_index
     out = np.full_like(patch.psi, np.nan)
     out[center] = solve(patch.node_coords(center))
@@ -613,11 +654,16 @@ def explicit_patch(
     for pos in range(patch.m0_dim):
         reached = ~np.isnan(out).any(axis=-1)
         for line in _outward_lines(reached, center, range(pos), pos):
-            prev = out[line[0]]
+            history = [out[line[0]]]
             for idx in line[1:]:
+                z = patch.node_coords(idx)
                 try:
-                    prev = solve(patch.node_coords(idx), prev)
+                    w = solve(z, _predict(history))
                 except NewtonDivergence:
-                    break
-                out[idx] = prev
+                    try:
+                        w = solve(z, history[0])
+                    except NewtonDivergence:
+                        break
+                out[idx] = w
+                history = [w, *history[: len(_PREDICTORS) - 1]]
     return out

@@ -19,6 +19,7 @@ from oblique import (
     moore_penrose,
     tangency_check,
 )
+from oblique import frobenius
 from oblique.builtins import builtin_family, builtin_map
 from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
@@ -524,18 +525,34 @@ def test_kernel_family_stacked_tangency_matches_serial_reference(region):
     assert batched_calls == calls[0] > 0
 
 
-def test_explicit_patch_matches_node_by_node_solves():
-    f, x0 = builtin_map("sphere_3d")
-    patch = integrate(kernel_family(f, x0), 0.4, 2e-2, grid_points=9)
-    gi0 = moore_penrose(f.jacobian(x0))
+def node_by_node_explicit(f, gi0, patch, x0, start):
+    """``explicit_patch``'s march redone with one ``explicit_psi`` call per
+    node: each solve starts from ``start`` of the solved nodes of its line,
+    newest first, and a line stops at its first divergence."""
     ref = np.full_like(patch.psi, np.nan)
     center = patch.center_index
     ref[center] = explicit_psi(f, gi0, patch.node_coords(center), x0=x0)
     for pos in range(patch.m0_dim):
         reached = ~np.isnan(ref).any(axis=-1)
         for line in _outward_lines(reached, center, range(pos), pos):
-            for prev, idx in zip(line, line[1:]):
-                ref[idx] = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=ref[prev])
+            for i, idx in enumerate(line[1:], 1):
+                history = [ref[j] for j in line[i - 1 :: -1]]
+                try:
+                    ref[idx] = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=start(history))
+                except NewtonDivergence:
+                    break
+    return ref
+
+
+def neighbour_start(history):
+    return history[0]
+
+
+def test_explicit_patch_matches_node_by_node_solves():
+    f, x0 = builtin_map("sphere_3d")
+    patch = integrate(kernel_family(f, x0), 0.4, 2e-2, grid_points=9)
+    gi0 = moore_penrose(f.jacobian(x0))
+    ref = node_by_node_explicit(f, gi0, patch, x0, frobenius._predict)
     assert explicit_patch(f, gi0, patch, x0=x0).tobytes() == ref.tobytes()
 
 
@@ -691,3 +708,63 @@ def test_level_set_residual_skips_nodes_where_f_is_not_finite():
     _, level, _, _ = SerialReference(fam).node_checks(patch)
     assert patch.diagnostics.level_set_residual == level < 1e-6
     assert patch.diagnostics.cofinal_failures == 0 and patch.filled.all()
+
+
+# ---------------------------------------------------------------------------
+# explicit_patch: predicted starts along each lattice line
+
+
+def counting(f):
+    """``f`` with a counter of its calls."""
+    calls = [0]
+
+    def func(x):
+        calls[0] += 1
+        return f(x)
+
+    return DifferentiableMap(f.dom_dim, f.cod_dim, func, f.jac), calls
+
+
+def explicit_setup(name, extent, step, grid_points=None):
+    f, x0 = builtin_map(name)
+    patch = integrate(kernel_family(f, x0), extent, step, grid_points=grid_points)
+    return f, x0, moore_penrose(f.jacobian(x0)), patch
+
+
+def test_predictor_rows_extrapolate_polynomials_exactly():
+    # row j continues every polynomial of degree <= j from nodes t = -1, ..., -(j + 1) to t = 0
+    for j, weights in enumerate(frobenius._PREDICTORS):
+        assert len(weights) == j + 1
+        for degree in range(j + 1):
+            history = [np.array([float((-k) ** degree)]) for k in range(1, j + 2)]
+            assert frobenius._predict(history)[0] == 0.0**degree
+
+
+def test_explicit_patch_circle_takes_few_map_calls():
+    f, x0, gi0, patch = explicit_setup("sphere_2d", 0.9, 1e-3)
+    assert patch.psi.shape[0] == 1801
+    counted, calls = counting(f)
+    ep = explicit_patch(counted, gi0, patch, x0=x0)
+    assert calls[0] <= 4000  # 22,920 from neighbour starts
+    assert float(np.nanmax(np.abs(ep - patch.psi))) <= 1e-6
+
+
+def test_explicit_patch_falls_back_to_the_neighbour_start(monkeypatch):
+    f, x0, gi0, patch = explicit_setup("sphere_3d", 0.4, 2e-2, grid_points=9)
+    ref = node_by_node_explicit(f, gi0, patch, x0, neighbour_start)
+    monkeypatch.setattr(frobenius, "_predict", lambda history: history[0] + 1e12)
+    assert explicit_patch(f, gi0, patch, x0=x0).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, extent, step, grid_points", [("sphere_2d", 1.2, 1e-3, None), ("sphere_3d", 0.99, 2e-2, 41)]
+)
+def test_explicit_patch_reach_never_shrinks(name, extent, step, grid_points):
+    # both patches run past the fold, where lines end in divergence
+    f, x0, gi0, patch = explicit_setup(name, extent, step, grid_points)
+    ref = node_by_node_explicit(f, gi0, patch, x0, neighbour_start)
+    ep = explicit_patch(f, gi0, patch, x0=x0)
+    ref_reached, reached = ~np.isnan(ref).any(axis=-1), ~np.isnan(ep).any(axis=-1)
+    assert ref_reached.sum() < ref_reached.size
+    assert np.all(reached[ref_reached])
+    assert float(np.abs(ep[ref_reached] - ref[ref_reached]).max()) <= 1e-11

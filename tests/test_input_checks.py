@@ -19,7 +19,8 @@ from oblique import (
     rank_class_preserved,
     seven_conditions,
 )
-from oblique.builtins import family_from_manifest
+from oblique.builtins import builtin_map, family_from_manifest
+from oblique.frobenius import explicit_patch, explicit_psi
 from oblique.cli import main
 from oblique.errors import ValidationError
 from oblique.matio import matrix_to_dict
@@ -134,3 +135,38 @@ def test_near_singular_kernel_family_splits(route):
     alpha = fam.alpha_at(points[1]).alpha
     assert alpha.shape == (1, 2)
     assert np.max(np.abs(np.abs(alpha) - [0.0, 0.3])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the explicit graph map checks its vectors once, at the boundary
+
+
+def _circle_graph():
+    f, x0 = builtin_map("sphere_2d")
+    return f, x0, moore_penrose(f.jacobian(x0))
+
+
+@pytest.mark.parametrize(
+    "z, x0, w0, message",
+    [
+        ([0.1, 0.2], None, None, "z has 2 coordinates, expected 1"),
+        ([np.nan], None, None, "z has non-finite entries"),
+        ([0.1], [0.0, 1.0, 0.0], None, "x0 has 3 coordinates, expected 2"),
+        ([0.1], [np.inf, 1.0], None, "x0 has non-finite entries"),
+        ([0.1], None, [1.0, 0.0], "w0 has 2 coordinates, expected 1"),
+        ([0.1], None, [np.nan], "w0 has non-finite entries"),
+    ],
+)
+def test_explicit_psi_rejects_malformed_vectors(z, x0, w0, message):
+    f, base, gi0 = _circle_graph()
+    with pytest.raises(ValidationError, match=message):
+        explicit_psi(f, gi0, z, x0=base if x0 is None else x0, w0=w0)
+    explicit_psi(f, gi0, [0.1], x0=base, w0=explicit_psi(f, gi0, [0.0], x0=base))
+
+
+def test_explicit_patch_rejects_patch_of_another_dimension():
+    f, x0, gi0 = _circle_graph()
+    g, y0 = builtin_map("sphere_3d")
+    patch = integrate(kernel_family(g, y0), 0.1, 1e-2, grid_points=3)
+    with pytest.raises(ValidationError, match=r"\(dim M0, dim E\*\) = \(2, 1\)"):
+        explicit_patch(f, gi0, patch, x0=x0)
