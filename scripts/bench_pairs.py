@@ -18,9 +18,18 @@ distance over its median, the pairs won and lost, and every run.
 ``--claim W:M:P`` names the claimed gain.  It is met when metric M of
 workload W moves by at least P percent (negative for a fall) in the median,
 the change wins at least nine tenths of the pairs, and the gap between the
-medians exceeds the distance between the parent's quartiles.  The script
-only reads ``perfbench/`` and ``BENCHMARK.json``; it changes neither.  The
-runs are serial: one benchmark process at a time.
+medians exceeds the distance between the parent's quartiles.
+
+Every workload and end-to-end metric is checked against the metric's
+relative ``bound`` in ``BENCHMARK.json``: its verdict is ``worse`` when the
+change's median is worse than the parent's by more than the bound,
+``unresolved`` when it is not but the parent's quartile distance over its
+median exceeds the bound (unless every run of the change reads better than
+every run of the parent), and ``within bound`` otherwise.  The verdicts are
+listed per workload under ``bounds``.
+
+The script only reads ``perfbench/`` and ``BENCHMARK.json``; it changes
+neither.  The runs are serial: one benchmark process at a time.
 """
 
 import argparse
@@ -94,7 +103,21 @@ def metric_table(runs: dict, unit: str, better: str) -> dict:
     }
 
 
-def bench_workload(checkouts: dict, workload: str, seeds, seconds: float, better: dict) -> tuple[dict, dict]:
+def bound_verdict(row: dict, better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within bound``: one metric's
+    ``metric_table`` row against its relative bound."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent = row["parent"]
+    if sign * (row["change"]["median"] - parent["median"]) > bound * abs(parent["median"]):
+        return "worse"
+    # signed so that lower reads better: every change run below every parent run
+    all_better = max(sign * v for v in row["runs"]["change"]) < min(sign * v for v in row["runs"]["parent"])
+    if parent["q3"] - parent["q1"] > bound * abs(parent["median"]) and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
+def bench_workload(checkouts: dict, workload: str, seeds, seconds: float, spec: dict) -> tuple[dict, dict]:
     """Alternating pairs over ``seeds``: (the workload's table, one summary line)."""
     results = {side: [] for side in SIDES}
     first, counts = {}, {}
@@ -111,7 +134,7 @@ def bench_workload(checkouts: dict, workload: str, seeds, seconds: float, better
         name: metric_table(
             {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES},
             names[name]["unit"],
-            better[name],
+            spec[name]["better"],
         )
         for name in names
     }
@@ -124,6 +147,15 @@ def bench_workload(checkouts: dict, workload: str, seeds, seconds: float, better
         "metrics": metrics,
     }
     return table, summary
+
+
+def bound_verdicts(workloads: dict, spec: dict) -> dict:
+    """``bound_verdict`` of every workload's end-to-end metrics, with
+    ``spec`` the ``BENCHMARK.json`` entries by metric name."""
+    return {
+        name: {m: bound_verdict(row, spec[m]["better"], spec[m]["bound"]) for m, row in table["metrics"].items()}
+        for name, table in workloads.items()
+    }
 
 
 def judge(claim: str, workloads: dict) -> dict:
@@ -166,13 +198,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     plan = dict(args.workload) if args.workload else DEFAULT_SEEDS
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     parent = args.parent or f"{args.change}^"
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: export(rev, Path(tmp) / side) for side, rev in zip(SIDES, (parent, args.change))}
         workloads, machine = {}, None
         for name, seeds in plan.items():
-            workloads[name], machine = bench_workload(checkouts, name, seeds, args.seconds, better)
+            workloads[name], machine = bench_workload(checkouts, name, seeds, args.seconds, spec)
     info = machine["machine"]
     report = {
         "change": args.summary,
@@ -181,12 +213,16 @@ def main(argv=None) -> int:
         "machine": f"{info['nproc']}-core {info['machine']}, BLAS pinned to one thread by perfbench, "
         f"numpy {info['numpy']}, Python {info['python']}",
         "claim": judge(args.claim, workloads),
+        "bounds": bound_verdicts(workloads, spec),
         **({"identity": args.identity} if args.identity else {}),
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"{out.name}: {report['claim']['result']}; met: {report['claim']['met']}")
+    for name, verdicts in report["bounds"].items():
+        flagged = {m: v for m, v in verdicts.items() if v != "within bound"}
+        print(f"{name}: " + (", ".join(f"{m} {v}" for m, v in flagged.items()) or "every metric within bound"))
     return 0
 
 

@@ -19,6 +19,8 @@ from .linalg import (
     Subspace,
     SubspaceBatch,
     _kernel_batch,
+    _kernel_rows,
+    _kernel_svd,
     direct_sum_check,
     intersection_margin,
     kernel_of,
@@ -171,9 +173,10 @@ class SubspaceFamily:
                   for k in set(dims.tolist()) - {-1}}
         return SubspaceBatch(self.ambient_dim, dims, stacks)
 
-    def eval_many(self, points) -> list[Subspace | None]:
-        """The family at each point; None where ``eval`` raises EvalError."""
-        return list(self.eval_batch(points))
+    def bases_of_dim(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``eval_batch(points).of_dim(k)``: the mask of the points where the
+        family has a subspace of dimension k, and their stacked bases."""
+        return self.eval_batch(points).of_dim(k)
 
     def alpha_at(self, x, cfg: Numerics = DEFAULTS) -> CoordinateOperator:
         return coordinate_operator(self.base_subspace, self.complement, self.eval(x), cfg)
@@ -193,37 +196,56 @@ class _KernelFamily(SubspaceFamily):
     """A family whose ``eval_fn`` is a ``_JacobianKernels``, as built by
     ``kernel_family``.  A batch takes the Jacobians point by point and their
     kernels from one stacked SVD, bit for bit what ``eval`` gives, without
-    wrapping a ``Subspace`` per point."""
+    wrapping a ``Subspace`` per point; ``bases_of_dim`` reads its rows straight
+    off that SVD."""
 
-    def eval_batch(self, points) -> SubspaceBatch:
+    def _jacobian_svd(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The points whose Jacobian evaluates and is finite, as indices, with
+        the ranks and V^T of those Jacobians from one stacked SVD.  None when
+        ``eval_fn`` was replaced or the SVD did not converge: then the points
+        are evaluated one by one."""
         kernels = self.eval_fn
-        if not isinstance(kernels, _JacobianKernels):  # eval_fn was replaced
-            return super().eval_batch(points)
-        rows, jacs = [], []
+        if not isinstance(kernels, _JacobianKernels):
+            return None
+        f, rows, jacs = kernels.f, [], []
         for i, u in enumerate(points):
             point = np.asarray(u, dtype=float).ravel()
             if point.size != self.param_dim:
                 continue
             try:
-                jacs.append(kernels.f.jacobian(point, kernels.cfg))
+                jacs.append(f.jacobian(point, kernels.cfg))
             except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
                 continue
             rows.append(i)
-        dims = np.full(len(points), -1)
-        if not rows:
-            return SubspaceBatch(self.ambient_dim, dims, {})
-        stack = np.array(jacs)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        whole = len(rows) == len(points) and finite.all()
+        rows, stack = np.array(rows, dtype=int), np.array(jacs).reshape(-1, f.cod_dim, f.dom_dim)
+        if not np.isfinite(stack).all():
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            rows, stack = rows[finite], stack[finite]
         try:
-            found = _kernel_batch(stack if whole else stack[finite], kernels.tol)
+            return (rows, *_kernel_svd(stack, kernels.tol))
         except np.linalg.LinAlgError:
-            # an SVD of the stack did not converge: find which, point by point
+            return None
+
+    def eval_batch(self, points) -> SubspaceBatch:
+        found = self._jacobian_svd(points)
+        if found is None:
             return super().eval_batch(points)
-        if whole:
-            return found
-        dims[np.array(rows)[finite]] = found.dims
-        return SubspaceBatch(self.ambient_dim, dims, found.stacks)
+        rows, ranks, vh = found
+        dims = np.full(len(points), -1)
+        dims[rows] = self.ambient_dim - ranks
+        return SubspaceBatch(self.ambient_dim, dims, _kernel_batch(ranks, vh).stacks)
+
+    def bases_of_dim(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
+        found = self._jacobian_svd(points)
+        if found is None:
+            return super().eval_batch(points).of_dim(k)
+        rows, ranks, vh = found
+        sel, bases = _kernel_rows(ranks, vh, self.ambient_dim - k)
+        if len(rows) == len(points):
+            return sel, bases
+        ok = np.zeros(len(points), dtype=bool)
+        ok[rows] = sel
+        return ok, bases
 
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:

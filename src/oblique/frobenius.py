@@ -12,12 +12,14 @@ M0-coordinates; for multi-dimensional bases the lattice is filled along
 axis-ordered polyline paths and re-filled in the reversed order, the maximal
 disagreement doubling as an integrability diagnostic.
 
-The lines of one axis pass are independent initial-value problems, so they
-advance together, hop by hop, as stacked arrays: each RK4 stage takes one
-batched family evaluation (``SubspaceFamily.eval_batch``, one stacked basis
-array per subspace dimension) over the active lines, then their splitting
-margins and solves in one stacked call each.  The per-node checks of a
-finished patch are batched the same way.
+The lines of one axis pass are independent initial-value problems, and
+the two axis orders fill separate lattices, so pass k of both orders
+advances together, hop by hop, as stacked arrays; each line carries its own
+axis.  Each RK4 stage takes one batched family evaluation over the active
+lines (``SubspaceFamily.bases_of_dim``: the stacked bases of the expected
+dimension, read straight off the stacked Jacobian SVD for kernel families),
+then their splitting margins and solves in one stacked call each.  The
+per-node checks of a finished patch are batched the same way.
 """
 
 import itertools
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily
 from .geninv import GenInverse
-from .linalg import SubspaceBatch, kernel_of, oblique_projector
+from .linalg import kernel_of, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -155,36 +157,41 @@ class _AlphaEvaluator:
         self.cperp = family.complement.orthogonal_complement().basis
         # right-hand sides of the solve: all columns of alpha, or one axis
         self.full_rhs = self.cperp.T @ self.b0
-        self.axis_rhs = [(self.cperp.T @ self.b0[:, i])[:, None] for i in range(self.d)]
+        self.axis_rhs = np.stack([(self.cperp.T @ self.b0[:, i])[:, None] for i in range(self.d)])
 
     def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Ambient points ``lift(z) + lift(w)`` of stacked coordinate rows,
         one matrix-vector product per row as for a single point."""
         return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
 
-    def splits(self, batch: SubspaceBatch) -> np.ndarray:
-        """``direct_sum_check`` against the complement for each row of the
-        batch, from one stacked SVD; False where the evaluation failed."""
-        ok, bases = batch.of_dim(self.d)
+    def splits(self, found: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``direct_sum_check`` against the complement at each point of a
+        ``bases_of_dim`` result, from one stacked SVD; False where the
+        evaluation failed."""
+        ok, bases = found
         stacked = np.concatenate([bases, np.broadcast_to(self.bs, (len(bases),) + self.bs.shape)], axis=2)
         ok[ok] = np.linalg.svd(stacked, compute_uv=False)[:, -1] - self.cfg.tol_split > 0.0
         return ok
 
-    def alpha(self, batch: SubspaceBatch, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate operator times ``rhs`` (``full_rhs`` or an ``axis_rhs``)
-        at each row of the batch, as one stacked SVD and one stacked solve.
+    def alpha(self, found: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate operator times ``rhs`` at each point of a
+        ``bases_of_dim`` result, as one stacked SVD and one stacked solve.
+        ``rhs`` holds one right-hand side per point: ``full_rhs`` or a row of
+        ``axis_rhs``.
 
-        Returns the values of the kept rows, shaped (kept, dim E*, cols), and
-        the mask of kept rows.  A row is dropped when its evaluation failed,
-        its dimension drifted or its splitting margin against the complement
-        is at most ``tol_split``.
+        Returns the values of the kept points, shaped (kept, dim E*, cols),
+        and the mask of kept points.  A point is dropped when its evaluation
+        failed, its dimension drifted or its splitting margin against the
+        complement is at most ``tol_split``.
         """
-        ok, bases = batch.of_dim(self.d)
+        ok, bases = found
         cross = self.cperp.T @ bases
         keep = np.linalg.svd(cross, compute_uv=False)[:, -1] > self.cfg.tol_split
         if not keep.all():
             bases, cross = bases[keep], cross[keep]
-        ok[ok] = keep
+            ok[ok] = keep
+        if not ok.all():
+            rhs = rhs[ok]
         return self.estar_rows @ (bases @ np.linalg.solve(cross, rhs)), ok
 
 
@@ -192,41 +199,42 @@ def _rk4_hop(
     ev: _AlphaEvaluator,
     z0: np.ndarray,
     w0: np.ndarray,
-    axis: int,
+    unit: np.ndarray,
+    rhs: np.ndarray,
     delta: np.ndarray,
     step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a batch of lines one lattice hop along an axis with RK4 sub-steps.
+    """Advance a batch of lines one lattice hop, each along its own axis,
+    with RK4 sub-steps.
 
     Row r starts at M0-coordinates ``z0[r]`` with psi value ``w0[r]`` and
-    moves ``delta[r]`` in sub-steps of at most ``step``.  Returns the psi
-    values reached and the mask of rows that got there; a row whose field
-    evaluation fails drops out at once and evaluates nothing further.
+    moves ``delta[r]`` along the one-hot direction ``unit[r]`` in sub-steps
+    of at most ``step``; ``rhs[r]`` is the ``axis_rhs`` row of that axis.
+    Returns the psi values reached and the mask of rows that got there; a row
+    whose field evaluation fails drops out at once and evaluates nothing
+    further.
     """
     n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
     h = delta / n_sub
-    e_axis = np.zeros(z0.shape[1])
-    e_axis[axis] = 1.0
-    rhs = ev.axis_rhs[axis]
     w = w0.copy()
     ok = np.ones(len(z0), dtype=bool)
     for j in range(int(n_sub.max())):
         rows = np.flatnonzero(ok & (j < n_sub))
-        hj = h[rows, None]
-        z = z0[rows] + (j * hj) * e_axis
+        hj, ej, rj = h[rows, None], unit[rows], rhs[rows]
+        z = z0[rows] + (j * hj) * ej
         wj = w[rows]
         ks: list[np.ndarray] = []
         for frac in (0.0, 0.5, 0.5, 1.0):
             if not rows.size:
                 break
             if frac:
-                point = ev.ambient(z + frac * hj * e_axis, wj + frac * hj * ks[-1])
+                point = ev.ambient(z + frac * hj * ej, wj + frac * hj * ks[-1])
             else:
                 point = ev.ambient(z, wj)
-            k, good = ev.alpha(ev.family.eval_batch(point), rhs)
+            k, good = ev.alpha(ev.family.bases_of_dim(point, ev.d), rj)
             if not good.all():
                 ok[rows[~good]] = False
-                rows, hj, z, wj = rows[good], hj[good], z[good], wj[good]
+                rows, hj, ej, rj, z, wj = (a[good] for a in (rows, hj, ej, rj, z, wj))
                 ks = [kk[good] for kk in ks]
             ks.append(k[..., 0])
         if rows.size:
@@ -263,39 +271,55 @@ def _sweep(
     center: tuple[int, ...],
     base_estar: np.ndarray,
     step: float,
-    order: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fill the lattice outward from the center, one axis pass per entry of
-    ``order``; all lines of a pass march together, hop by hop.  A line stops
-    at its first breach, which counts once.  Returns psi, the reached mask
-    and the breach count."""
+    orders: list[tuple[int, ...]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill the lattice outward from the center once per axis order, one
+    axis pass per entry of an order.  Pass k of every order advances in one
+    batch, hop by hop: each line carries its own axis and the slot of its
+    order, whose lattice it fills.  A line stops at its first breach, which
+    counts once for its order.  Returns psi, the reached mask and the breach
+    count of each order, stacked along a leading slot axis."""
     shape = tuple(len(ax) for ax in axes)
-    psi = np.full(shape + (ev.e,), np.nan)
-    filled = np.zeros(shape, dtype=bool)
-    psi[center] = base_estar
-    filled[center] = True
-    breaches = 0
+    slots = len(orders)
+    psi = np.full((slots, *shape, ev.e), np.nan)
+    filled = np.zeros((slots, *shape), dtype=bool)
+    psi[(slice(None), *center)] = base_estar
+    filled[(slice(None), *center)] = True
+    breaches = np.zeros(slots, dtype=int)
+    flat_axes = np.concatenate(axes)
+    offsets = np.cumsum((0,) + shape[:-1])
 
-    for pos, ax in enumerate(order):
-        starts, signs, lengths = _line_heads(filled, center, order[:pos], ax)
-        z = np.column_stack([axis[starts[:, i]] for i, axis in enumerate(axes)])
-        w = psi[tuple(starts.T)]
+    for pos in range(len(shape)):
+        heads = [_line_heads(filled[s], center, order[:pos], order[pos]) for s, order in enumerate(orders)]
+        slot = np.repeat(np.arange(slots), [len(signs) for _, signs, _ in heads])
+        starts, signs, lengths = (np.concatenate(parts) for parts in zip(*heads))
+        # per line, gathered once per pass: its axis, one-hot step, node
+        # move, axis_rhs row, and coordinate along its axis at each hop
+        # (clipped past the line's end)
+        axis = np.array([order[pos] for order in orders])[slot]
+        unit, rhs = np.eye(len(shape))[axis], ev.axis_rhs[axis]
+        moves = signs[:, None] * np.eye(len(shape), dtype=int)[axis]
         live = np.arange(len(starts))
-        for hop in range(1, shape[ax]):
+        first = offsets[axis] + starts[live, axis]
+        hops = np.arange(lengths.max())
+        coord = flat_axes[np.clip(first[:, None] + signs[:, None] * hops, 0, flat_axes.size - 1)]
+        z = np.column_stack([ax[starts[:, i]] for i, ax in enumerate(axes)])
+        w = psi[(slot, *starts.T)]
+        for hop in hops[1:]:
             live = live[lengths[live] > hop]
             if not live.size:
                 break
-            nodes = starts[live]
-            nodes[:, ax] += hop * signs[live]
-            target = axes[ax][nodes[:, ax]]
-            w_new, ok = _rk4_hop(ev, z[live], w[live], ax, target - z[live, ax], step)
-            breaches += int(np.count_nonzero(~ok))
-            reached = tuple(nodes[ok].T)
-            psi[reached] = w_new[ok]
+            nodes = starts[live] + hop * moves[live]
+            along, target = axis[live], coord[live, hop]
+            w_new, ok = _rk4_hop(ev, z[live], w[live], unit[live], rhs[live], target - z[live, along], step)
+            if not ok.all():
+                breaches += np.bincount(slot[live[~ok]], minlength=slots)
+                live, nodes, along, target, w_new = live[ok], nodes[ok], along[ok], target[ok], w_new[ok]
+            reached = (slot[live], *nodes.T)
+            psi[reached] = w_new
             filled[reached] = True
-            live = live[ok]
-            z[live, ax] = target[ok]
-            w[live] = w_new[ok]
+            z[live, along] = target
+            w[live] = w_new
     return psi, filled, breaches
 
 
@@ -314,9 +338,13 @@ def integrate(
     one-dimensional base is gridded at the step size and higher-dimensional
     bases get 21 nodes per axis.
 
-    All lattice lines of one axis pass march together, hop by hop; the
-    filled nodes are then checked in one batch (splitting, grid derivative
-    against the field, level set for kernel families).
+    For a base of dimension d >= 2 the lattice is filled in the axis order
+    and in the reversed order; pass k of both orders marches in one batch,
+    hop by hop, and ``diagnostics.path_residual`` is the largest disagreement
+    of the two at nodes both reached.  The patch, ``breached`` and
+    ``unfilled`` come from the forward order.  The filled nodes are then
+    checked in one batch (splitting, grid derivative against the field,
+    level set for kernel families).
 
     A transversality breach along a path truncates that path: the patch comes
     back partial with ``diagnostics.breached`` set, holding every node that
@@ -360,23 +388,24 @@ def integrate(
     center = tuple((c - 1) // 2 for c in counts)
 
     at_base = family.eval_batch(x0[None])
-    if not ev.alpha(at_base, ev.full_rhs)[1][0]:
+    if not ev.alpha(at_base.of_dim(d), ev.full_rhs[None])[1][0]:
         found = "no subspace" if at_base.dims[0] < 0 else f"subspace of dim {at_base.dims[0]}"
         raise CofinalBreach(f"no splitting at the base point ({found}, expected dim {d})")
 
     order = tuple(range(d))
-    psi, filled, breaches = _sweep(ev, axes, center, base_estar, step, order)
+    orders = [order] if d == 1 else [order, order[::-1]]
+    psis, reached, breaches = _sweep(ev, axes, center, base_estar, step, orders)
+    psi, filled = psis[0], reached[0]
 
     path_residual: float | None = 0.0
     if d > 1:
-        psi_rev, filled_rev, _ = _sweep(ev, axes, center, base_estar, step, order[::-1])
-        both = filled & filled_rev
+        both = reached.all(axis=0)
         if both.any():
-            path_residual = float(np.nanmax(np.abs(psi[both] - psi_rev[both])))
+            path_residual = float(np.nanmax(np.abs(psi[both] - psis[1][both])))
 
     diag = PatchDiagnostics(step=float(step), spacing=tuple(spacing))
     diag.path_residual = path_residual
-    diag.breached = breaches > 0
+    diag.breached = bool(breaches[0])
     diag.unfilled = int(filled.size - filled.sum())
     diag.initial_residual = float(np.max(np.abs(psi[center] - base_estar)))
 
@@ -408,7 +437,7 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     nodes = np.argwhere(patch.filled)
     points = ev.ambient(patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
     batch = ev.family.eval_batch(points)
-    split = ev.splits(batch)
+    split = ev.splits(batch.of_dim(d))
     failures = int(np.count_nonzero(~split))
 
     level_worst = 0.0
@@ -424,7 +453,7 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     for i in range(d):
         inner[inner] &= patch.filled[tuple((nodes[inner] + unit[i]).T)]
         inner[inner] &= patch.filled[tuple((nodes[inner] - unit[i]).T)]
-    am, ok = ev.alpha(batch, ev.full_rhs)
+    am, ok = ev.alpha(batch.of_dim(d), np.broadcast_to(ev.full_rhs, (len(points), *ev.full_rhs.shape)))
     failures += int(np.count_nonzero(inner & ~ok))
     am = am[inner[ok]]
     rows = np.flatnonzero(inner & ok)
@@ -500,12 +529,6 @@ def _axis_derivatives(patch: IntegralPatch, nodes: np.ndarray, axis: int) -> tup
     fits = todo & at[-1][0] & at[1][0]
     out[fits] = (at[1][1][fits] - at[-1][1][fits]) / (2.0 * h)
     return (interior & ~todo) | fits, out
-
-
-def _axis_derivative(patch: IntegralPatch, idx: tuple[int, ...], axis: int) -> np.ndarray | None:
-    """``_axis_derivatives`` at one node; None where it has no derivative."""
-    has, values = _axis_derivatives(patch, np.array([idx]), axis)
-    return values[0] if has[0] else None
 
 
 def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics = DEFAULTS) -> float:

@@ -277,18 +277,27 @@ def kernels_of(a, tol: float | None = None) -> list[Subspace]:
         raise ValueError(f"stack must be 3-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("stack contains non-finite entries")
-    return list(_kernel_batch(arr, tol))
+    return list(_kernel_batch(*_kernel_svd(arr, tol)))
 
 
-def _kernel_batch(arr: np.ndarray, tol: float | None) -> SubspaceBatch:
-    """The kernels of a finite (count, m, n) stack from one stacked SVD, each
-    basis column-major like the ``kernel_of`` one, so products round alike."""
-    _, m, n = arr.shape
+def _kernel_svd(arr: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks and V^T of a finite (count, m, n) stack from one stacked SVD."""
     _, s, vh = np.linalg.svd(arr)  # V^T is the identity for empty matrices
-    ranks = _ranks(s, (m, n), tol)
-    found = set(ranks.tolist())
-    stacks = {n - r: (vh[ranks == r, r:] if len(found) > 1 else vh[:, r:]).transpose(0, 2, 1) for r in found}
-    return SubspaceBatch(n, n - ranks, stacks)
+    return _ranks(s, arr.shape[1:], tol), vh
+
+
+def _kernel_rows(ranks: np.ndarray, vh: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the rows of rank r of a ``_kernel_svd`` and their kernel
+    bases, each column-major like the ``kernel_of`` one, so products round
+    alike."""
+    rows = ranks == r
+    return rows, (vh[:, r:] if rows.all() else vh[rows, r:]).transpose(0, 2, 1)
+
+
+def _kernel_batch(ranks: np.ndarray, vh: np.ndarray) -> SubspaceBatch:
+    """The kernels of a ``_kernel_svd`` as one batch."""
+    n = vh.shape[-1]
+    return SubspaceBatch(n, n - ranks, {n - r: _kernel_rows(ranks, vh, r)[1] for r in set(ranks.tolist())})
 
 
 def range_of(a, tol: float | None = None) -> Subspace:

@@ -301,6 +301,17 @@ def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
     return float(_slice_defect(ctx.factors, scaled) / (1.0 / peak + np.linalg.norm(scaled)))
 
 
+def _direction_defect(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
+    """``_slice_defect(t) / ||t||_F``, 0 for t = 0: the share of a direction
+    outside M(A), whatever its scale.  Taken from t / max|t|, whose norms
+    neither overflow nor underflow."""
+    peak = float(np.max(np.abs(t), initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    scaled = t / peak
+    return float(_slice_defect(ctx.factors, scaled) / np.linalg.norm(scaled))
+
+
 def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEFAULTS) -> np.ndarray:
     """Coordinate-operator action on a tangent direction, in closed form.
 
@@ -310,11 +321,12 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
         a(X) dX = P[N(A+)] (C^{-1} dX A+ C^{-1} X - C^{-1} dX) P[N(A)].
 
     Raises TransversalityError if X has no such inverse and MembershipError
-    if dX lies outside M(A).
+    if more than ``tol_num`` of dX, relative to its Frobenius norm, lies
+    outside M(A).
     """
     xm, dxm = as_matrix(x), as_matrix(dx)
     perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
-    if _membership(ctx, dxm) > cfg.tol_num:
+    if _direction_defect(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
     c = _conditioned(_c_factor(ctx.a, ctx.ainv, xm), cfg)
     cinv_dx = np.linalg.solve(c, dxm)

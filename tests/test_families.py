@@ -203,7 +203,7 @@ def eval_or_none(fam, point):
 
 
 @pytest.mark.parametrize("analytic", [True, False])
-def test_kernel_family_eval_many_matches_eval(rng, analytic):
+def test_kernel_family_eval_batch_matches_eval(rng, analytic):
     calls = [0]
     fam = kernel_family(misbehaving_sphere_map(calls, analytic), [0.0, 0.0, 1.0])
     points = list(rng.uniform(-2.0, 2.0, size=(40, 3)))
@@ -213,7 +213,7 @@ def test_kernel_family_eval_many_matches_eval(rng, analytic):
     single = [eval_or_none(fam, p) for p in points]
     single_calls = calls[0]
     calls[0] = 0
-    batched = fam.eval_many(points)
+    batched = list(fam.eval_batch(points))
     assert calls[0] == single_calls
     assert [s is None for s in batched] == [s is None for s in single]
     for b, s in zip(batched, single):
@@ -224,10 +224,10 @@ def test_kernel_family_eval_many_matches_eval(rng, analytic):
     if analytic:
         # wrong sizes, a raising Jacobian and a NaN Jacobian all give None
         assert sum(s is None for s in single) >= 4
-    assert fam.eval_many([]) == []
+    assert list(fam.eval_batch([])) == []
 
 
-def test_generic_eval_many_maps_eval_errors_to_none():
+def test_generic_eval_batch_maps_eval_errors_to_none():
     fam = kernel_family(misbehaving_sphere_map(), [0.0, 0.0, 1.0])
     generic = SubspaceFamily(
         eval_fn=fam.eval_fn, base_point=fam.base_point, base_subspace=fam.base_subspace, complement=fam.complement
@@ -235,10 +235,10 @@ def test_generic_eval_many_maps_eval_errors_to_none():
     # a kernel family whose eval_fn is replaced evaluates through the new one
     flat = dataclasses.replace(fam, eval_fn=lambda x: fam.eval_fn(x) if x[0] < 1.0 else Subspace.full(3))
     points = [np.array([0.1, 0.2, 0.9]), np.array([2.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0]), np.zeros(2)]
-    subs = generic.eval_many(points)
+    subs = list(generic.eval_batch(points))
     assert [s is None for s in subs] == [False, True, True, True]
-    assert subs[0].basis.tobytes() == fam.eval_many(points)[0].basis.tobytes()
-    assert [s if s is None else s.dim for s in flat.eval_many(points)] == [2, 3, None, None]
+    assert subs[0].basis.tobytes() == next(iter(fam.eval_batch(points))).basis.tobytes()
+    assert flat.eval_batch(points).dims.tolist() == [2, 3, -1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,11 @@ def test_eval_batch_matches_eval_point_by_point(rng, kind):
     for k in (0, 1, 2, 3):
         mask, bases = batch.of_dim(k)
         assert mask.tolist() == [s is not None and s.dim == k for s in single]
+        # the lattice path's route: the same rows, bytes and layout
+        direct_mask, direct = fam.bases_of_dim(points, k)
+        assert direct_mask.tolist() == mask.tolist()
+        assert direct.shape == bases.shape and direct.tobytes() == bases.tobytes()
+        assert direct.strides[1:] == bases.strides[1:]
         members = [s.basis for s in single if s is not None and s.dim == k]
         if not members:
             assert bases.shape == (0, 3, k)
@@ -423,3 +428,7 @@ def test_eval_batch_falls_back_when_the_stacked_svd_fails(rng, monkeypatch):
     assert batch.dims.tolist() == expected.dims.tolist()
     for k in set(expected.dims.tolist()) - {-1}:
         assert batch.of_dim(k)[1].tobytes() == expected.of_dim(k)[1].tobytes()
+        mask, bases = fam.bases_of_dim(points, k)
+        assert mask.tolist() == (expected.dims == k).tolist()
+        assert bases.tobytes() == expected.of_dim(k)[1].tobytes()
+    assert stacked_calls[0] == 1 + len(set(expected.dims.tolist()) - {-1})

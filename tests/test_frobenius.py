@@ -23,7 +23,7 @@ from oblique import frobenius
 from oblique.builtins import builtin_family, builtin_map
 from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
-from oblique.frobenius import _axis_derivative, _outward_lines, explicit_patch
+from oblique.frobenius import _outward_lines, explicit_patch
 from oblique.frobenius import _axis_derivatives
 from oblique.linalg import direct_sum_check, oblique_projector, op_norm
 
@@ -305,9 +305,10 @@ class SerialReference:
         return psi, filled, breaches
 
     def node_checks(self, patch):
-        """cofinal failures, level-set and ODE residuals, node by node."""
+        """cofinal failures, level-set and ODE residuals, node by node; the
+        level-set residual is None for a family without a source map."""
         f = self.family.source_map
-        f_base = f(self.family.base_point)
+        f_base = None if f is None else f(self.family.base_point)
         d, shape, spacing = patch.m0_dim, patch.shape, patch.diagnostics.spacing
         failures, level, ode, ode_scaled = 0, 0.0, 0.0, 0.0
         for idx in itertools.product(*map(range, shape)):
@@ -322,7 +323,8 @@ class SerialReference:
             if not direct_sum_check(mx, self.family.complement, self.cfg):
                 failures += 1
                 continue
-            level = max(level, float(np.max(np.abs(f(u) - f_base))))
+            if f is not None:
+                level = max(level, float(np.max(np.abs(f(u) - f_base))))
             if not all(0 < idx[i] < shape[i] - 1 for i in range(d)):
                 continue
             ahead = [idx[:i] + (idx[i] + 1,) + idx[i + 1 :] for i in range(d)]
@@ -340,24 +342,24 @@ class SerialReference:
                 resid = float(np.max(np.abs(deriv - am[:, i])))
                 ode = max(ode, resid)
                 ode_scaled = max(ode_scaled, resid / scale)
-        return failures, level, ode, ode_scaled
+        return failures, None if f is None else level, ode, ode_scaled
 
     def tangency(self, patch):
         worst = 0.0
         for idx in itertools.product(*map(range, patch.shape)):
             if not patch.filled[idx]:
                 continue
-            derivs = [_axis_derivative(patch, idx, i) for i in range(patch.m0_dim)]
-            if all(dv is None for dv in derivs):
+            derivs = [_axis_derivatives(patch, np.array([idx]), i) for i in range(patch.m0_dim)]
+            if not any(has[0] for has, _ in derivs):
                 continue
             try:
                 mx = self.family.eval(self.ambient(patch.node_coords(idx), patch.psi[idx]))
             except EvalError:
                 continue
             reject = np.eye(self.family.ambient_dim) - mx.orthogonal_projector()
-            for i, dv in enumerate(derivs):
-                if dv is not None:
-                    tangent = self.b0[:, i] + self.bs @ dv
+            for i, (has, dv) in enumerate(derivs):
+                if has[0]:
+                    tangent = self.b0[:, i] + self.bs @ dv[0]
                     worst = max(worst, float(np.linalg.norm(reject @ tangent) / np.linalg.norm(tangent)))
         return worst
 
@@ -525,6 +527,79 @@ def test_kernel_family_stacked_tangency_matches_serial_reference(region):
     assert batched_calls == calls[0] > 0
 
 
+def quartic_kernels(calls, vanishes=False):
+    """``kernel_family`` of |x|^2 on R^4 around an oblique unit point: a
+    three-dimensional base, so both axis orders of integrate have three
+    passes.  With ``vanishes`` its Jacobian is zero (the kernel jumps to R^4)
+    off an oblique region.  Jacobian calls are counted in ``calls[0]``."""
+
+    def jac(p):
+        calls[0] += 1
+        if vanishes and p[1] - p[0] > 0.2:
+            return np.zeros((1, 4))
+        return 2.0 * p.reshape(1, -1)
+
+    f = DifferentiableMap(4, 1, lambda p: np.array([p @ p]), jac)
+    x0 = np.array([0.1, -0.2, 0.3, 0.9])
+    return kernel_family(f, x0 / np.linalg.norm(x0))
+
+
+def counted_operator_family(calls):
+    """``sec4_2x2``'s operator family (a generic family with a
+    three-dimensional base) with its evaluations counted in ``calls[0]``."""
+    fam = builtin_family("sec4_2x2")
+
+    def eval_fn(x):
+        calls[0] += 1
+        return fam.eval_fn(x)
+
+    return dataclasses.replace(fam, eval_fn=eval_fn)
+
+
+@pytest.mark.parametrize("source", ["kernel", "operator"])
+def test_three_dimensional_lock_step_matches_serial_reference(source):
+    calls = [0]
+    if source == "kernel":
+        fam, extent, step = quartic_kernels(calls), 0.3, 5e-2
+        assert type(fam).bases_of_dim is not SubspaceFamily.bases_of_dim  # the stacked-Jacobian route
+    else:
+        fam, extent, step = counted_operator_family(calls), 0.2, 5e-3
+        assert type(fam).bases_of_dim is SubspaceFamily.bases_of_dim
+    calls[0] = 0
+    patch = integrate(fam, extent, step, grid_points=5)
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, step)
+    assert patch.m0_dim == 3
+    assert_matches_reference(patch, ref)
+    assert batched == calls[0] > 0
+    assert patch.filled.all() and patch.diagnostics.path_residual > 0.0
+
+
+@pytest.mark.parametrize("source", ["breach", "quartic"])
+def test_lock_step_orders_match_each_order_alone(source):
+    # each slot of the lock-step march is the march of its order alone, bit
+    # for bit, with its own breach count
+    if source == "breach":
+        fam, extent, step, grid = sphere_variant("breach"), 0.5, 2e-2, 11
+    else:
+        fam, extent, step, grid = quartic_kernels([0], vanishes=True), 0.3, 5e-2, 5
+    patch = integrate(fam, extent, step, grid_points=grid)
+    ev = frobenius._AlphaEvaluator(fam, DEFAULTS)
+    lattice = (ev, patch.axes, patch.center_index, patch.base_estar, step)
+    order = tuple(range(patch.m0_dim))
+    psi, filled, breaches = frobenius._sweep(*lattice, [order, order[::-1]])
+    for slot, alone in enumerate((order, order[::-1])):
+        psi_alone, filled_alone, breaches_alone = frobenius._sweep(*lattice, [alone])
+        assert psi[slot].tobytes() == psi_alone[0].tobytes()
+        assert filled[slot].tobytes() == filled_alone[0].tobytes()
+        assert breaches[slot] == breaches_alone[0] > 0
+    assert psi[0].tobytes() == patch.psi.tobytes()
+    # the orders' lattices differ, so a swap of slots would show
+    assert psi[0].tobytes() != psi[1].tobytes()
+
+
 def node_by_node_explicit(f, gi0, patch, x0, start):
     """``explicit_patch``'s march redone with one ``explicit_psi`` call per
     node: each solve starts from ``start`` of the solved nodes of its line,
@@ -621,10 +696,10 @@ def test_vectorised_stencils_match_node_by_node(rng):
             has, values = _axis_derivatives(patch, nodes, axis)
             for idx, h, v in zip(map(tuple, nodes.tolist()), has, values):
                 ref = node_by_node_axis_derivative(patch, idx, axis)
-                single = _axis_derivative(patch, idx, axis)
-                assert h == (ref is not None) == (single is not None)
+                single_has, single = _axis_derivatives(patch, np.array([idx]), axis)
+                assert h == (ref is not None) == single_has[0]
                 if ref is not None:
-                    assert v.tobytes() == ref.tobytes() == single.tobytes()
+                    assert v.tobytes() == ref.tobytes() == single[0].tobytes()
                     fallbacks += patch.shape[axis] == 3
     assert fallbacks > 0
 

@@ -130,7 +130,7 @@ def test_near_singular_kernel_family_splits(route):
         fam = family_from_manifest({"kind": "kernel", "map": NEAR_SINGULAR, "x0": [0.0, 0.0, 0.0], "rank_tol": 1e-6})
     assert (fam.base_subspace.dim, fam.complement.dim) == (2, 1)
     points = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.0, 0.5, -0.4]])
-    assert [s.dim for s in fam.eval_many(points)] == [2, 2, 2]
+    assert fam.eval_batch(points).dims.tolist() == [2, 2, 2]
     # the kernel at x is spanned by e2 and (-x3, 0, 1): its graph over M0
     alpha = fam.alpha_at(points[1]).alpha
     assert alpha.shape == (1, 2)

@@ -289,6 +289,20 @@ def test_alpha_rejects_directions_off_the_slice():
         alpha_operator_family(ctx, ctx.a, np.diag([0.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e160, 1e300])
+def test_alpha_judges_membership_relative_to_the_direction(scale):
+    # M(diag(1, 0)) is {T : T22 = 0}: the corner E22 is outside at every
+    # scale, the other matrix units and their sum inside
+    ctx = operator_context(np.diag([1.0, 0.0]))
+    with pytest.raises(MembershipError):
+        alpha_operator_family(ctx, ctx.a, scale * np.diag([0.0, 1.0]))
+    for dx in (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, -2.0], [3.0, 0.0]])):
+        value = alpha_operator_family(ctx, ctx.a, scale * dx)
+        np.testing.assert_array_equal(value, np.zeros((2, 2)))
+    np.testing.assert_array_equal(alpha_operator_family(ctx, ctx.a, np.zeros((2, 2))), np.zeros((2, 2)))
+
+
 def test_alpha_requires_transversal_x():
     ctx = sec4_context()
     dx = unvec(ctx.m0.basis[:, 0], 2, 2)
