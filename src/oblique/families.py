@@ -7,7 +7,7 @@ families from differentiable maps, and probe whether a base point of a family
 keeps transversality (and a continuous coordinate operator) nearby.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,6 @@ from .linalg import (
     Subspace,
     SubspaceBatch,
     _kernel_batch,
-    _kernel_rows,
     _kernel_svd,
     direct_sum_check,
     intersection_margin,
@@ -173,11 +172,6 @@ class SubspaceFamily:
                   for k in set(dims.tolist()) - {-1}}
         return SubspaceBatch(self.ambient_dim, dims, stacks)
 
-    def bases_of_dim(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``eval_batch(points).of_dim(k)``: the mask of the points where the
-        family has a subspace of dimension k, and their stacked bases."""
-        return self.eval_batch(points).of_dim(k)
-
     def alpha_at(self, x, cfg: Numerics = DEFAULTS) -> CoordinateOperator:
         return coordinate_operator(self.base_subspace, self.complement, self.eval(x), cfg)
 
@@ -192,25 +186,26 @@ class _JacobianKernels:
         return kernel_of(self.f.jacobian(x, self.cfg), self.tol)
 
 
+@dataclass(frozen=True)
 class _KernelFamily(SubspaceFamily):
     """A family whose ``eval_fn`` is a ``_JacobianKernels``, as built by
-    ``kernel_family``.  A batch takes the Jacobians point by point and their
-    kernels from one stacked SVD, bit for bit what ``eval`` gives, without
-    wrapping a ``Subspace`` per point; ``bases_of_dim`` reads its rows straight
-    off that SVD."""
+    ``kernel_family``, with the Jacobian T0 = f'(x0) it was built from.  A
+    batch takes the Jacobians point by point and their kernels from one
+    stacked SVD, bit for bit what ``eval`` gives, without wrapping a
+    ``Subspace`` per point."""
 
-    def _jacobian_svd(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The points whose Jacobian evaluates and is finite, as indices, with
-        the ranks and V^T of those Jacobians from one stacked SVD.  None when
-        ``eval_fn`` was replaced or the SVD did not converge: then the points
-        are evaluated one by one."""
-        kernels = self.eval_fn
-        if not isinstance(kernels, _JacobianKernels):
-            return None
+    base_jacobian: np.ndarray = field(kw_only=True)
+
+    def _jacobian_stack(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The points whose Jacobian evaluates and is finite, as indices, and
+        those Jacobians stacked (count, cod_dim, dom_dim): the one Jacobian
+        loop of the batched routes.  ``eval_fn`` must be a
+        ``_JacobianKernels``."""
+        kernels, size = self.eval_fn, self.param_dim
         f, rows, jacs = kernels.f, [], []
         for i, u in enumerate(points):
             point = np.asarray(u, dtype=float).ravel()
-            if point.size != self.param_dim:
+            if point.size != size:
                 continue
             try:
                 jacs.append(f.jacobian(point, kernels.cfg))
@@ -221,8 +216,17 @@ class _KernelFamily(SubspaceFamily):
         if not np.isfinite(stack).all():
             finite = np.isfinite(stack).all(axis=(1, 2))
             rows, stack = rows[finite], stack[finite]
+        return rows, stack
+
+    def _jacobian_svd(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``_jacobian_stack`` with the ranks and V^T of its Jacobians from one
+        stacked SVD.  None when ``eval_fn`` was replaced or the SVD did not
+        converge: then the points are evaluated one by one."""
+        if not isinstance(self.eval_fn, _JacobianKernels):
+            return None
+        rows, stack = self._jacobian_stack(points)
         try:
-            return (rows, *_kernel_svd(stack, kernels.tol))
+            return (rows, *_kernel_svd(stack, self.eval_fn.tol))
         except np.linalg.LinAlgError:
             return None
 
@@ -235,17 +239,20 @@ class _KernelFamily(SubspaceFamily):
         dims[rows] = self.ambient_dim - ranks
         return SubspaceBatch(self.ambient_dim, dims, _kernel_batch(ranks, vh).stacks)
 
-    def bases_of_dim(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
-        found = self._jacobian_svd(points)
-        if found is None:
-            return super().eval_batch(points).of_dim(k)
-        rows, ranks, vh = found
-        sel, bases = _kernel_rows(ranks, vh, self.ambient_dim - k)
-        if len(rows) == len(points):
-            return sel, bases
-        ok = np.zeros(len(points), dtype=bool)
-        ok[rows] = sel
-        return ok, bases
+
+def _closed_form_kernels(family: SubspaceFamily) -> _JacobianKernels | None:
+    """The Jacobian kernels of a kernel family whose base Jacobian has full
+    row rank (``cod_dim`` = dim E*), where the coordinate operator has the
+    closed form alpha(x) = -(J(x) E*)^-1 J(x) M0; None for every other
+    family, including a kernel family whose ``eval_fn`` was replaced."""
+    kernels = family.eval_fn
+    if (
+        isinstance(family, _KernelFamily)
+        and isinstance(kernels, _JacobianKernels)
+        and kernels.f.cod_dim == family.complement.dim
+    ):
+        return kernels
+    return None
 
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:
@@ -305,6 +312,7 @@ def kernel_family(
         base_subspace=base_subspace,
         complement=estar,
         source_map=f,
+        base_jacobian=t0,
     )
 
 

@@ -15,11 +15,17 @@ disagreement doubling as an integrability diagnostic.
 The lines of one axis pass are independent initial-value problems, and
 the two axis orders fill separate lattices, so pass k of both orders
 advances together, hop by hop, as stacked arrays; each line carries its own
-axis.  Each RK4 stage takes one batched family evaluation over the active
-lines (``SubspaceFamily.bases_of_dim``: the stacked bases of the expected
-dimension, read straight off the stacked Jacobian SVD for kernel families),
-then their splitting margins and solves in one stacked call each.  The
-per-node checks of a finished patch are batched the same way.
+axis.  Each RK4 stage evaluates the field over the active lines in one
+batch.  For a kernel family whose base Jacobian has full row rank (c =
+dim E*) the paper's closed form a(x) = P[E* along N0] D^-1(T0+, J(x))
+P[N0 along E*] reads, in M0/E* coordinates, alpha(x) = -(J(x) E*)^-1 J(x) M0:
+one product of the Jacobian stack with the pinned bases and one stacked
+c x c solve, its splitting margin taken from alpha itself and a change of
+sign of det(J E*) read as a fold.  Every other
+family goes through ``eval_batch``: the stacked bases of the expected
+dimension, then their splitting margins and solves in one stacked call
+each.  The per-node checks of a finished patch and ``tangency_check`` take
+that second route for every family, so they check the march independently.
 """
 
 import itertools
@@ -36,9 +42,9 @@ from .errors import (
     StepError,
     ValidationError,
 )
-from .families import DifferentiableMap, SubspaceFamily
+from .families import DifferentiableMap, SubspaceFamily, _closed_form_kernels
 from .geninv import GenInverse
-from .linalg import kernel_of, oblique_projector
+from .linalg import _ranks, _screened_norms, kernel_of, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -141,6 +147,19 @@ class _AlphaEvaluator:
     The projector onto E* along M0 is constant, so per point only the moving
     subspace has to be evaluated; the splitting margins and solves of a whole
     batch of points then take one stacked call each.
+
+    RK4 stages go through ``stage``.  For a kernel family whose base Jacobian
+    has full row rank (c = dim E*) it takes the paper's closed form in M0/E*
+    coordinates, alpha(x) = -(J E*)^-1 J M0, from the Jacobian stack: one
+    product ``J [E* | M0]`` and one stacked c x c solve (a division, and no
+    SVD at all, for c = 1).  A point is kept when J has rank c, det(J E*) has the sign it has
+    at the base (a change of sign means the march crossed a fold of the level
+    set), and the splitting margin exceeds ``tol_split``.  That margin is the
+    SVD route's sigma_min(Cperp^T Q) for an orthonormal kernel basis Q: the
+    graph basis G = M0 + E* alpha spans the kernel and Cperp^T G = C0 =
+    Cperp^T M0, so sigma_min(Cperp^T Q) = 1 / ||G C0^-1||_2.  All other
+    families, and the node checks, take the kernel bases and the splitting
+    SVD (``alpha``, ``splits``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -158,26 +177,66 @@ class _AlphaEvaluator:
         # right-hand sides of the solve: all columns of alpha, or one axis
         self.full_rhs = self.cperp.T @ self.b0
         self.axis_rhs = np.stack([(self.cperp.T @ self.b0[:, i])[:, None] for i in range(self.d)])
+        self.kernels = _closed_form_kernels(family)
+        if self.kernels is not None:
+            self.pinned = np.hstack([self.bs, self.b0])
+            self.c0_inv = np.linalg.inv(self.full_rhs)
+            self.orientation = self._orientations(family.base_jacobian[None] @ self.bs)[0]
+            self.margin_bound = 1.0 / cfg.tol_split if cfg.tol_split > 0.0 else math.inf
 
     def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Ambient points ``lift(z) + lift(w)`` of stacked coordinate rows,
         one matrix-vector product per row as for a single point."""
         return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
 
+    def _orientations(self, je: np.ndarray) -> np.ndarray:
+        """Signs of det(J E*) over a stack, 0 where LU meets a zero pivot."""
+        return np.sign(je[:, 0, 0]) if self.e == 1 else np.linalg.slogdet(je)[0]
+
+    def closed_form(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """alpha = -(J E*)^-1 J M0 at the kept points, shaped (kept, dim E*,
+        dim M0), and the mask of kept points (see the class docstring)."""
+        rows, jacs = self.family._jacobian_stack(points)
+        prod = np.matmul(jacs, self.pinned)
+        je, jm = prod[..., : self.e], prod[..., self.e :]
+        keep = self._orientations(je) == self.orientation
+        if self.e > 1:  # for c = 1, J E* != 0 already gives J rank 1
+            keep &= _ranks(np.linalg.svd(jacs, compute_uv=False), jacs.shape[1:], self.kernels.tol) == self.e
+        if not keep.all():
+            rows, je, jm = rows[keep], je[keep], jm[keep]
+        # a nonzero det(J E*) means LU meets no zero pivot, so no solve fails
+        alpha = -(jm / je) if self.e == 1 else -np.linalg.solve(je, jm)
+        graph = (self.b0 + np.matmul(self.bs, alpha)) @ self.c0_inv
+        split = _screened_norms(graph, self.margin_bound) < self.margin_bound
+        if not split.all():
+            rows, alpha = rows[split], alpha[split]
+        ok = np.zeros(len(points), dtype=bool)
+        ok[rows] = True
+        return alpha, ok
+
+    def stage(self, points: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column ``axis[r]`` of the coordinate operator at each point, for
+        the kept points, shaped (kept, dim E*), and the mask of kept points:
+        the closed form where the family takes it, else the SVD route."""
+        if self.kernels is None:
+            k, ok = self.alpha(self.family.eval_batch(points).of_dim(self.d), self.axis_rhs[axis])
+            return k[..., 0], ok
+        alpha, ok = self.closed_form(points)
+        return alpha[np.arange(len(alpha)), :, axis[ok]], ok
+
     def splits(self, found: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``direct_sum_check`` against the complement at each point of a
-        ``bases_of_dim`` result, from one stacked SVD; False where the
-        evaluation failed."""
+        """``direct_sum_check`` against the complement at each point of an
+        ``of_dim`` result, from one stacked SVD; False where the evaluation
+        failed."""
         ok, bases = found
         stacked = np.concatenate([bases, np.broadcast_to(self.bs, (len(bases),) + self.bs.shape)], axis=2)
         ok[ok] = np.linalg.svd(stacked, compute_uv=False)[:, -1] - self.cfg.tol_split > 0.0
         return ok
 
     def alpha(self, found: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate operator times ``rhs`` at each point of a
-        ``bases_of_dim`` result, as one stacked SVD and one stacked solve.
-        ``rhs`` holds one right-hand side per point: ``full_rhs`` or a row of
-        ``axis_rhs``.
+        """Coordinate operator times ``rhs`` at each point of an ``of_dim``
+        result, as one stacked SVD and one stacked solve.  ``rhs`` holds one
+        right-hand side per point: ``full_rhs`` or a row of ``axis_rhs``.
 
         Returns the values of the kept points, shaped (kept, dim E*, cols),
         and the mask of kept points.  A point is dropped when its evaluation
@@ -199,8 +258,7 @@ def _rk4_hop(
     ev: _AlphaEvaluator,
     z0: np.ndarray,
     w0: np.ndarray,
-    unit: np.ndarray,
-    rhs: np.ndarray,
+    axis: np.ndarray,
     delta: np.ndarray,
     step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,19 +266,19 @@ def _rk4_hop(
     with RK4 sub-steps.
 
     Row r starts at M0-coordinates ``z0[r]`` with psi value ``w0[r]`` and
-    moves ``delta[r]`` along the one-hot direction ``unit[r]`` in sub-steps
-    of at most ``step``; ``rhs[r]`` is the ``axis_rhs`` row of that axis.
-    Returns the psi values reached and the mask of rows that got there; a row
-    whose field evaluation fails drops out at once and evaluates nothing
-    further.
+    moves ``delta[r]`` along axis ``axis[r]`` in sub-steps of at most
+    ``step``.  Returns the psi values reached and the mask of rows that got
+    there; a row whose field evaluation fails drops out at once and
+    evaluates nothing further.
     """
     n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
     h = delta / n_sub
+    unit = np.eye(z0.shape[1])[axis]
     w = w0.copy()
     ok = np.ones(len(z0), dtype=bool)
     for j in range(int(n_sub.max())):
         rows = np.flatnonzero(ok & (j < n_sub))
-        hj, ej, rj = h[rows, None], unit[rows], rhs[rows]
+        hj, ej, aj = h[rows, None], unit[rows], axis[rows]
         z = z0[rows] + (j * hj) * ej
         wj = w[rows]
         ks: list[np.ndarray] = []
@@ -231,12 +289,12 @@ def _rk4_hop(
                 point = ev.ambient(z + frac * hj * ej, wj + frac * hj * ks[-1])
             else:
                 point = ev.ambient(z, wj)
-            k, good = ev.alpha(ev.family.bases_of_dim(point, ev.d), rj)
+            k, good = ev.stage(point, aj)
             if not good.all():
                 ok[rows[~good]] = False
-                rows, hj, ej, rj, z, wj = (a[good] for a in (rows, hj, ej, rj, z, wj))
+                rows, hj, ej, aj, z, wj = (a[good] for a in (rows, hj, ej, aj, z, wj))
                 ks = [kk[good] for kk in ks]
-            ks.append(k[..., 0])
+            ks.append(k)
         if rows.size:
             k1, k2, k3, k4 = ks
             w[rows] = wj + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -293,11 +351,9 @@ def _sweep(
         heads = [_line_heads(filled[s], center, order[:pos], order[pos]) for s, order in enumerate(orders)]
         slot = np.repeat(np.arange(slots), [len(signs) for _, signs, _ in heads])
         starts, signs, lengths = (np.concatenate(parts) for parts in zip(*heads))
-        # per line, gathered once per pass: its axis, one-hot step, node
-        # move, axis_rhs row, and coordinate along its axis at each hop
-        # (clipped past the line's end)
+        # per line, gathered once per pass: its axis, node move, and
+        # coordinate along its axis at each hop (clipped past the line's end)
         axis = np.array([order[pos] for order in orders])[slot]
-        unit, rhs = np.eye(len(shape))[axis], ev.axis_rhs[axis]
         moves = signs[:, None] * np.eye(len(shape), dtype=int)[axis]
         live = np.arange(len(starts))
         first = offsets[axis] + starts[live, axis]
@@ -311,7 +367,7 @@ def _sweep(
                 break
             nodes = starts[live] + hop * moves[live]
             along, target = axis[live], coord[live, hop]
-            w_new, ok = _rk4_hop(ev, z[live], w[live], unit[live], rhs[live], target - z[live, along], step)
+            w_new, ok = _rk4_hop(ev, z[live], w[live], along, target - z[live, along], step)
             if not ok.all():
                 breaches += np.bincount(slot[live[~ok]], minlength=slots)
                 live, nodes, along, target, w_new = live[ok], nodes[ok], along[ok], target[ok], w_new[ok]

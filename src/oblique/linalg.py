@@ -286,18 +286,12 @@ def _kernel_svd(arr: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndar
     return _ranks(s, arr.shape[1:], tol), vh
 
 
-def _kernel_rows(ranks: np.ndarray, vh: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of the rows of rank r of a ``_kernel_svd`` and their kernel
-    bases, each column-major like the ``kernel_of`` one, so products round
-    alike."""
-    rows = ranks == r
-    return rows, (vh[:, r:] if rows.all() else vh[rows, r:]).transpose(0, 2, 1)
-
-
 def _kernel_batch(ranks: np.ndarray, vh: np.ndarray) -> SubspaceBatch:
-    """The kernels of a ``_kernel_svd`` as one batch."""
-    n = vh.shape[-1]
-    return SubspaceBatch(n, n - ranks, {n - r: _kernel_rows(ranks, vh, r)[1] for r in set(ranks.tolist())})
+    """The kernels of a ``_kernel_svd`` as one batch, each basis column-major
+    like the ``kernel_of`` one, so products round alike."""
+    n, found = vh.shape[-1], set(ranks.tolist())
+    stacks = {n - r: (vh[ranks == r, r:] if len(found) > 1 else vh[:, r:]).transpose(0, 2, 1) for r in found}
+    return SubspaceBatch(n, n - ranks, stacks)
 
 
 def range_of(a, tol: float | None = None) -> Subspace:

@@ -200,10 +200,15 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
         and direct_sum_check(f.kernel, ainv.range_complement, cfg)
     ):
         raise ComplementError(f"complements of the inverse fail to split codomain and domain (rank {f.range.dim})")
-    # Every complement element n w^T must map into N(A+) and kill R(A+).
+    # Every complement element n w^T must map into N(A+) and kill R(A+).  The
+    # projectors round like eps ||A|| ||A+||, bounded here from Frobenius
+    # norms of the entries scaled to 1 (no SVD, no overflow).
     n_plus = ainv.kernel_complement.basis
     r_plus_perp = ainv.range_complement.orthogonal_complement().basis
-    if op_norm(p_ra @ n_plus) > cfg.tol_num or op_norm(r_plus_perp.T @ p_ra_plus) > cfg.tol_num:
+    peak, peak_plus = np.abs(arr).max(), np.abs(ainv.inverse).max()
+    cond = (peak * peak_plus) * float(np.linalg.norm(arr / peak) * np.linalg.norm(ainv.inverse / peak_plus))
+    bound = max(cfg.tol_num, 16.0 * np.finfo(float).eps * cond)
+    if op_norm(p_ra @ n_plus) > bound or op_norm(r_plus_perp.T @ p_ra_plus) > bound:
         raise ComplementError("complement element violates its range/kernel characterization")
     return OperatorFamilyContext(
         a=arr, ainv=ainv, factors=f,

@@ -388,11 +388,6 @@ def test_eval_batch_matches_eval_point_by_point(rng, kind):
     for k in (0, 1, 2, 3):
         mask, bases = batch.of_dim(k)
         assert mask.tolist() == [s is not None and s.dim == k for s in single]
-        # the lattice path's route: the same rows, bytes and layout
-        direct_mask, direct = fam.bases_of_dim(points, k)
-        assert direct_mask.tolist() == mask.tolist()
-        assert direct.shape == bases.shape and direct.tobytes() == bases.tobytes()
-        assert direct.strides[1:] == bases.strides[1:]
         members = [s.basis for s in single if s is not None and s.dim == k]
         if not members:
             assert bases.shape == (0, 3, k)
@@ -428,7 +423,7 @@ def test_eval_batch_falls_back_when_the_stacked_svd_fails(rng, monkeypatch):
     assert batch.dims.tolist() == expected.dims.tolist()
     for k in set(expected.dims.tolist()) - {-1}:
         assert batch.of_dim(k)[1].tobytes() == expected.of_dim(k)[1].tobytes()
-        mask, bases = fam.bases_of_dim(points, k)
+        mask, bases = fam.eval_batch(points).of_dim(k)
         assert mask.tolist() == (expected.dims == k).tolist()
         assert bases.tobytes() == expected.of_dim(k)[1].tobytes()
     assert stacked_calls[0] == 1 + len(set(expected.dims.tolist()) - {-1})

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oblique import (
     DifferentiableMap,
@@ -25,7 +26,9 @@ from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
 from oblique.frobenius import _outward_lines, explicit_patch
 from oblique.frobenius import _axis_derivatives
-from oblique.linalg import direct_sum_check, oblique_projector, op_norm
+from oblique.families import _closed_form_kernels
+from oblique.linalg import direct_sum_check, kernel_of, oblique_projector, op_norm, rank_of
+from oblique.suites import random_complement
 
 
 def circle_family():
@@ -231,9 +234,12 @@ class SerialReference:
     """The lattice layer one line and one node at a time.
 
     Every line of a pass is marched to its end before the next one starts,
-    and every alpha value takes its own SVD and solve.  The batched layer
-    must reproduce its psi bit for bit, with the same diagnostics and the
-    same number of family evaluations.
+    and every alpha value is taken on its own: from the closed form
+    -(J E*)^-1 J M0 and the point's own Jacobian in the RK4 stages of a
+    kernel family whose base Jacobian has full row rank, else from the
+    point's subspace with its own SVD and solve.  The batched layer must
+    reproduce its psi bit for bit, with the same diagnostics and the same
+    number of family (or Jacobian) evaluations.
     """
 
     def __init__(self, family, cfg=DEFAULTS):
@@ -243,6 +249,9 @@ class SerialReference:
         onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
         self.estar_rows = self.bs.T @ (np.eye(family.ambient_dim) - onto_m0)
         self.cperp = family.complement.orthogonal_complement().basis
+        self.kernels = _closed_form_kernels(family)
+        if self.kernels is not None:
+            self.orientation = np.linalg.slogdet(family.base_jacobian @ self.bs)[0]
 
     def ambient(self, z, w):
         return self.b0 @ z + self.bs @ w
@@ -255,6 +264,28 @@ class SerialReference:
             raise CofinalBreach("splitting lost")
         return self.estar_rows @ (mx.basis @ np.linalg.solve(cross, rhs))
 
+    def closed_form(self, u):
+        """alpha = -(J E*)^-1 J M0 at one point.  The point is dropped when its
+        Jacobian fails, drops rank, turns det(J E*) against the base's sign,
+        or leaves its kernel Q with sigma_min(Cperp^T Q) <= tol_split."""
+        f, tol = self.kernels.f, self.kernels.tol
+        try:
+            jac = f.jacobian(u, self.kernels.cfg)
+        except Exception as exc:
+            raise EvalError("Jacobian failed") from exc
+        if not np.isfinite(jac).all():
+            raise EvalError("Jacobian not finite")
+        if rank_of(jac, tol) != f.cod_dim:
+            raise CofinalBreach("Jacobian rank dropped")
+        prod = jac @ np.hstack([self.bs, self.b0])
+        je, jm = prod[:, : self.bs.shape[1]], prod[:, self.bs.shape[1] :]
+        if np.linalg.slogdet(je)[0] != self.orientation:
+            raise CofinalBreach("past a fold")
+        cross = self.cperp.T @ kernel_of(jac, tol).basis
+        if np.linalg.svd(cross, compute_uv=False)[-1] <= self.cfg.tol_split:
+            raise CofinalBreach("splitting lost")
+        return -(jm / je) if f.cod_dim == 1 else -np.linalg.solve(je, jm)  # a 1 x 1 solve is a division
+
     def hop(self, z, w, axis, delta, step):
         n_sub = max(1, math.ceil(abs(delta) / step - 1e-12))
         h = delta / n_sub
@@ -263,7 +294,10 @@ class SerialReference:
         rhs = self.cperp.T @ self.b0[:, axis]
 
         def field(zz, ww):
-            return self.alpha(self.family.eval(self.ambient(zz, ww)), rhs)
+            u = self.ambient(zz, ww)
+            if self.kernels is not None:
+                return self.closed_form(u)[:, axis]
+            return self.alpha(self.family.eval(u), rhs)
 
         for j in range(n_sub):
             zj = z + (j * h) * e_axis
@@ -561,10 +595,10 @@ def test_three_dimensional_lock_step_matches_serial_reference(source):
     calls = [0]
     if source == "kernel":
         fam, extent, step = quartic_kernels(calls), 0.3, 5e-2
-        assert type(fam).bases_of_dim is not SubspaceFamily.bases_of_dim  # the stacked-Jacobian route
+        assert _closed_form_kernels(fam) is not None  # the closed-form route
     else:
         fam, extent, step = counted_operator_family(calls), 0.2, 5e-3
-        assert type(fam).bases_of_dim is SubspaceFamily.bases_of_dim
+        assert type(fam).eval_batch is SubspaceFamily.eval_batch and _closed_form_kernels(fam) is None
     calls[0] = 0
     patch = integrate(fam, extent, step, grid_points=5)
     tangency_check(patch, fam)
@@ -783,6 +817,124 @@ def test_level_set_residual_skips_nodes_where_f_is_not_finite():
     _, level, _, _ = SerialReference(fam).node_checks(patch)
     assert patch.diagnostics.level_set_residual == level < 1e-6
     assert patch.diagnostics.cofinal_failures == 0 and patch.filled.all()
+
+
+# ---------------------------------------------------------------------------
+# the closed-form stages of kernel families against the SVD route
+
+
+def test_rank_deficient_kernel_family_keeps_the_svd_route():
+    # f = (|x|^2, 0): a rank-one Jacobian into R^2, so dim E* = 1 < cod_dim and
+    # the stages take kernel bases and the splitting SVD.  Off x0 > 0.3 the
+    # first row vanishes too and the kernel jumps to R^3.
+    calls = [0]
+
+    def jac(p):
+        calls[0] += 1
+        row = np.zeros(3) if p[0] > 0.3 else 2.0 * p
+        return np.vstack([row, np.zeros(3)])
+
+    f = DifferentiableMap(3, 2, lambda p: np.array([p @ p, 0.0]), jac)
+    fam = kernel_family(f, np.array([0.0, 0.0, 1.0]))
+    assert _closed_form_kernels(fam) is None and type(fam).eval_batch is not SubspaceFamily.eval_batch
+    calls[0] = 0
+    patch = integrate(fam, 0.5, 2e-2, grid_points=11)
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 2e-2)
+    assert_matches_reference(patch, ref)
+    assert batched == calls[0] > 0
+    assert patch.diagnostics.breached and patch.diagnostics.unfilled > 0
+
+
+def test_circle_past_the_fold_breaches_instead_of_leaving_the_level_set():
+    # extent 1.2 reaches past the fold at x = +-1, where det(J E*) = 2y turns
+    # negative: the lines stop there, on the upper half of the circle
+    patch = integrate(circle_family()[2], 1.2, 1e-3)
+    points = patch.reconstruct()[patch.filled]
+    assert patch.diagnostics.breached and patch.diagnostics.unfilled > 0
+    assert (points[:, 1] > 0.0).all()
+    assert patch.diagnostics.level_set_residual < 1e-3
+
+
+def quadratic_map(rng, c, n):
+    """f_i(x) = x^T Q_i x / 2 + b_i^T x: a map R^n -> R^c whose Jacobian
+    Q x + b is affine in x."""
+    q = rng.standard_normal((c, n, n))
+    q = q + q.transpose(0, 2, 1)
+    b = rng.standard_normal((c, n))
+    return DifferentiableMap(n, c, lambda p: 0.5 * (q @ p) @ p + b @ p, lambda p: q @ p + b)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(), st.sampled_from([1e-8, 0.05, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_the_svd_route(seed, c, tilted, tol_split):
+    rng = np.random.default_rng(seed)
+    n = c + 2
+    cfg = DEFAULTS.replace(tol_split=tol_split)
+    f = quadratic_map(rng, c, n)
+    x0 = rng.uniform(-0.5, 0.5, n)
+    t0 = f.jacobian(x0)
+    assume(rank_of(t0) == c)
+    estar = random_complement(rng, kernel_of(t0)) if tilted else None
+    assume(estar is None or direct_sum_check(kernel_of(t0), estar, cfg))
+    fam = kernel_family(f, x0, cfg, estar=estar)
+    ev = frobenius._AlphaEvaluator(fam, cfg)
+    assert ev.kernels is not None
+    bs = fam.complement.basis
+
+    # det(J(x0 + t v) E*) is a polynomial of degree c in t: points at
+    # relative offsets 1e-3 .. 0.3 on both sides of a real root (a fold),
+    # plus points scattered around the base
+    v = rng.standard_normal(n)
+    ts = np.arange(c + 1.0)
+    dets = [np.linalg.det(f.jacobian(x0 + t * v) @ bs) for t in ts]
+    roots = [r.real for r in np.roots(np.polyfit(ts, dets, c)) if abs(r.imag) < 1e-12]
+    offsets = np.concatenate([-np.logspace(-3, np.log10(0.3), 6), np.logspace(-3, np.log10(0.3), 6)])
+    points = [x0 + (root + offsets[:, None]) * v for root in roots[:1]]
+    points.append(x0 + rng.uniform(-1.0, 1.0, size=(12, n)))
+    points = np.concatenate(points)
+
+    alpha, keep = ev.closed_form(points)
+    batch = fam.eval_batch(points)
+    found, bases = batch.of_dim(n - c)
+    svd_alpha, svd_keep = ev.alpha((found.copy(), bases), np.broadcast_to(ev.full_rhs, (found.sum(), *ev.full_rhs.shape)))
+    margins = np.full(len(points), np.inf)
+    margins[found] = np.linalg.svd(ev.cperp.T @ bases, compute_uv=False)[:, -1]
+    orient = np.array([np.sign(np.linalg.det(f.jacobian(u) @ bs)) for u in points])
+    same_side = orient == np.sign(np.linalg.det(t0 @ bs))
+
+    decided = np.abs(margins - tol_split) > 0.5e-6
+    assert (keep == (svd_keep & same_side))[decided].all()
+    both = keep & svd_keep
+    closed, generic = alpha[both[keep]], svd_alpha[both[svd_keep]]
+    scale = 1.0 + np.linalg.norm(closed, ord=2, axis=(1, 2))
+    # alpha grows like 1/det(J E*) towards the fold, and both routes lose
+    # about eps ||alpha||^2 to that conditioning: within ||alpha|| <= 100 this
+    # stays under 1e-12 (1 + ||alpha||), closer to the fold under 64 of it
+    bound = np.where(scale <= 101.0, 1e-12 * scale, 64.0 * np.finfo(float).eps * scale**2)
+    assert (np.abs(closed - generic).max(axis=(1, 2), initial=0.0) <= bound).all()
+
+
+def test_closed_form_rows_do_not_depend_on_their_batch(rng):
+    # a zero Jacobian (J E* exactly singular), a NaN one, a point past the
+    # fold and points in between: each kept row has the bytes it has alone
+    def jac(p):
+        if p[0] > 0.9:
+            return np.full((1, 3), np.nan)
+        return np.zeros((1, 3)) if abs(p[1]) < 1e-3 else 2.0 * p.reshape(1, -1)
+
+    f = DifferentiableMap(3, 1, lambda p: np.array([p @ p]), jac)
+    fam = kernel_family(f, np.array([0.0, 0.6, 0.8]))
+    ev = frobenius._AlphaEvaluator(fam, DEFAULTS)
+    points = np.vstack([rng.uniform(-0.5, 0.5, (20, 3)) + [0.0, 0.6, 0.8], [[0.1, 0.0, 0.0], [0.95, 0.1, 0.1]]])
+    points = np.vstack([points, [[0.0, -0.6, -0.8]]])
+    alpha, keep = ev.closed_form(points)
+    assert not keep[-3:].any() and keep.sum() == len(alpha) > 10
+    for i, row in zip(np.flatnonzero(keep), alpha):
+        alone, kept = ev.closed_form(points[i : i + 1])
+        assert kept.all() and alone[0].tobytes() == row.tobytes()
 
 
 # ---------------------------------------------------------------------------

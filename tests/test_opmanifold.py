@@ -96,6 +96,17 @@ def test_complement_characterization(rng):
             assert op_norm(t @ ctx.p_ra_plus) <= 1e-10
 
 
+def test_ill_conditioned_oblique_inverses_meet_the_characterization_check():
+    # 4x8 rank 3 with singular values 1, 1e-4, 1e-8: the projectors of an
+    # oblique inverse round like eps ||A|| ||A+||, which passes the absolute
+    # tol_num at these condition numbers, so the check must scale with it
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        u, v = np.linalg.qr(rng.standard_normal((4, 3)))[0], np.linalg.qr(rng.standard_normal((8, 3)))[0]
+        a = (u * np.logspace(0.0, -8.0, 3)) @ v.T
+        assert operator_context(a, random_gi(rng, a)).rank == 3
+
+
 def test_three_part_decomposition(rng):
     ctx = sec4_context()
     for _ in range(20):
