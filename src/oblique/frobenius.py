@@ -152,14 +152,14 @@ class _AlphaEvaluator:
     has full row rank (c = dim E*) it takes the paper's closed form in M0/E*
     coordinates, alpha(x) = -(J E*)^-1 J M0, from the Jacobian stack: one
     product ``J [E* | M0]`` and one stacked c x c solve (a division, and no
-    SVD at all, for c = 1).  A point is kept when J has rank c, det(J E*) has the sign it has
-    at the base (a change of sign means the march crossed a fold of the level
-    set), and the splitting margin exceeds ``tol_split``.  That margin is the
-    SVD route's sigma_min(Cperp^T Q) for an orthonormal kernel basis Q: the
-    graph basis G = M0 + E* alpha spans the kernel and Cperp^T G = C0 =
-    Cperp^T M0, so sigma_min(Cperp^T Q) = 1 / ||G C0^-1||_2.  All other
-    families, and the node checks, take the kernel bases and the splitting
-    SVD (``alpha``, ``splits``).
+    SVD at all, for c = 1).  A point is kept when J has rank c, det(J E*)
+    has the sign it has at the base (a change of sign means the march
+    crossed a fold of the level set), and the splitting margin exceeds
+    ``tol_split``.  That margin is the SVD route's sigma_min(Cperp^T Q) for
+    an orthonormal kernel basis Q: the graph basis G = M0 + E* alpha spans
+    the kernel and Cperp^T G = C0 = Cperp^T M0, so sigma_min(Cperp^T Q) =
+    1 / ||G C0^-1||_2.  All other families, and the node checks, take the
+    kernel bases and the splitting SVD (``alpha``, ``splits``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -180,7 +180,7 @@ class _AlphaEvaluator:
         self.kernels = _closed_form_kernels(family)
         if self.kernels is not None:
             self.pinned = np.hstack([self.bs, self.b0])
-            self.c0_inv = np.linalg.inv(self.full_rhs)
+            self.c0_inv = np.linalg.inv(self.full_rhs)  # C0 = Cperp^T M0
             self.orientation = self._orientations(family.base_jacobian[None] @ self.bs)[0]
             self.margin_bound = 1.0 / cfg.tol_split if cfg.tol_split > 0.0 else math.inf
 

@@ -37,6 +37,7 @@ from .geninv import GenInverse, _c_factor, _conditioned, _near_identity_sample, 
 from .linalg import (
     Factors,
     Subspace,
+    _EPS,
     _ranks,
     _screened_norm,
     _screened_norms,
@@ -200,15 +201,13 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
         and direct_sum_check(f.kernel, ainv.range_complement, cfg)
     ):
         raise ComplementError(f"complements of the inverse fail to split codomain and domain (rank {f.range.dim})")
-    # Every complement element n w^T must map into N(A+) and kill R(A+).  The
-    # projectors round like eps ||A|| ||A+||, bounded here from Frobenius
-    # norms of the entries scaled to 1 (no SVD, no overflow).
+    # Every complement element n w^T must map into N(A+) and kill R(A+), up
+    # to tol_num or to the projectors' rounding, eps ||A|| ||A+||, if larger
+    # (its two SVDs run only for a residual past tol_num).
     n_plus = ainv.kernel_complement.basis
     r_plus_perp = ainv.range_complement.orthogonal_complement().basis
-    peak, peak_plus = np.abs(arr).max(), np.abs(ainv.inverse).max()
-    cond = (peak * peak_plus) * float(np.linalg.norm(arr / peak) * np.linalg.norm(ainv.inverse / peak_plus))
-    bound = max(cfg.tol_num, 16.0 * np.finfo(float).eps * cond)
-    if op_norm(p_ra @ n_plus) > bound or op_norm(r_plus_perp.T @ p_ra_plus) > bound:
+    residual = max(op_norm(p_ra @ n_plus), op_norm(r_plus_perp.T @ p_ra_plus))
+    if residual > cfg.tol_num and residual > 16.0 * _EPS * (op_norm(arr) * op_norm(ainv.inverse)):
         raise ComplementError("complement element violates its range/kernel characterization")
     return OperatorFamilyContext(
         a=arr, ainv=ainv, factors=f,

@@ -885,8 +885,8 @@ def test_closed_form_matches_the_svd_route(seed, c, tilted, tol_split):
     bs = fam.complement.basis
 
     # det(J(x0 + t v) E*) is a polynomial of degree c in t: points at
-    # relative offsets 1e-3 .. 0.3 on both sides of a real root (a fold),
-    # plus points scattered around the base
+    # offsets 1e-3 .. 0.3 in t on both sides of a real root (a fold), plus
+    # points scattered around the base
     v = rng.standard_normal(n)
     ts = np.arange(c + 1.0)
     dets = [np.linalg.det(f.jacobian(x0 + t * v) @ bs) for t in ts]
@@ -899,7 +899,8 @@ def test_closed_form_matches_the_svd_route(seed, c, tilted, tol_split):
     alpha, keep = ev.closed_form(points)
     batch = fam.eval_batch(points)
     found, bases = batch.of_dim(n - c)
-    svd_alpha, svd_keep = ev.alpha((found.copy(), bases), np.broadcast_to(ev.full_rhs, (found.sum(), *ev.full_rhs.shape)))
+    rhs = np.broadcast_to(ev.full_rhs, (found.sum(), *ev.full_rhs.shape))
+    svd_alpha, svd_keep = ev.alpha((found.copy(), bases), rhs)
     margins = np.full(len(points), np.inf)
     margins[found] = np.linalg.svd(ev.cperp.T @ bases, compute_uv=False)[:, -1]
     orient = np.array([np.sign(np.linalg.det(f.jacobian(u) @ bs)) for u in points])
@@ -911,8 +912,9 @@ def test_closed_form_matches_the_svd_route(seed, c, tilted, tol_split):
     closed, generic = alpha[both[keep]], svd_alpha[both[svd_keep]]
     scale = 1.0 + np.linalg.norm(closed, ord=2, axis=(1, 2))
     # alpha grows like 1/det(J E*) towards the fold, and both routes lose
-    # about eps ||alpha||^2 to that conditioning: within ||alpha|| <= 100 this
-    # stays under 1e-12 (1 + ||alpha||), closer to the fold under 64 of it
+    # about eps ||alpha||^2 to that conditioning: up to ||alpha|| = 100 this
+    # stays under 1e-12 (1 + ||alpha||), closer to the fold under
+    # 64 eps (1 + ||alpha||)^2
     bound = np.where(scale <= 101.0, 1e-12 * scale, 64.0 * np.finfo(float).eps * scale**2)
     assert (np.abs(closed - generic).max(axis=(1, 2), initial=0.0) <= bound).all()
 
