@@ -7,7 +7,7 @@ families from differentiable maps, and probe whether a base point of a family
 keeps transversality (and a continuous coordinate operator) nearby.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,7 +119,9 @@ class SubspaceFamily:
     at construction, so coordinate operators taken against them are
     comparable across evaluation points.  ``eval_fn`` must be a pure function
     of the point.  ``source_map`` is set when the family arose as the kernels
-    of a Jacobian, enabling level-set diagnostics downstream.
+    of a Jacobian, x -> N(f'(x)), and declares that it is one: it enables
+    level-set diagnostics downstream, and when dim E* = 1 ``integrate``
+    takes its RK4 stages from f's Jacobian in closed form.
     """
 
     eval_fn: Callable[[np.ndarray], Subspace]
@@ -177,56 +179,53 @@ class SubspaceFamily:
 
 
 class _JacobianKernels:
-    """x -> N(f'(x)) at a fixed rank tolerance: a kernel family's ``eval_fn``."""
+    """x -> N(f'(x)) at a fixed rank tolerance: a kernel family's ``eval_fn``,
+    with the Jacobian ``base`` = f'(x0) the family was built from."""
 
-    def __init__(self, f: DifferentiableMap, cfg: Numerics, tol: float | None):
-        self.f, self.cfg, self.tol = f, cfg, tol
+    def __init__(self, f: DifferentiableMap, cfg: Numerics, tol: float | None, base: np.ndarray):
+        self.f, self.cfg, self.tol, self.base = f, cfg, tol, base
 
     def __call__(self, x) -> Subspace:
         return kernel_of(self.f.jacobian(x, self.cfg), self.tol)
 
 
-@dataclass(frozen=True)
+def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points) -> tuple[np.ndarray, np.ndarray]:
+    """The points where f's Jacobian evaluates and is finite, as indices, and
+    those Jacobians stacked (count, cod_dim, dom_dim): the one Jacobian loop
+    of the batched routes.  A point of the wrong size counts as failing."""
+    rows, jacs = [], []
+    for i, u in enumerate(points):
+        point = np.asarray(u, dtype=float).ravel()
+        if point.size != f.dom_dim:
+            continue
+        try:
+            jacs.append(f.jacobian(point, cfg))
+        except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
+            continue
+        rows.append(i)
+    rows, stack = np.array(rows, dtype=int), np.array(jacs).reshape(-1, f.cod_dim, f.dom_dim)
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        rows, stack = rows[finite], stack[finite]
+    return rows, stack
+
+
 class _KernelFamily(SubspaceFamily):
     """A family whose ``eval_fn`` is a ``_JacobianKernels``, as built by
-    ``kernel_family``, with the Jacobian T0 = f'(x0) it was built from.  A
-    batch takes the Jacobians point by point and their kernels from one
-    stacked SVD, bit for bit what ``eval`` gives, without wrapping a
-    ``Subspace`` per point."""
-
-    base_jacobian: np.ndarray = field(kw_only=True)
-
-    def _jacobian_stack(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """The points whose Jacobian evaluates and is finite, as indices, and
-        those Jacobians stacked (count, cod_dim, dom_dim): the one Jacobian
-        loop of the batched routes.  ``eval_fn`` must be a
-        ``_JacobianKernels``."""
-        kernels, size = self.eval_fn, self.param_dim
-        f, rows, jacs = kernels.f, [], []
-        for i, u in enumerate(points):
-            point = np.asarray(u, dtype=float).ravel()
-            if point.size != size:
-                continue
-            try:
-                jacs.append(f.jacobian(point, kernels.cfg))
-            except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
-                continue
-            rows.append(i)
-        rows, stack = np.array(rows, dtype=int), np.array(jacs).reshape(-1, f.cod_dim, f.dom_dim)
-        if not np.isfinite(stack).all():
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            rows, stack = rows[finite], stack[finite]
-        return rows, stack
+    ``kernel_family``.  A batch takes the Jacobians point by point and their
+    kernels from one stacked SVD, bit for bit what ``eval`` gives, without
+    wrapping a ``Subspace`` per point."""
 
     def _jacobian_svd(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """``_jacobian_stack`` with the ranks and V^T of its Jacobians from one
         stacked SVD.  None when ``eval_fn`` was replaced or the SVD did not
         converge: then the points are evaluated one by one."""
-        if not isinstance(self.eval_fn, _JacobianKernels):
+        kernels = self.eval_fn
+        if not isinstance(kernels, _JacobianKernels):
             return None
-        rows, stack = self._jacobian_stack(points)
+        rows, stack = _jacobian_stack(kernels.f, kernels.cfg, points)
         try:
-            return (rows, *_kernel_svd(stack, self.eval_fn.tol))
+            return (rows, *_kernel_svd(stack, kernels.tol))
         except np.linalg.LinAlgError:
             return None
 
@@ -238,21 +237,6 @@ class _KernelFamily(SubspaceFamily):
         dims = np.full(len(points), -1)
         dims[rows] = self.ambient_dim - ranks
         return SubspaceBatch(self.ambient_dim, dims, _kernel_batch(ranks, vh).stacks)
-
-
-def _closed_form_kernels(family: SubspaceFamily) -> _JacobianKernels | None:
-    """The Jacobian kernels of a kernel family whose base Jacobian has full
-    row rank (``cod_dim`` = dim E*), where the coordinate operator has the
-    closed form alpha(x) = -(J(x) E*)^-1 J(x) M0; None for every other
-    family, including a kernel family whose ``eval_fn`` was replaced."""
-    kernels = family.eval_fn
-    if (
-        isinstance(family, _KernelFamily)
-        and isinstance(kernels, _JacobianKernels)
-        and kernels.f.cod_dim == family.complement.dim
-    ):
-        return kernels
-    return None
 
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:
@@ -307,12 +291,11 @@ def kernel_family(
     if estar is None:
         estar = moore_penrose(t0, tol).range_complement
     return _KernelFamily(
-        eval_fn=_JacobianKernels(f, cfg, tol),
+        eval_fn=_JacobianKernels(f, cfg, tol, t0),
         base_point=base,
         base_subspace=base_subspace,
         complement=estar,
         source_map=f,
-        base_jacobian=t0,
     )
 
 

@@ -16,12 +16,12 @@ The lines of one axis pass are independent initial-value problems, and
 the two axis orders fill separate lattices, so pass k of both orders
 advances together, hop by hop, as stacked arrays; each line carries its own
 axis.  Each RK4 stage evaluates the field over the active lines in one
-batch.  For a kernel family whose base Jacobian has full row rank (c =
-dim E*) the paper's closed form a(x) = P[E* along N0] D^-1(T0+, J(x))
-P[N0 along E*] reads, in M0/E* coordinates, alpha(x) = -(J(x) E*)^-1 J(x) M0:
-one product of the Jacobian stack with the pinned bases and one stacked
-c x c solve, its splitting margin taken from alpha itself and a change of
-sign of det(J E*) read as a fold.  Every other
+batch.  For a family with a source map f: R^n -> R (the kernels of a
+Jacobian with one row, so dim E* = 1) the paper's closed form
+a(x) = P[E* along N0] D^-1(T0+, J(x)) P[N0 along E*] reads, in M0/E*
+coordinates, alpha(x) = -(J(x) M0) / (J(x) E*): one product of the Jacobian
+stack with the pinned bases and one division, its splitting margin taken
+from alpha itself and a change of sign of J E* read as a fold.  Every other
 family goes through ``eval_batch``: the stacked bases of the expected
 dimension, then their splitting margins and solves in one stacked call
 each.  The per-node checks of a finished patch and ``tangency_check`` take
@@ -42,9 +42,9 @@ from .errors import (
     StepError,
     ValidationError,
 )
-from .families import DifferentiableMap, SubspaceFamily, _closed_form_kernels
+from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack
 from .geninv import GenInverse
-from .linalg import _ranks, _screened_norms, kernel_of, oblique_projector
+from .linalg import _screened_norms, kernel_of, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -148,18 +148,18 @@ class _AlphaEvaluator:
     subspace has to be evaluated; the splitting margins and solves of a whole
     batch of points then take one stacked call each.
 
-    RK4 stages go through ``stage``.  For a kernel family whose base Jacobian
-    has full row rank (c = dim E*) it takes the paper's closed form in M0/E*
-    coordinates, alpha(x) = -(J E*)^-1 J M0, from the Jacobian stack: one
-    product ``J [E* | M0]`` and one stacked c x c solve (a division, and no
-    SVD at all, for c = 1).  A point is kept when J has rank c, det(J E*)
-    has the sign it has at the base (a change of sign means the march
-    crossed a fold of the level set), and the splitting margin exceeds
-    ``tol_split``.  That margin is the SVD route's sigma_min(Cperp^T Q) for
-    an orthonormal kernel basis Q: the graph basis G = M0 + E* alpha spans
-    the kernel and Cperp^T G = C0 = Cperp^T M0, so sigma_min(Cperp^T Q) =
-    1 / ||G C0^-1||_2.  All other families, and the node checks, take the
-    kernel bases and the splitting SVD (``alpha``, ``splits``).
+    RK4 stages go through ``stage``.  For a family with a source map f of
+    one component, whose kernels have dim E* = 1, it takes the paper's
+    closed form in M0/E* coordinates, alpha(x) = -(J M0) / (J E*), from the
+    Jacobian stack: one product ``J [E* | M0]`` and one division, with no
+    SVD.  A point is kept when J E* has the sign it has at the base (so J
+    has rank 1; a change of sign means the march crossed a fold of the
+    level set) and the splitting margin exceeds ``tol_split``.  That margin
+    is the SVD route's sigma_min(Cperp^T Q) for an orthonormal kernel basis
+    Q: the graph basis G = M0 + E* alpha spans the kernel and Cperp^T G = C0
+    = Cperp^T M0, so sigma_min(Cperp^T Q) = 1 / ||G C0^-1||_2.  All other
+    families, and the node checks, take the kernel bases and the splitting
+    SVD (``alpha``, ``splits``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -177,35 +177,45 @@ class _AlphaEvaluator:
         # right-hand sides of the solve: all columns of alpha, or one axis
         self.full_rhs = self.cperp.T @ self.b0
         self.axis_rhs = np.stack([(self.cperp.T @ self.b0[:, i])[:, None] for i in range(self.d)])
-        self.kernels = _closed_form_kernels(family)
-        if self.kernels is not None:
-            self.pinned = np.hstack([self.bs, self.b0])
-            self.c0_inv = np.linalg.inv(self.full_rhs)  # C0 = Cperp^T M0
-            self.orientation = self._orientations(family.base_jacobian[None] @ self.bs)[0]
-            self.margin_bound = 1.0 / cfg.tol_split if cfg.tol_split > 0.0 else math.inf
+        # the map whose Jacobians the closed form takes, or None
+        self.source = self._closed_form_source()
+
+    def _closed_form_source(self) -> DifferentiableMap | None:
+        """The family's source map when it has one component and its base
+        Jacobian T0 has T0 E* != 0, recording the sign of T0 E*; None
+        otherwise.  T0 is the one ``kernel_family`` took, else one Jacobian
+        call at the base point."""
+        f, kernels = self.family.source_map, self.family.eval_fn
+        if f is None or f.cod_dim != 1 or self.e != 1:
+            return None
+        if isinstance(kernels, _JacobianKernels) and kernels.f is f:
+            t0 = kernels.base[None]
+        else:
+            t0 = _jacobian_stack(f, self.cfg, self.family.base_point[None])[1]
+        orientation = np.sign(t0 @ self.bs).ravel()
+        if not (orientation.size and orientation[0]):
+            return None
+        self.orientation = orientation[0]
+        self.pinned = np.hstack([self.bs, self.b0])
+        self.c0_inv = np.linalg.inv(self.full_rhs)  # C0 = Cperp^T M0
+        self.margin_bound = 1.0 / self.cfg.tol_split if self.cfg.tol_split > 0.0 else math.inf
+        return f
 
     def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Ambient points ``lift(z) + lift(w)`` of stacked coordinate rows,
         one matrix-vector product per row as for a single point."""
         return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
 
-    def _orientations(self, je: np.ndarray) -> np.ndarray:
-        """Signs of det(J E*) over a stack, 0 where LU meets a zero pivot."""
-        return np.sign(je[:, 0, 0]) if self.e == 1 else np.linalg.slogdet(je)[0]
-
     def closed_form(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """alpha = -(J E*)^-1 J M0 at the kept points, shaped (kept, dim E*,
-        dim M0), and the mask of kept points (see the class docstring)."""
-        rows, jacs = self.family._jacobian_stack(points)
+        """alpha = -(J M0) / (J E*) at the kept points, shaped (kept, 1, dim
+        M0), and the mask of kept points (see the class docstring)."""
+        rows, jacs = _jacobian_stack(self.source, self.cfg, points)
         prod = np.matmul(jacs, self.pinned)
-        je, jm = prod[..., : self.e], prod[..., self.e :]
-        keep = self._orientations(je) == self.orientation
-        if self.e > 1:  # for c = 1, J E* != 0 already gives J rank 1
-            keep &= _ranks(np.linalg.svd(jacs, compute_uv=False), jacs.shape[1:], self.kernels.tol) == self.e
+        je, jm = prod[..., :1], prod[..., 1:]
+        keep = np.sign(je[:, 0, 0]) == self.orientation
         if not keep.all():
             rows, je, jm = rows[keep], je[keep], jm[keep]
-        # a nonzero det(J E*) means LU meets no zero pivot, so no solve fails
-        alpha = -(jm / je) if self.e == 1 else -np.linalg.solve(je, jm)
+        alpha = -(jm / je)  # J E* keeps the base's nonzero sign, so no division fails
         graph = (self.b0 + np.matmul(self.bs, alpha)) @ self.c0_inv
         split = _screened_norms(graph, self.margin_bound) < self.margin_bound
         if not split.all():
@@ -218,7 +228,7 @@ class _AlphaEvaluator:
         """Column ``axis[r]`` of the coordinate operator at each point, for
         the kept points, shaped (kept, dim E*), and the mask of kept points:
         the closed form where the family takes it, else the SVD route."""
-        if self.kernels is None:
+        if self.source is None:
             k, ok = self.alpha(self.family.eval_batch(points).of_dim(self.d), self.axis_rhs[axis])
             return k[..., 0], ok
         alpha, ok = self.closed_form(points)

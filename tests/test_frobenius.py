@@ -26,7 +26,7 @@ from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
 from oblique.frobenius import _outward_lines, explicit_patch
 from oblique.frobenius import _axis_derivatives
-from oblique.families import _closed_form_kernels
+from oblique.families import _JacobianKernels
 from oblique.linalg import direct_sum_check, kernel_of, oblique_projector, op_norm, rank_of
 from oblique.suites import random_complement
 
@@ -235,9 +235,9 @@ class SerialReference:
 
     Every line of a pass is marched to its end before the next one starts,
     and every alpha value is taken on its own: from the closed form
-    -(J E*)^-1 J M0 and the point's own Jacobian in the RK4 stages of a
-    kernel family whose base Jacobian has full row rank, else from the
-    point's subspace with its own SVD and solve.  The batched layer must
+    -(J M0) / (J E*) and the point's own Jacobian in the RK4 stages of a
+    family with a source map of one component, else from the point's
+    subspace with its own SVD and solve.  The batched layer must
     reproduce its psi bit for bit, with the same diagnostics and the same
     number of family (or Jacobian) evaluations.
     """
@@ -249,9 +249,12 @@ class SerialReference:
         onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
         self.estar_rows = self.bs.T @ (np.eye(family.ambient_dim) - onto_m0)
         self.cperp = family.complement.orthogonal_complement().basis
-        self.kernels = _closed_form_kernels(family)
-        if self.kernels is not None:
-            self.orientation = np.linalg.slogdet(family.base_jacobian @ self.bs)[0]
+        f, kernels = family.source_map, family.eval_fn
+        self.source = f if f is not None and f.cod_dim == self.bs.shape[1] == 1 else None
+        if self.source is not None:
+            own = isinstance(kernels, _JacobianKernels) and kernels.f is f
+            t0 = kernels.base if own else f.jacobian(family.base_point, cfg)
+            self.orientation = np.sign(t0 @ self.bs)[0, 0]
 
     def ambient(self, z, w):
         return self.b0 @ z + self.bs @ w
@@ -265,26 +268,23 @@ class SerialReference:
         return self.estar_rows @ (mx.basis @ np.linalg.solve(cross, rhs))
 
     def closed_form(self, u):
-        """alpha = -(J E*)^-1 J M0 at one point.  The point is dropped when its
-        Jacobian fails, drops rank, turns det(J E*) against the base's sign,
-        or leaves its kernel Q with sigma_min(Cperp^T Q) <= tol_split."""
-        f, tol = self.kernels.f, self.kernels.tol
+        """alpha = -(J M0) / (J E*) at one point.  The point is dropped when
+        its Jacobian fails, turns J E* zero or against the base's sign, or
+        leaves its kernel Q with sigma_min(Cperp^T Q) <= tol_split."""
         try:
-            jac = f.jacobian(u, self.kernels.cfg)
+            jac = self.source.jacobian(u, self.cfg)
         except Exception as exc:
             raise EvalError("Jacobian failed") from exc
         if not np.isfinite(jac).all():
             raise EvalError("Jacobian not finite")
-        if rank_of(jac, tol) != f.cod_dim:
-            raise CofinalBreach("Jacobian rank dropped")
         prod = jac @ np.hstack([self.bs, self.b0])
-        je, jm = prod[:, : self.bs.shape[1]], prod[:, self.bs.shape[1] :]
-        if np.linalg.slogdet(je)[0] != self.orientation:
+        je, jm = prod[:, :1], prod[:, 1:]
+        if np.sign(je[0, 0]) != self.orientation:
             raise CofinalBreach("past a fold")
-        cross = self.cperp.T @ kernel_of(jac, tol).basis
+        cross = self.cperp.T @ kernel_of(jac).basis
         if np.linalg.svd(cross, compute_uv=False)[-1] <= self.cfg.tol_split:
             raise CofinalBreach("splitting lost")
-        return -(jm / je) if f.cod_dim == 1 else -np.linalg.solve(je, jm)  # a 1 x 1 solve is a division
+        return -(jm / je)
 
     def hop(self, z, w, axis, delta, step):
         n_sub = max(1, math.ceil(abs(delta) / step - 1e-12))
@@ -295,7 +295,7 @@ class SerialReference:
 
         def field(zz, ww):
             u = self.ambient(zz, ww)
-            if self.kernels is not None:
+            if self.source is not None:
                 return self.closed_form(u)[:, axis]
             return self.alpha(self.family.eval(u), rhs)
 
@@ -420,8 +420,9 @@ class SerialReference:
 def sphere_variant(region, calls=None):
     """Kernel family of |x|^2 around (0, 0, 1) that misbehaves off an
     oblique region: it loses the splitting, fails to evaluate, or drops to
-    a one-dimensional subspace there.  Evaluations are counted in
-    ``calls[0]`` when a list is given."""
+    a one-dimensional subspace there.  Off that region its subspaces are not
+    the kernels of the map's Jacobian, so it declares no source map.
+    Evaluations are counted in ``calls[0]`` when a list is given."""
     f, x0 = builtin_map("sphere_3d")
     fam = kernel_family(f, x0)
     flat = Subspace.span([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])  # contains E* = span(e3)
@@ -443,7 +444,6 @@ def sphere_variant(region, calls=None):
         base_point=x0,
         base_subspace=fam.base_subspace,
         complement=fam.complement,
-        source_map=f,
     )
 
 
@@ -595,10 +595,11 @@ def test_three_dimensional_lock_step_matches_serial_reference(source):
     calls = [0]
     if source == "kernel":
         fam, extent, step = quartic_kernels(calls), 0.3, 5e-2
-        assert _closed_form_kernels(fam) is not None  # the closed-form route
+        assert frobenius._AlphaEvaluator(fam, DEFAULTS).source is fam.source_map  # the closed-form route
     else:
         fam, extent, step = counted_operator_family(calls), 0.2, 5e-3
-        assert type(fam).eval_batch is SubspaceFamily.eval_batch and _closed_form_kernels(fam) is None
+        assert type(fam).eval_batch is SubspaceFamily.eval_batch
+        assert frobenius._AlphaEvaluator(fam, DEFAULTS).source is None
     calls[0] = 0
     patch = integrate(fam, extent, step, grid_points=5)
     tangency_check(patch, fam)
@@ -741,8 +742,9 @@ def test_vectorised_stencils_match_node_by_node(rng):
 @pytest.mark.parametrize("region", ["flat", "nan"])
 def test_long_line_breaching_partway_matches_serial_reference(region):
     # a 451-node circle line whose family loses the splitting (flat: a generic
-    # family turns parallel to E*) or whose Jacobian turns NaN (nan: the
-    # stacked kernel path) beyond x = 0.6, so the forward line stops partway
+    # family, with no source map, turns parallel to E*) or whose Jacobian
+    # turns NaN (nan: the closed-form stages) beyond x = 0.6, so the forward
+    # line stops partway
     f, x0 = builtin_map("sphere_2d")
     calls = [0]
 
@@ -763,7 +765,6 @@ def test_long_line_breaching_partway_matches_serial_reference(region):
             base_point=x0,
             base_subspace=kernels.base_subspace,
             complement=kernels.complement,
-            source_map=f,
         )
     calls[0] = 0
     patch = integrate(fam, 0.9, 4e-3)
@@ -836,7 +837,8 @@ def test_rank_deficient_kernel_family_keeps_the_svd_route():
 
     f = DifferentiableMap(3, 2, lambda p: np.array([p @ p, 0.0]), jac)
     fam = kernel_family(f, np.array([0.0, 0.0, 1.0]))
-    assert _closed_form_kernels(fam) is None and type(fam).eval_batch is not SubspaceFamily.eval_batch
+    assert frobenius._AlphaEvaluator(fam, DEFAULTS).source is None
+    assert type(fam).eval_batch is not SubspaceFamily.eval_batch
     calls[0] = 0
     patch = integrate(fam, 0.5, 2e-2, grid_points=11)
     tangency_check(patch, fam)
@@ -846,6 +848,22 @@ def test_rank_deficient_kernel_family_keeps_the_svd_route():
     assert_matches_reference(patch, ref)
     assert batched == calls[0] > 0
     assert patch.diagnostics.breached and patch.diagnostics.unfilled > 0
+
+
+def test_stages_take_the_closed_form_for_a_declared_source_map():
+    # the route follows the family's source map, not how the family was
+    # built: a family made with the public constructor around a kernel
+    # family's eval_fn marches as that kernel family does, bit for bit
+    f, x0, kernels = circle_family()
+    parts = dict(base_point=x0, base_subspace=kernels.base_subspace, complement=kernels.complement)
+    wrapped = SubspaceFamily(eval_fn=lambda x: kernels.eval_fn(x), source_map=f, **parts)
+    generic = SubspaceFamily(eval_fn=lambda x: kernels.eval_fn(x), **parts)
+    # a Jacobian of full row rank 2: dim E* = 2, off the closed form
+    pair = kernel_family(DifferentiableMap(3, 2, lambda p: np.array([p @ p, p[0]]),
+                                           lambda p: np.vstack([2.0 * p, [1.0, 0.0, 0.0]])), [0.0, 0.6, 0.8])
+    sources = [frobenius._AlphaEvaluator(fam, DEFAULTS).source for fam in (kernels, wrapped, generic, pair)]
+    assert sources[0] is f and sources[1] is f and sources[2:] == [None, None]
+    assert_matches_reference(integrate(wrapped, 0.5, 1e-2), integrate(kernels, 0.5, 1e-2))
 
 
 def test_circle_past_the_fold_breaches_instead_of_leaving_the_level_set():
@@ -858,60 +876,56 @@ def test_circle_past_the_fold_breaches_instead_of_leaving_the_level_set():
     assert patch.diagnostics.level_set_residual < 1e-3
 
 
-def quadratic_map(rng, c, n):
-    """f_i(x) = x^T Q_i x / 2 + b_i^T x: a map R^n -> R^c whose Jacobian
-    Q x + b is affine in x."""
-    q = rng.standard_normal((c, n, n))
+def quadratic_map(rng, n):
+    """f(x) = x^T Q x / 2 + b^T x: a map R^n -> R whose Jacobian Q x + b is
+    affine in x."""
+    q = rng.standard_normal((1, n, n))
     q = q + q.transpose(0, 2, 1)
-    b = rng.standard_normal((c, n))
-    return DifferentiableMap(n, c, lambda p: 0.5 * (q @ p) @ p + b @ p, lambda p: q @ p + b)
+    b = rng.standard_normal((1, n))
+    return DifferentiableMap(n, 1, lambda p: 0.5 * (q @ p) @ p + b @ p, lambda p: q @ p + b)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(), st.sampled_from([1e-8, 0.05, 0.3]))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans(), st.sampled_from([1e-8, 0.05, 0.3]))
 @settings(max_examples=60, deadline=None)
-def test_closed_form_matches_the_svd_route(seed, c, tilted, tol_split):
+def test_closed_form_matches_the_svd_route(seed, n, tilted, tol_split):
     rng = np.random.default_rng(seed)
-    n = c + 2
     cfg = DEFAULTS.replace(tol_split=tol_split)
-    f = quadratic_map(rng, c, n)
+    f = quadratic_map(rng, n)
     x0 = rng.uniform(-0.5, 0.5, n)
     t0 = f.jacobian(x0)
-    assume(rank_of(t0) == c)
+    assume(rank_of(t0) == 1)
     estar = random_complement(rng, kernel_of(t0)) if tilted else None
     assume(estar is None or direct_sum_check(kernel_of(t0), estar, cfg))
     fam = kernel_family(f, x0, cfg, estar=estar)
     ev = frobenius._AlphaEvaluator(fam, cfg)
-    assert ev.kernels is not None
+    assert ev.source is f
     bs = fam.complement.basis
 
-    # det(J(x0 + t v) E*) is a polynomial of degree c in t: points at
-    # offsets 1e-3 .. 0.3 in t on both sides of a real root (a fold), plus
-    # points scattered around the base
+    # J(x0 + t v) E* is affine in t: points at offsets 1e-3 .. 0.3 in t on
+    # both sides of its root (a fold), plus points scattered around the base
     v = rng.standard_normal(n)
-    ts = np.arange(c + 1.0)
-    dets = [np.linalg.det(f.jacobian(x0 + t * v) @ bs) for t in ts]
-    roots = [r.real for r in np.roots(np.polyfit(ts, dets, c)) if abs(r.imag) < 1e-12]
+    at = [(f.jacobian(x0 + t * v) @ bs)[0, 0] for t in (0.0, 1.0)]
     offsets = np.concatenate([-np.logspace(-3, np.log10(0.3), 6), np.logspace(-3, np.log10(0.3), 6)])
-    points = [x0 + (root + offsets[:, None]) * v for root in roots[:1]]
-    points.append(x0 + rng.uniform(-1.0, 1.0, size=(12, n)))
+    points = [x0 + rng.uniform(-1.0, 1.0, size=(12, n))]
+    if at[1] != at[0]:
+        points.append(x0 + (at[0] / (at[0] - at[1]) + offsets[:, None]) * v)
     points = np.concatenate(points)
 
     alpha, keep = ev.closed_form(points)
     batch = fam.eval_batch(points)
-    found, bases = batch.of_dim(n - c)
+    found, bases = batch.of_dim(n - 1)
     rhs = np.broadcast_to(ev.full_rhs, (found.sum(), *ev.full_rhs.shape))
     svd_alpha, svd_keep = ev.alpha((found.copy(), bases), rhs)
     margins = np.full(len(points), np.inf)
     margins[found] = np.linalg.svd(ev.cperp.T @ bases, compute_uv=False)[:, -1]
-    orient = np.array([np.sign(np.linalg.det(f.jacobian(u) @ bs)) for u in points])
-    same_side = orient == np.sign(np.linalg.det(t0 @ bs))
+    same_side = np.array([np.sign(f.jacobian(u) @ bs) == np.sign(t0 @ bs) for u in points]).ravel()
 
     decided = np.abs(margins - tol_split) > 0.5e-6
     assert (keep == (svd_keep & same_side))[decided].all()
     both = keep & svd_keep
     closed, generic = alpha[both[keep]], svd_alpha[both[svd_keep]]
     scale = 1.0 + np.linalg.norm(closed, ord=2, axis=(1, 2))
-    # alpha grows like 1/det(J E*) towards the fold, and both routes lose
+    # alpha grows like 1/(J E*) towards the fold, and both routes lose
     # about eps ||alpha||^2 to that conditioning: up to ||alpha|| = 100 this
     # stays under 1e-12 (1 + ||alpha||), closer to the fold under
     # 64 eps (1 + ||alpha||)^2
