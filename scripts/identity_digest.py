@@ -13,7 +13,9 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   benchmark's own pass loop (``harness.run_phase``) and job check;
 * the sha1 of the stdout of ``oblique integrate --builtin sec4_2x2`` and of
   ``oblique chart --builtin sec4_2x2``, which cover the operator-family
-  patch and the chart command that no workload runs.
+  patch and the chart command that no workload runs;
+* the sha1 of the stdout of ``oblique integrate --builtin sphere_3d --grid
+  51``, the closed-form stages with the builtin's own Jacobian.
 
 Run it in two checkouts and ``diff`` the outputs: equal lines mean equal
 bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
@@ -73,8 +75,9 @@ def main() -> int:
         for seed in SEEDS:
             digest, attempted, failed = workload_digest(harness, name, seed)
             print(f"perfbench {name} seed {seed}  {digest}  attempted {attempted} failed {failed}")
-    for command in ("integrate", "chart"):
-        print(f"{command} --builtin sec4_2x2  {cli_digest([command, '--builtin', 'sec4_2x2'])}")
+    for argv in (["integrate", "--builtin", "sec4_2x2"], ["chart", "--builtin", "sec4_2x2"],
+                 ["integrate", "--builtin", "sphere_3d", "--grid", "51"]):
+        print(f"{' '.join(argv)}  {cli_digest(argv)}")
     return 0
 
 

@@ -25,7 +25,8 @@ class Numerics:
     rank_tol    : relative singular-value cutoff for rank decisions; None
                   selects max(rows, cols) * machine epsilon.
     fd_rel_step : relative step for central finite-difference Jacobians.
-    fd_tol      : allowed gap between analytic and finite-difference Jacobians.
+    fd_tol      : allowed gap between analytic and finite-difference Jacobians,
+                  relative to 1 + ||J_fd||_2.
     newton_tol  : update-norm stopping threshold for the fixed-point solve of
                   the explicit graph map.
     newton_max_iter : iteration cap for the same solve.

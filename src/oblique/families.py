@@ -7,6 +7,7 @@ families from differentiable maps, and probe whether a base point of a family
 keeps transversality (and a continuous coordinate operator) nearby.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,7 +70,14 @@ class CoordinateOperator:
 
 @dataclass(frozen=True)
 class DifferentiableMap:
-    """A C^1 map R^dom_dim -> R^cod_dim with optional analytic Jacobian."""
+    """A C^1 map R^dom_dim -> R^cod_dim with optional analytic Jacobian.
+
+    ``jac`` is called with a 1-D float64 view of one point and returns the
+    Jacobian there, shape (cod_dim, dom_dim).  It must not write to its
+    argument: the batched routes pass it the rows of one point array.  In a
+    batch, a point whose ``jac`` raises, has the wrong shape or is not
+    finite counts as failed.
+    """
 
     dom_dim: int
     cod_dim: int
@@ -102,12 +110,15 @@ class DifferentiableMap:
         return self.fd_jacobian(x, cfg)
 
     def check_jacobian(self, points, cfg: Numerics = DEFAULTS) -> None:
-        """Verify the analytic Jacobian against finite differences."""
+        """Verify the analytic Jacobian against finite differences: the gap
+        may reach ``fd_tol * (1 + ||J_fd||_2)``, so a map scaled far from 1
+        is checked relative to its own size."""
         if self.jac is None:
             return
         for p in points:
-            gap = op_norm(self.jacobian(p, cfg) - self.fd_jacobian(p, cfg))
-            if gap > cfg.fd_tol:
+            fd = self.fd_jacobian(p, cfg)
+            gap = op_norm(self.jacobian(p, cfg) - fd)
+            if gap > cfg.fd_tol * (1.0 + op_norm(fd)):
                 raise EvalError(f"analytic Jacobian off by {gap:.3e} at {np.asarray(p).tolist()}")
 
 
@@ -189,25 +200,70 @@ class _JacobianKernels:
         return kernel_of(self.f.jacobian(x, self.cfg), self.tol)
 
 
+def _point_rows(points, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points with ``dim`` coordinates, as indices and float rows
+    (count, dim); a point of another size is left out.  An (N, dim) float
+    array passes through as it is, and a ragged list is taken point by
+    point, as ``eval`` takes them."""
+    try:
+        arr = np.asarray(points, dtype=float)
+    except ValueError:  # ragged
+        arr = None
+    if arr is not None and arr.ndim:
+        if arr.size != len(arr) * dim:
+            return np.zeros(0, dtype=int), np.zeros((0, dim))
+        return np.arange(len(arr)), arr.reshape(len(arr), dim)
+    index, rows = [], []
+    for i, u in enumerate(points):
+        point = np.asarray(u, dtype=float).ravel()
+        if point.size == dim:
+            index.append(i)
+            rows.append(point)
+    return np.array(index, dtype=int), np.array(rows).reshape(-1, dim)
+
+
 def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points) -> tuple[np.ndarray, np.ndarray]:
     """The points where f's Jacobian evaluates and is finite, as indices, and
     those Jacobians stacked (count, cod_dim, dom_dim): the one Jacobian loop
-    of the batched routes.  A point of the wrong size counts as failing."""
-    rows, jacs = [], []
-    for i, u in enumerate(points):
-        point = np.asarray(u, dtype=float).ravel()
-        if point.size != f.dom_dim:
-            continue
+    of the batched routes, bit for bit ``f.jacobian`` point by point.  A
+    point of the wrong size counts as failing.
+
+    ``f.jac`` is called once per point on a row of the point array; its
+    results are checked as one stack, and one by one only when the stack is
+    not a finite float64 array of the expected shape."""
+    index, rows = _point_rows(points, f.dom_dim)
+    jac = f.jac if f.jac is not None else functools.partial(f.fd_jacobian, cfg=cfg)
+    outs, failed = [], []
+    for i, row in enumerate(rows):
         try:
-            jacs.append(f.jacobian(point, cfg))
+            outs.append(jac(row))
         except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
-            continue
-        rows.append(i)
-    rows, stack = np.array(rows, dtype=int), np.array(jacs).reshape(-1, f.cod_dim, f.dom_dim)
+            failed.append(i)
+    if failed:
+        index = np.delete(index, failed)
+    shape = (len(outs), f.cod_dim, f.dom_dim)
+    try:
+        stack = np.array(outs)
+    except Exception:  # noqa: BLE001 - ragged or not numeric: checked one by one below
+        stack = None
+    if stack is None or stack.dtype != np.float64 or stack.shape != shape:
+        jacs = [_as_jacobian(out, shape[1:]) for out in outs]
+        index = index[[j is not None for j in jacs]]
+        stack = np.array([j for j in jacs if j is not None]).reshape(-1, *shape[1:])
     if not np.isfinite(stack).all():
         finite = np.isfinite(stack).all(axis=(1, 2))
-        rows, stack = rows[finite], stack[finite]
-    return rows, stack
+        index, stack = index[finite], stack[finite]
+    return index, stack
+
+
+def _as_jacobian(out, shape: tuple[int, int]) -> np.ndarray | None:
+    """A ``jac`` result as ``DifferentiableMap.jacobian`` returns it, or None
+    where that raises."""
+    try:
+        arr = np.asarray(out, dtype=float)
+    except Exception:  # noqa: BLE001 - user code
+        return None
+    return arr if arr.shape == shape else None
 
 
 class _KernelFamily(SubspaceFamily):

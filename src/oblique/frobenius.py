@@ -44,7 +44,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack
 from .geninv import GenInverse
-from .linalg import _screened_norms, kernel_of, oblique_projector
+from .linalg import _screened_norms, kernel_of, oblique_projector, op_norm
 
 __all__ = [
     "IntegralPatch",
@@ -157,9 +157,11 @@ class _AlphaEvaluator:
     level set) and the splitting margin exceeds ``tol_split``.  That margin
     is the SVD route's sigma_min(Cperp^T Q) for an orthonormal kernel basis
     Q: the graph basis G = M0 + E* alpha spans the kernel and Cperp^T G = C0
-    = Cperp^T M0, so sigma_min(Cperp^T Q) = 1 / ||G C0^-1||_2.  All other
-    families, and the node checks, take the kernel bases and the splitting
-    SVD (``alpha``, ``splits``).
+    = Cperp^T M0, so sigma_min(Cperp^T Q) = 1 / ||G C0^-1||_2.  A row whose
+    max|alpha| is under ``alpha_cap`` splits by a norm bound on that graph
+    alone; only the other rows (near a fold, or alpha not finite) form it
+    and take ``_screened_norms``.  All other families, and the node checks,
+    take the kernel bases and the splitting SVD (``alpha``, ``splits``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -199,6 +201,12 @@ class _AlphaEvaluator:
         self.pinned = np.hstack([self.bs, self.b0])
         self.c0_inv = np.linalg.inv(self.full_rhs)  # C0 = Cperp^T M0
         self.margin_bound = 1.0 / self.cfg.tol_split if self.cfg.tol_split > 0.0 else math.inf
+        # ||(M0 + E* alpha) C0^-1||_2 <= a + c sqrt(d) max|alpha| with a =
+        # ||M0 C0^-1||_2, c = ||C0^-1||_2 and ||E*||_2 = 1: a row under this cap
+        # on max|alpha| splits, with a relative slack of 1e-6 for rounding and
+        # the basis' orthonormality defect, and its graph stays under 1e300
+        a, c = op_norm(self.b0 @ self.c0_inv), op_norm(self.c0_inv)
+        self.alpha_cap = (min(self.margin_bound, 1e300) * (1.0 - 1e-6) - a) / (c * math.sqrt(self.d))
         return f
 
     def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -216,10 +224,11 @@ class _AlphaEvaluator:
         if not keep.all():
             rows, je, jm = rows[keep], je[keep], jm[keep]
         alpha = -(jm / je)  # J E* keeps the base's nonzero sign, so no division fails
-        graph = (self.b0 + np.matmul(self.bs, alpha)) @ self.c0_inv
-        split = _screened_norms(graph, self.margin_bound) < self.margin_bound
-        if not split.all():
-            rows, alpha = rows[split], alpha[split]
+        open_ = ~(np.abs(alpha).max(axis=(1, 2)) < self.alpha_cap)
+        if open_.any():
+            graph = (self.b0 + np.matmul(self.bs, alpha[open_])) @ self.c0_inv
+            open_[open_] = ~(_screened_norms(graph, self.margin_bound) < self.margin_bound)
+            rows, alpha = rows[~open_], alpha[~open_]
         ok = np.zeros(len(points), dtype=bool)
         ok[rows] = True
         return alpha, ok

@@ -20,6 +20,8 @@ from oblique import (
     moore_penrose,
     subspace_distance,
 )
+from oblique.config import DEFAULTS
+from oblique.families import _jacobian_stack
 from oblique.geninv import trial_rng
 from oblique.suites import random_complement, random_subspace
 
@@ -50,6 +52,31 @@ def test_bad_analytic_jacobian_is_caught():
     f = DifferentiableMap(2, 1, lambda p: np.array([p[0] ** 2]), lambda p: np.array([[1.0, 0.0]]))
     with pytest.raises(EvalError):
         f.check_jacobian([[2.0, 0.0]])
+
+
+def scaled_cubic(scale, off_entry=None):
+    """f = scale (x^3 + y^3 + x y) with its analytic Jacobian, one entry of
+    which is 10 % off when ``off_entry`` is given."""
+
+    def jac(p):
+        out = scale * np.array([[3.0 * p[0] ** 2 + p[1], 3.0 * p[1] ** 2 + p[0]]])
+        if off_entry is not None:
+            out[0, off_entry] *= 1.1
+        return out
+
+    return DifferentiableMap(2, 1, lambda p: scale * np.array([p[0] ** 3 + p[1] ** 3 + p[0] * p[1]]), jac)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8, 1e10])
+def test_check_jacobian_is_relative_to_the_map_scale(rng, scale):
+    # the gap of a correct Jacobian grows with the map's scale; at 1e6 the
+    # absolute fd_tol rejected most of these points
+    points = rng.uniform(0.2, 3.0, size=(50, 2))
+    scaled_cubic(scale).check_jacobian(points)
+    for p in points[:10]:
+        for entry in (0, 1):
+            with pytest.raises(EvalError):
+                scaled_cubic(scale, entry).check_jacobian([p])
 
 
 def test_fd_fallback_without_analytic():
@@ -225,6 +252,78 @@ def test_kernel_family_eval_batch_matches_eval(rng, analytic):
         # wrong sizes, a raising Jacobian and a NaN Jacobian all give None
         assert sum(s is None for s in single) >= 4
     assert list(fam.eval_batch([])) == []
+
+
+def unruly_sphere_map(kind, calls):
+    """|x|^2 on R^3 whose Jacobian, where x1 > 0, raises, has the wrong
+    shape, is a list, an int array, NaN or inf, as ``kind`` says; "fd" has
+    no analytic Jacobian.  Jacobian (or, for "fd", map) calls are counted in
+    ``calls[0]``."""
+
+    def jac(p):
+        calls[0] += 1
+        out = 2.0 * p.reshape(1, -1)
+        if p[1] <= 0.0:
+            return out
+        if kind == "raises":
+            raise ArithmeticError("outside the chart")
+        if kind == "shape":
+            return out.ravel()
+        if kind == "list":
+            return out.tolist()
+        if kind == "int":
+            return np.rint(10.0 * out).astype(int)
+        if kind in ("nan", "inf"):
+            out[0, 2] = np.nan if kind == "nan" else np.inf
+        return out
+
+    def func(p):
+        calls[0] += kind == "fd"
+        return np.array([p @ p])
+
+    return DifferentiableMap(3, 1, func, None if kind == "fd" else jac)
+
+
+def jacobian_loop(f, points):
+    """The indices and Jacobians ``_jacobian_stack`` must give, point by point
+    through ``f.jacobian``."""
+    rows, jacs = [], []
+    for i, u in enumerate(points):
+        point = np.asarray(u, dtype=float).ravel()
+        if point.size != f.dom_dim:
+            continue
+        try:
+            jac = f.jacobian(point)
+        except Exception:  # noqa: BLE001 - any failure drops the point
+            continue
+        if np.isfinite(jac).all():
+            rows.append(i)
+            jacs.append(jac)
+    return rows, np.array(jacs).reshape(-1, f.cod_dim, f.dom_dim)
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("kind", ["clean", "raises", "shape", "list", "int", "nan", "inf", "fd"])
+def test_jacobian_stack_matches_the_point_by_point_loop(rng, kind, ragged):
+    calls = [0]
+    f = unruly_sphere_map(kind, calls)
+    points = rng.uniform(-1.0, 1.0, size=(24, 3))
+    # the whole batch, and the points where a misbehaving Jacobian misbehaves
+    # everywhere (so the stack as a whole has the wrong shape or dtype)
+    for batch in (points, points[points[:, 1] > 0.0]):
+        if ragged:
+            batch = list(batch) + [np.zeros(2), np.array([[0.1, 0.2, 0.3]]), np.zeros(4)]
+        calls[0] = 0
+        want_rows, want = jacobian_loop(f, batch)
+        loop_calls, calls[0] = calls[0], 0
+        rows, stack = _jacobian_stack(f, DEFAULTS, batch)
+        assert calls[0] == loop_calls > 0
+        assert rows.tolist() == want_rows
+        assert stack.dtype == np.float64 and stack.shape == want.shape and stack.tobytes() == want.tobytes()
+    # a point array of the wrong width calls nothing
+    calls[0] = 0
+    rows, stack = _jacobian_stack(f, DEFAULTS, np.zeros((3, 4)))
+    assert calls[0] == 0 and rows.size == 0 and stack.shape == (0, 1, 3)
 
 
 def test_generic_eval_batch_maps_eval_errors_to_none():

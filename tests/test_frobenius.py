@@ -953,6 +953,39 @@ def test_closed_form_rows_do_not_depend_on_their_batch(rng):
         assert kept.all() and alone[0].tobytes() == row.tobytes()
 
 
+# at tol_split = 0 the cap sits near 1e300, where J E* of a point built for a
+# tilted E* is lost to cancellation, so that case takes the axis-aligned bases
+@pytest.mark.parametrize("tol_split, tilted", [(0.0, False), (1e-8, False), (1e-8, True), (0.3, False), (0.3, True)])
+def test_alpha_cap_screen_keeps_the_graph_norm_check(rng, tol_split, tilted):
+    # f = |x|^2 / 2 has J(x) = x^T, so the point solving [E* | M0]^T x =
+    # o (1, -alpha), o the sign of J E* at the base, has coordinate operator
+    # alpha: rows from well inside the
+    # cap to just below and just above it and far past it, along directions
+    # with equal and unequal entries.  Forcing the cap to -inf sends every
+    # row through the graph-norm check; the screen must change nothing.
+    cfg = DEFAULTS.replace(tol_split=tol_split)
+    f = DifferentiableMap(3, 1, lambda p: np.array([0.5 * p @ p]), lambda p: p.reshape(1, -1))
+    x0 = np.array([0.0, 0.0, 1.0])
+    estar = random_complement(rng, kernel_of(f.jacobian(x0))) if tilted else None
+    ev = frobenius._AlphaEvaluator(kernel_family(f, x0, cfg, estar=estar), cfg)
+    cap = ev.alpha_cap
+    assert 0.0 < cap < math.inf
+    directions = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -0.3], [0.2, -1.0]])
+    factors = [0.3, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 1.2, 1.5, 3.0]
+    alphas = np.array([s * cap * u for s in factors for u in directions])
+    points = np.linalg.solve(ev.pinned.T, ev.orientation * np.hstack([np.ones((len(alphas), 1)), -alphas])[..., None])[..., 0]
+
+    alpha, keep = ev.closed_form(points)
+    ev.alpha_cap = -math.inf
+    checked, checked_keep = ev.closed_form(points)
+    assert keep.tolist() == checked_keep.tolist()
+    assert alpha.shape == checked.shape and alpha.tobytes() == checked.tobytes()
+    peaks = np.abs(alpha).max(axis=(1, 2))
+    assert (peaks < cap).any() and (peaks >= cap).any()
+    if tol_split > 0.0:
+        assert not keep.all()
+
+
 # ---------------------------------------------------------------------------
 # explicit_patch: predicted starts along each lattice line
 

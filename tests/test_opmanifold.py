@@ -237,10 +237,7 @@ def test_fixed_rank_sampler_matches_two_test_reference(kappa):
         s = np.logspace(0.0, -np.log10(kappa), k)
         u, v = np.linalg.qr(rng.standard_normal((m, k)))[0], np.linalg.qr(rng.standard_normal((n, k)))[0]
         a = (u * s) @ v.T
-        contexts = [operator_context(a)]
-        if kappa <= 1e4:  # at 1e8 an oblique inverse can fail the context's absolute tol_num
-            contexts.append(operator_context(a, random_gi(rng, a)))
-        for ctx in contexts:
+        for ctx in (operator_context(a), operator_context(a, random_gi(rng, a))):
             for j in range(5):
                 for scale, fraction in ((0.1, 0.4), (1.0, 0.05)):
                     got = sample_fixed_rank_near(ctx, np.random.default_rng([seed, j]), scale, fraction)
