@@ -224,6 +224,8 @@ class _AlphaEvaluator:
         if not keep.all():
             rows, je, jm = rows[keep], je[keep], jm[keep]
         alpha = -(jm / je)  # J E* keeps the base's nonzero sign, so no division fails
+        # rows under the cap split; the others take the graph-norm check, after
+        # which open_ marks the rows that do not split
         open_ = ~(np.abs(alpha).max(axis=(1, 2)) < self.alpha_cap)
         if open_.any():
             graph = (self.b0 + np.matmul(self.bs, alpha[open_])) @ self.c0_inv
