@@ -2,7 +2,7 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
     python3 scripts/bench_pairs.py --pr 11 --summary "what the change does" \\
-        --claim circle-line:wall_s:-20 [--parent REV] [--change REV] \\
+        [--claim circle-line:wall_s:-20] [--parent REV] [--change REV] \\
         [--workload circle-line=11-20 ...] [--seconds 25] [--identity TEXT]
 
 Both commits are exported with ``git archive`` into a temporary directory, so
@@ -18,7 +18,8 @@ distance over its median, the pairs won and lost, and every run.
 ``--claim W:M:P`` names the claimed gain.  It is met when metric M of
 workload W moves by at least P percent (negative for a fall) in the median,
 the change wins at least nine tenths of the pairs, and the gap between the
-medians exceeds the distance between the parent's quartiles.
+medians exceeds the distance between the parent's quartiles.  Without it the
+table records ``"claim": null`` and only the bound verdicts below.
 
 Every workload and end-to-end metric is checked against the metric's
 relative ``bound`` in ``BENCHMARK.json``: its verdict is ``worse`` when the
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--summary", required=True, help="one sentence on what the change does")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC:PERCENT, e.g. circle-line:wall_s:-20")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC:PERCENT, e.g. circle-line:wall_s:-20 (default: no claim)")
     parser.add_argument("--change", default="HEAD", help="commit of the change (default HEAD)")
     parser.add_argument("--parent", help="commit to compare against (default: the change's first parent)")
     parser.add_argument("--workload", action="append", type=parse_workload,
@@ -212,14 +213,15 @@ def main(argv=None) -> int:
         "method": METHOD,
         "machine": f"{info['nproc']}-core {info['machine']}, BLAS pinned to one thread by perfbench, "
         f"numpy {info['numpy']}, Python {info['python']}",
-        "claim": judge(args.claim, workloads),
+        "claim": judge(args.claim, workloads) if args.claim else None,
         "bounds": bound_verdicts(workloads, spec),
         **({"identity": args.identity} if args.identity else {}),
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"{out.name}: {report['claim']['result']}; met: {report['claim']['met']}")
+    claim = report["claim"]
+    print(f"{out.name}: " + (f"{claim['result']}; met: {claim['met']}" if claim else "no claim"))
     for name, verdicts in report["bounds"].items():
         flagged = {m: v for m, v in verdicts.items() if v != "within bound"}
         print(f"{name}: " + (", ".join(f"{m} {v}" for m, v in flagged.items()) or "every metric within bound"))

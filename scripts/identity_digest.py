@@ -15,7 +15,11 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   ``oblique chart --builtin sec4_2x2``, which cover the operator-family
   patch and the chart command that no workload runs;
 * the sha1 of the stdout of ``oblique integrate --builtin sphere_3d --grid
-  51``, the closed-form stages with the builtin's own Jacobian.
+  51``, the closed-form stages with the builtin's own Jacobian;
+* the sha1 of the stdout of ``oblique integrate --manifest M --extent 0.5
+  --grid 21 --step 1e-2`` for a kernel manifest M of ``sphere_3d`` at
+  (0, 0, 1) with the tilted complement E* = span(0.3, -0.2, 1): the closed
+  form against non-orthogonal pinned bases, and a node left unfilled.
 
 Run it in two checkouts and ``diff`` the outputs: equal lines mean equal
 bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
@@ -24,6 +28,7 @@ bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -31,6 +36,8 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (3, 4)
+TILTED = {"kind": "kernel", "map": "sphere_3d", "x0": [0.0, 0.0, 1.0],
+          "estar": {"rows": 3, "cols": 1, "data": [0.3, -0.2, 1.0]}}
 
 
 def verify_digest() -> str:
@@ -78,6 +85,11 @@ def main() -> int:
     for argv in (["integrate", "--builtin", "sec4_2x2"], ["chart", "--builtin", "sec4_2x2"],
                  ["integrate", "--builtin", "sphere_3d", "--grid", "51"]):
         print(f"{' '.join(argv)}  {cli_digest(argv)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "tilted.json"
+        manifest.write_text(json.dumps(TILTED))
+        argv = ["integrate", "--manifest", str(manifest), "--extent", "0.5", "--grid", "21", "--step", "1e-2"]
+        print(f"integrate --manifest sphere_3d-tilted.json --extent 0.5 --grid 21 --step 1e-2  {cli_digest(argv)}")
     return 0
 
 

@@ -16,8 +16,13 @@ class Numerics:
     tol_ortho   : orthonormality defect allowed in stored subspace bases.
     tol_num     : generic residual tolerance for constructed objects
                   (projector idempotency, inverse axioms, subspace matches).
-    tol_split   : smallest stacked-basis singular value accepted as proof of
-                  a transversal (direct-sum) configuration.
+    tol_split   : splitting threshold, compared with two margins.
+                  ``direct_sum_check`` and the node checks of a patch take
+                  the smallest singular value of the stacked bases [Q | E*]
+                  as proof of a direct sum; the lattice march takes the
+                  sine of the angle between E* and the moving subspace Q,
+                  sigma_min(Cperp^T Q) with Cperp an orthonormal basis of
+                  the orthogonal complement of E*.
     cond_tol    : decision threshold for residual-based equivalence checks,
                   two orders above tol_num so that clean trials produce
                   margins decisively above the 10*tol_num verdict bar.

@@ -185,9 +185,6 @@ class SubspaceFamily:
                   for k in set(dims.tolist()) - {-1}}
         return SubspaceBatch(self.ambient_dim, dims, stacks)
 
-    def alpha_at(self, x, cfg: Numerics = DEFAULTS) -> CoordinateOperator:
-        return coordinate_operator(self.base_subspace, self.complement, self.eval(x), cfg)
-
 
 class _JacobianKernels:
     """x -> N(f'(x)) at a fixed rank tolerance: a kernel family's ``eval_fn``,

@@ -20,12 +20,13 @@ batch.  For a family with a source map f: R^n -> R (the kernels of a
 Jacobian with one row, so dim E* = 1) the paper's closed form
 a(x) = P[E* along N0] D^-1(T0+, J(x)) P[N0 along E*] reads, in M0/E*
 coordinates, alpha(x) = -(J(x) M0) / (J(x) E*): one product of the Jacobian
-stack with the pinned bases and one division, its splitting margin taken
-from alpha itself and a change of sign of J E* read as a fold.  Every other
-family goes through ``eval_batch``: the stacked bases of the expected
-dimension, then their splitting margins and solves in one stacked call
-each.  The per-node checks of a finished patch and ``tangency_check`` take
-that second route for every family, so they check the march independently.
+stack with the pinned bases and one division, its splitting margin
+|J E*| / ||J||_2 read off the same Jacobian and a change of sign of J E*
+read as a fold.  Every other family goes through ``eval_batch``: the
+stacked bases of the expected dimension, then their splitting margins and
+solves in one stacked call each.  The per-node checks of a finished patch
+and ``tangency_check`` take that second route for every family, so they
+check the march independently.
 """
 
 import itertools
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack
 from .geninv import GenInverse
-from .linalg import _screened_norms, kernel_of, oblique_projector, op_norm
+from .linalg import kernel_of, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -156,12 +157,14 @@ class _AlphaEvaluator:
     has rank 1; a change of sign means the march crossed a fold of the
     level set) and the splitting margin exceeds ``tol_split``.  That margin
     is the SVD route's sigma_min(Cperp^T Q) for an orthonormal kernel basis
-    Q: the graph basis G = M0 + E* alpha spans the kernel and Cperp^T G = C0
-    = Cperp^T M0, so sigma_min(Cperp^T Q) = 1 / ||G C0^-1||_2.  A row whose
-    max|alpha| is under ``alpha_cap`` splits by a norm bound on that graph
-    alone; only the other rows (near a fold, or alpha not finite) form it
-    and take ``_screened_norms``.  All other families, and the node checks,
-    take the kernel bases and the splitting SVD (``alpha``, ``splits``).
+    Q: N(J) and the orthogonal complement of E* are hyperplanes, so their
+    one nonzero principal angle is the angle between their normals J^T and
+    E*, and sigma_min(Cperp^T Q) = |J E*| / ||J||_2 (Bjorck & Golub 1973).
+    It is compared scale-free as ||J / (J E*)||_2 < 1 / ``tol_split``, the
+    norm taken with ``hypot`` so that no square overflows; a row where that
+    quotient overflows, as alpha then does, is dropped.  All other
+    families, and the node checks, take the kernel bases and the splitting
+    SVD (``alpha``, ``splits``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -199,14 +202,7 @@ class _AlphaEvaluator:
             return None
         self.orientation = orientation[0]
         self.pinned = np.hstack([self.bs, self.b0])
-        self.c0_inv = np.linalg.inv(self.full_rhs)  # C0 = Cperp^T M0
         self.margin_bound = 1.0 / self.cfg.tol_split if self.cfg.tol_split > 0.0 else math.inf
-        # ||(M0 + E* alpha) C0^-1||_2 <= a + c sqrt(d) max|alpha| with a =
-        # ||M0 C0^-1||_2, c = ||C0^-1||_2 and ||E*||_2 = 1: a row under this cap
-        # on max|alpha| splits, with a relative slack of 1e-6 for rounding and
-        # the basis' orthonormality defect, and its graph stays under 1e300
-        a, c = op_norm(self.b0 @ self.c0_inv), op_norm(self.c0_inv)
-        self.alpha_cap = (min(self.margin_bound, 1e300) * (1.0 - 1e-6) - a) / (c * math.sqrt(self.d))
         return f
 
     def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -222,15 +218,11 @@ class _AlphaEvaluator:
         je, jm = prod[..., :1], prod[..., 1:]
         keep = np.sign(je[:, 0, 0]) == self.orientation
         if not keep.all():
-            rows, je, jm = rows[keep], je[keep], jm[keep]
+            rows, jacs, je, jm = rows[keep], jacs[keep], je[keep], jm[keep]
         alpha = -(jm / je)  # J E* keeps the base's nonzero sign, so no division fails
-        # rows under the cap split; the others take the graph-norm check, after
-        # which open_ marks the rows that do not split
-        open_ = ~(np.abs(alpha).max(axis=(1, 2)) < self.alpha_cap)
-        if open_.any():
-            graph = (self.b0 + np.matmul(self.bs, alpha[open_])) @ self.c0_inv
-            open_[open_] = ~(_screened_norms(graph, self.margin_bound) < self.margin_bound)
-            rows, alpha = rows[~open_], alpha[~open_]
+        split = np.hypot.reduce(jacs / je, axis=2)[:, 0] < self.margin_bound
+        if not split.all():
+            rows, alpha = rows[split], alpha[split]
         ok = np.zeros(len(points), dtype=bool)
         ok[rows] = True
         return alpha, ok

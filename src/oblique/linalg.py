@@ -32,7 +32,6 @@ __all__ = [
     "op_norm",
     "rank_of",
     "kernel_of",
-    "kernels_of",
     "range_of",
     "Factors",
     "svd_factors",
@@ -195,12 +194,6 @@ class Subspace:
     def orthogonal_projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def contains(self, vector, tol: float | None = None) -> bool:
-        v = np.asarray(vector, dtype=float)
-        tol = DEFAULTS.tol_num if tol is None else tol
-        resid = v - self.basis @ (self.basis.T @ v)
-        return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
-
 
 class SubspaceBatch:
     """Subspaces of R^n at a batch of points, one stacked basis array per
@@ -267,17 +260,6 @@ def kernel_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the null space at the given rank tolerance."""
     _, r, vh = _svd_cut(a, tol)
     return Subspace._wrap(vh[r:].T)
-
-
-def kernels_of(a, tol: float | None = None) -> list[Subspace]:
-    """``kernel_of`` of each matrix in a stack shaped (count, m, n), bit for
-    bit, from one stacked SVD and the same rank decision row by row."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError(f"stack must be 3-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("stack contains non-finite entries")
-    return list(_kernel_batch(*_kernel_svd(arr, tol)))
 
 
 def _kernel_svd(arr: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:

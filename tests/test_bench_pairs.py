@@ -2,6 +2,7 @@
 benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,21 @@ def test_bound_verdicts_read_each_metric_bound():
         "a": {"wall_s": "within bound", "ok_frac": "worse"},
         "b": {"wall_s": "worse", "ok_frac": "within bound"},
     }
+
+
+def test_main_without_a_claim_records_only_the_bound_verdicts(tmp_path, monkeypatch, capsys):
+    # the two checkouts and the benchmark runs are faked: one workload whose
+    # wall_s doubles and whose ok_frac holds
+    (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    ok = [1.0] * 10
+    metrics = {"wall_s": table(PARENT, [p * 2 for p in PARENT]), "ok_frac": table(ok, ok, "higher")}
+    machine = {"machine": {"nproc": 2, "machine": "x86_64", "numpy": "2", "python": "3"}}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "bench_workload", lambda *args: ({"metrics": metrics}, machine))
+
+    assert bench_pairs.main(["--pr", "0", "--summary", "s", "--workload", "w=1-2"]) == 0
+    report = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert report["claim"] is None
+    assert report["bounds"] == {"w": {"wall_s": "worse", "ok_frac": "within bound"}}
+    assert capsys.readouterr().out.splitlines() == ["BENCH_0.json: no claim", "w: wall_s worse"]

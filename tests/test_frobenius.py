@@ -920,7 +920,7 @@ def test_closed_form_matches_the_svd_route(seed, n, tilted, tol_split):
     margins[found] = np.linalg.svd(ev.cperp.T @ bases, compute_uv=False)[:, -1]
     same_side = np.array([np.sign(f.jacobian(u) @ bs) == np.sign(t0 @ bs) for u in points]).ravel()
 
-    decided = np.abs(margins - tol_split) > 0.5e-6
+    decided = np.abs(margins - tol_split) > 1e-12
     assert (keep == (svd_keep & same_side))[decided].all()
     both = keep & svd_keep
     closed, generic = alpha[both[keep]], svd_alpha[both[svd_keep]]
@@ -953,37 +953,90 @@ def test_closed_form_rows_do_not_depend_on_their_batch(rng):
         assert kept.all() and alone[0].tobytes() == row.tobytes()
 
 
-# at tol_split = 0 the cap sits near 1e300, where J E* of a point built for a
-# tilted E* is lost to cancellation, so that case takes the axis-aligned bases
-@pytest.mark.parametrize("tol_split, tilted", [(0.0, False), (1e-8, False), (1e-8, True), (0.3, False), (0.3, True)])
-def test_alpha_cap_screen_keeps_the_graph_norm_check(rng, tol_split, tilted):
-    # f = |x|^2 / 2 has J(x) = x^T, so the point solving [E* | M0]^T x =
-    # o (1, -alpha), o the sign of J E* at the base, has coordinate operator
-    # alpha: rows from well inside the
-    # cap to just below and just above it and far past it, along directions
-    # with equal and unequal entries.  Forcing the cap to -inf sends every
-    # row through the graph-norm check; the screen must change nothing.
+def half_square_family(cfg, estar=None, scale=1.0):
+    """The kernel family of f = scale |x|^2 / 2 on R^3, J(x) = scale x^T, at
+    x0 = (0, 0, 1)."""
+    f = DifferentiableMap(3, 1, lambda p: np.array([0.5 * scale * p @ p]), lambda p: scale * p.reshape(1, -1))
+    return kernel_family(f, np.array([0.0, 0.0, 1.0]), cfg, estar=estar)
+
+
+def points_at_margins(ev, margins, sizes, directions):
+    """x = o (m s E* + sqrt(1 - m^2) u) for each margin m, size o and unit
+    direction u orthogonal to E*, with s the sign of J E* at the base: J(x)
+    = x^T has J E* = o m s and ||J||_2 = o, so the splitting margin
+    |J E*| / ||J||_2 is m."""
+    estar = ev.bs[:, 0]
+    return np.array([
+        o * (m * ev.orientation * estar + math.sqrt(1.0 - m * m) * u)
+        for m in margins for o in sizes for u in directions
+    ])
+
+
+def assert_scale_free(cfg, estar, points, alpha, keep):
+    # a power of two scales J, J E* and J M0 exactly, so the mask and the
+    # bytes of alpha stay
+    for scale in (2.0**400, 2.0**-400):
+        ev = frobenius._AlphaEvaluator(half_square_family(cfg, estar, scale), cfg)
+        scaled, scaled_keep = ev.closed_form(points)
+        assert scaled_keep.tolist() == keep.tolist()
+        assert scaled.tobytes() == alpha.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol_split, rel", [(1e-8, 1e-6), (0.3, 1e-9)])
+@pytest.mark.parametrize("tilted", [False, True])
+def test_closed_form_splits_at_the_exact_margin(rng, tol_split, rel, tilted):
+    # margins tol (1 -/+ rel) at sizes o on both sides of 1, so that neither
+    # |J E*| > tol nor a test without the margin decides them as the SVD does
     cfg = DEFAULTS.replace(tol_split=tol_split)
-    f = DifferentiableMap(3, 1, lambda p: np.array([0.5 * p @ p]), lambda p: p.reshape(1, -1))
-    x0 = np.array([0.0, 0.0, 1.0])
-    estar = random_complement(rng, kernel_of(f.jacobian(x0))) if tilted else None
-    ev = frobenius._AlphaEvaluator(kernel_family(f, x0, cfg, estar=estar), cfg)
-    cap = ev.alpha_cap
-    assert 0.0 < cap < math.inf
-    directions = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -0.3], [0.2, -1.0]])
-    factors = [0.3, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 1.2, 1.5, 3.0]
-    alphas = np.array([s * cap * u for s in factors for u in directions])
-    points = np.linalg.solve(ev.pinned.T, ev.orientation * np.hstack([np.ones((len(alphas), 1)), -alphas])[..., None])[..., 0]
+    estar = random_complement(rng, kernel_of(np.array([[0.0, 0.0, 1.0]]))) if tilted else None
+    fam = half_square_family(cfg, estar)
+    ev = frobenius._AlphaEvaluator(fam, cfg)
+    assert ev.source is fam.source_map
+    e = ev.bs[:, 0]
+    directions = [v - (v @ e) * e for v in rng.standard_normal((3, 3))]
+    directions = [u / np.linalg.norm(u) for u in directions]
+    margins = [tol_split * (1.0 - rel), tol_split * (1.0 + rel)]
+    points = points_at_margins(ev, margins, [0.25, 1.0, 3.0, 40.0], directions)
 
     alpha, keep = ev.closed_form(points)
-    ev.alpha_cap = -math.inf
-    checked, checked_keep = ev.closed_form(points)
-    assert keep.tolist() == checked_keep.tolist()
-    assert alpha.shape == checked.shape and alpha.tobytes() == checked.tobytes()
-    peaks = np.abs(alpha).max(axis=(1, 2))
-    assert (peaks < cap).any() and (peaks >= cap).any()
-    if tol_split > 0.0:
-        assert not keep.all()
+    svd_keep = np.array([
+        np.linalg.svd(ev.cperp.T @ kernel_of(fam.source_map.jacobian(x)).basis, compute_uv=False)[-1] > tol_split
+        for x in points
+    ])
+    assert keep.tolist() == svd_keep.tolist()
+    assert keep.tolist() == [m > tol_split for m in margins for _ in range(len(points) // 2)]
+    assert_scale_free(cfg, estar, points, alpha, keep)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_without_a_split_tolerance_keeps_every_finite_row(rng):
+    # at tol_split = 0 every row on the base's side of the fold whose alpha
+    # is finite splits, down to margins far below where squares of 1 / margin
+    # overflow; the directions lie in the (e1, e2) plane, exactly orthogonal
+    # to E* = span(e3)
+    cfg = DEFAULTS.replace(tol_split=0.0)
+    ev = frobenius._AlphaEvaluator(half_square_family(cfg), cfg)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 3)
+    directions = [np.array([math.cos(t), math.sin(t), 0.0]) for t in angles]
+    sizes = [0.25, 1.0, 3.0]
+    margins = [0.5, 1e-3, 1e-20, 1e-60, 1e-100]
+    points = points_at_margins(ev, margins, sizes, directions)
+    across = points_at_margins(ev, [-1e-3, -1e-100], sizes, directions)
+
+    alpha, keep = ev.closed_form(np.vstack([points, across]))
+    assert keep.tolist() == [True] * len(points) + [False] * len(across)
+    assert np.isfinite(alpha).all()
+    assert_scale_free(cfg, None, np.vstack([points, across]), alpha, keep)
+    tiny, tiny_keep = ev.closed_form(points_at_margins(ev, [1e-200, 1e-300], sizes, directions))
+    assert tiny_keep.all() and np.isfinite(tiny).all()
+    # J E* ~ 1e-320 keeps the base's sign, but alpha overflows (numpy's
+    # overflow warning is the division's, as it was before the margin test)
+    lost = points_at_margins(ev, [1e-320], [1.0], directions)
+    assert (np.sign(lost @ ev.bs) == ev.orientation).all()
+    with np.errstate(over="ignore"):
+        alpha, keep = ev.closed_form(lost)
+    assert not keep.any() and alpha.shape == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
