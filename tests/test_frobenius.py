@@ -1030,8 +1030,8 @@ def test_closed_form_without_a_split_tolerance_keeps_every_finite_row(rng):
     assert_scale_free(cfg, None, np.vstack([points, across]), alpha, keep)
     tiny, tiny_keep = ev.closed_form(points_at_margins(ev, [1e-200, 1e-300], sizes, directions))
     assert tiny_keep.all() and np.isfinite(tiny).all()
-    # J E* ~ 1e-320 keeps the base's sign, but alpha overflows (numpy's
-    # overflow warning is the division's, as it was before the margin test)
+    # J E* ~ 1e-320 keeps the base's sign, but alpha overflows; numpy warns
+    # of the overflow in the divisions, which is silenced here
     lost = points_at_margins(ev, [1e-320], [1.0], directions)
     assert (np.sign(lost @ ev.bs) == ev.orientation).all()
     with np.errstate(over="ignore"):
