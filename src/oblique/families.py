@@ -8,6 +8,7 @@ keeps transversality (and a continuous coordinate operator) nearby.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,19 +16,17 @@ import numpy as np
 
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, DimensionError, EvalError, TransversalityError
-from .geninv import GenInverse, _conditioned, _d_factor, _probe_directions, _require_in_ball, locally_fine_probe, moore_penrose
+from .geninv import GenInverse, _admit, _conditioned, _d_factor, _probe_directions, locally_fine_probe, moore_penrose
 from .linalg import (
     Subspace,
     SubspaceBatch,
     _kernel_batch,
     _kernel_svd,
     direct_sum_check,
-    intersection_margin,
     kernel_of,
     oblique_projector,
     op_norm,
     orth_basis,
-    range_of,
     subspace_distance,
 )
 
@@ -362,8 +361,9 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     where E* = R(T0+).  Requires ``x`` inside the perturbation ball with the
     range of T_x transversal to N(T0+).
     """
-    t0, tx = _require_in_ball(gi0.forward, gi0, f.jacobian(np.asarray(x, dtype=float), cfg))
-    margin = intersection_margin(range_of(tx, cfg.rank_tol), gi0.kernel_complement, cfg)
+    p = _admit(gi0.forward, gi0, f.jacobian(np.asarray(x, dtype=float), cfg), cfg)
+    t0, tx = p.a, p.t
+    margin = p.range_margin(operator.le)
     if margin <= 0.0:
         raise TransversalityError(f"Jacobian range meets the kernel complement (margin {margin:.3e})")
     n = gi0.dom_dim
@@ -371,7 +371,7 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     onto_kernel = np.eye(n) - onto_estar
     m0 = kernel_of(t0, cfg.rank_tol)
     estar = gi0.range_complement
-    d = _conditioned(_d_factor(t0, gi0, tx), cfg)
+    d = _conditioned(_d_factor(t0, gi0.inverse, tx), cfg)
     lifted = onto_estar @ np.linalg.solve(d, onto_kernel @ m0.basis)
     return CoordinateOperator(estar.basis.T @ lifted)
 

@@ -162,9 +162,9 @@ class _AlphaEvaluator:
     E*, and sigma_min(Cperp^T Q) = |J E*| / ||J||_2 (Bjorck & Golub 1973).
     It is compared scale-free as ||J / (J E*)||_2 < 1 / ``tol_split``, the
     norm taken with ``hypot`` so that no square overflows; a row where that
-    quotient overflows, as alpha then does, is dropped.  All other
-    families, and the node checks, take the kernel bases and the splitting
-    SVD (``alpha``, ``splits``).
+    quotient overflows, as alpha then does, is dropped without a warning.
+    All other families, and the node checks, take the kernel bases and the
+    splitting SVD (``alpha``, ``splits``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -215,17 +215,13 @@ class _AlphaEvaluator:
         M0), and the mask of kept points (see the class docstring)."""
         rows, jacs = _jacobian_stack(self.source, self.cfg, points)
         prod = np.matmul(jacs, self.pinned)
-        je, jm = prod[..., :1], prod[..., 1:]
-        keep = np.sign(je[:, 0, 0]) == self.orientation
-        if not keep.all():
-            rows, jacs, je, jm = rows[keep], jacs[keep], je[keep], jm[keep]
-        alpha = -(jm / je)  # J E* keeps the base's nonzero sign, so no division fails
-        split = np.hypot.reduce(jacs / je, axis=2)[:, 0] < self.margin_bound
-        if not split.all():
-            rows, alpha = rows[split], alpha[split]
+        alpha, norms = _quotients(jacs, prod[..., :1], prod[..., 1:])
+        kept = (np.sign(prod[:, 0, 0]) == self.orientation) & (norms < self.margin_bound)
+        if len(rows) == len(points) and kept.all():
+            return alpha, kept  # every point evaluated and kept: kept is the mask
         ok = np.zeros(len(points), dtype=bool)
-        ok[rows] = True
-        return alpha, ok
+        ok[rows[kept]] = True
+        return alpha[kept], ok
 
     def stage(self, points: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Column ``axis[r]`` of the coordinate operator at each point, for
@@ -265,6 +261,15 @@ class _AlphaEvaluator:
         if not ok.all():
             rhs = rhs[ok]
         return self.estar_rows @ (bases @ np.linalg.solve(cross, rhs)), ok
+
+
+@np.errstate(all="ignore")  # as a decorator: no context object per call
+def _quotients(jacs: np.ndarray, je: np.ndarray, jm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha = -(J M0) / (J E*) and ||J / (J E*)||_2 of each row of a Jacobian
+    stack, without warnings: a row whose J E* is 0, or below ||J||_2 by a
+    factor past the float range, gets inf or NaN here, fails the split test
+    and is dropped."""
+    return -(jm / je), np.hypot.reduce(jacs / je, axis=2)[:, 0]
 
 
 def _rk4_hop(

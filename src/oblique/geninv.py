@@ -11,10 +11,23 @@ are invertible whenever ``||T - A|| < ||A+||^{-1}``, and inside that ball the
 candidate ``B = A+ C^{-1} = D^{-1} A+`` inverts ``T`` exactly when the range
 of ``T`` stays transversal to N(A+).  ``seven_conditions`` evaluates the seven
 equivalent formulations of that transversality with signed margins.
+
+Each operator of a trial is factorised once.  A ``GenInverse`` holds
+read-only copies of its matrices and the full SVD of ``forward`` (seeded by
+the builder that took it, else taken on first use), which callers cut at
+their own ``rank_tol``.  The facts of (A+, T, cfg) -- T's SVD and rank cut,
+sigma_min [R(T) | N(A+)], C and cond(C), B, ||TBT - T|| and ||T|| -- form one
+record, each fact taken when first read, which ``seven_conditions``,
+``rank_class_preserved`` and ``perturbed_gi`` share: the inverse keeps the
+record of the last T it admitted in one slot, keyed by the bytes of T (the
+record holds a copy) and an equal ``cfg``.  Another T or cfg, or the same
+array edited in place, misses and is admitted afresh.  A stored record never
+changes, so concurrent callers at worst take a fact twice.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,18 +36,20 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, ToolkitError, TransversalityError, ValidationError
 from .linalg import (
+    Factors,
     Subspace,
-    _ranks,
+    _full_svd,
     _norm_exceeds,
+    _op_norm_pair,
+    _projector_matrix,
+    _ranks,
     _screened_norm,
+    _smallest_stacked,
+    _svd_factors,
     as_matrix,
     direct_sum_check,
-    intersection_margin,
-    oblique_projector,
     op_norm,
     orth_basis,
-    range_of,
-    rank_of,
     splitting_margin,
     subspace_distance,
     svd_factors,
@@ -66,16 +81,19 @@ class GenInverse:
     ``forward`` maps R^dom_dim to R^cod_dim, ``inverse`` maps back;
     ``range_complement`` = R(inverse) complements N(forward) in the domain,
     ``kernel_complement`` = N(inverse) complements R(forward) in the codomain.
+    ``forward`` and ``inverse`` are read-only copies of the arrays given, so
+    an edit of the caller's array cannot reach them or what is cached here.
     """
 
     forward: np.ndarray
     inverse: np.ndarray
     range_complement: Subspace
     kernel_complement: Subspace
+    _slot = None  # the _Perturbation of the last T admitted (see _admit)
 
     def __post_init__(self):
-        object.__setattr__(self, "forward", as_matrix(self.forward, "forward"))
-        object.__setattr__(self, "inverse", as_matrix(self.inverse, "inverse"))
+        object.__setattr__(self, "forward", _read_only(as_matrix(self.forward, "forward")))
+        object.__setattr__(self, "inverse", _read_only(as_matrix(self.inverse, "inverse")))
         m, n = self.forward.shape
         if self.inverse.shape != (n, m):
             raise ValidationError(f"inverse shape {self.inverse.shape} does not match forward {self.forward.shape}")
@@ -99,6 +117,16 @@ class GenInverse:
         norm = op_norm(self.inverse)
         return math.inf if norm == 0.0 else 1.0 / norm
 
+    @functools.cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The full SVD (U, s, V^T) of ``forward``, seeded by the builders
+        that took it (``_with_svd``), else taken on first access."""
+        return _full_svd(self.forward)
+
+    def _factors(self, tol: float | None) -> Factors:
+        """``svd_factors(forward, tol)`` from the one SVD."""
+        return _svd_factors(self._svd, tol)
+
     def residuals(self) -> dict[str, float]:
         a, b = self.forward, self.inverse
         rng_b, _, _, ker_b = svd_factors(b)
@@ -116,6 +144,18 @@ class GenInverse:
             raise ComplementError(f"inverse axioms violated: {bad}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    copy = arr.copy()
+    copy.flags.writeable = False
+    return copy
+
+
+def _with_svd(gi: GenInverse, svd) -> GenInverse:
+    """``gi`` seeded with the full SVD of its ``forward`` that its builder took."""
+    gi.__dict__["_svd"] = svd
+    return gi
+
+
 def moore_penrose(a, tol: float | None = None) -> GenInverse:
     """Pseudoinverse with orthogonal complements, from one SVD.
 
@@ -126,10 +166,10 @@ def moore_penrose(a, tol: float | None = None) -> GenInverse:
     m, n = arr.shape
     if arr.size == 0 or not arr.any():
         return GenInverse(arr, np.zeros((n, m)), Subspace.trivial(n), Subspace.full(m))
-    u, s, vh = np.linalg.svd(arr)
+    u, s, vh = svd = _full_svd(arr)
     r = int(_ranks(s, arr.shape, tol))
     inv = (vh[:r].T / s[:r]) @ u[:, :r].T
-    return GenInverse(arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:]))
+    return _with_svd(GenInverse(arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:])), svd)
 
 
 def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = DEFAULTS) -> GenInverse:
@@ -140,7 +180,8 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
     zero on n_plus.
     """
     arr = as_matrix(a)
-    rng, _, _, ker = svd_factors(arr, cfg.rank_tol)
+    svd = _full_svd(arr)
+    rng, _, _, ker = _svd_factors(svd, cfg.rank_tol)
     if not direct_sum_check(r_plus, ker, cfg):
         raise ComplementError("supplied range complement is not transversal to the kernel")
     if not direct_sum_check(rng, n_plus, cfg):
@@ -149,46 +190,99 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
     if r_plus.dim == 0:
         inv = np.zeros((n, m))
     else:
-        onto_range = oblique_projector(rng, n_plus, cfg).matrix
+        onto_range = _projector_matrix(rng, n_plus)  # the direct sum checked just above
         restricted = arr @ r_plus.basis  # full column rank by transversality
         inv = r_plus.basis @ (np.linalg.pinv(restricted) @ onto_range)
-    return GenInverse(arr, inv, r_plus, n_plus)
+    return _with_svd(GenInverse(arr, inv, r_plus, n_plus), svd)
 
 
 def c_op(a, ainv: GenInverse, t) -> np.ndarray:
     """Codomain-side perturbation factor I + (T - A) A+."""
-    return _c_factor(as_matrix(a), ainv, as_matrix(t))
+    return _c_factor(as_matrix(a), ainv.inverse, as_matrix(t))
 
 
 def d_op(a, ainv: GenInverse, t) -> np.ndarray:
     """Domain-side perturbation factor I + A+ (T - A)."""
-    return _d_factor(as_matrix(a), ainv, as_matrix(t))
+    return _d_factor(as_matrix(a), ainv.inverse, as_matrix(t))
 
 
-def _c_factor(a: np.ndarray, ainv: GenInverse, t: np.ndarray) -> np.ndarray:
+def _c_factor(a: np.ndarray, a_plus: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``c_op`` of checked matrices."""
-    return np.eye(a.shape[0]) + (t - a) @ ainv.inverse
+    return np.eye(a.shape[0]) + (t - a) @ a_plus
 
 
-def _d_factor(a: np.ndarray, ainv: GenInverse, t: np.ndarray) -> np.ndarray:
+def _d_factor(a: np.ndarray, a_plus: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``d_op`` of checked matrices."""
-    return np.eye(a.shape[1]) + ainv.inverse @ (t - a)
+    return np.eye(a.shape[1]) + a_plus @ (t - a)
 
 
-def _require_in_ball(a, ainv: GenInverse, t) -> tuple[np.ndarray, np.ndarray]:
+class _Perturbation:
+    """The facts of one admitted perturbation T of A = ``ainv.forward`` under
+    one ``cfg``, each taken when first read (see the module docstring)."""
+
+    def __init__(self, ainv: GenInverse, t: np.ndarray, cfg: Numerics):
+        self.a, self.a_plus, self.n_plus = ainv.forward, ainv.inverse, ainv.kernel_complement
+        self.t, self.cfg = t, cfg
+
+    @functools.cached_property
+    def factors(self) -> Factors:
+        """The four subspaces of T from its full SVD, cut at ``rank_tol``."""
+        return _svd_factors(_full_svd(self.t), self.cfg.rank_tol)
+
+    @functools.cached_property
+    def meet(self) -> float:
+        """Smallest singular value of [R(T) | N(A+)]."""
+        return _smallest_stacked(self.factors.range, self.n_plus)
+
+    def range_margin(self, fits: Callable[[int, int], bool]) -> float:
+        """``intersection_margin`` (fits = ``operator.le``) or
+        ``splitting_margin`` (``operator.eq``) of R(T) and N(A+), from ``meet``."""
+        rng = self.factors.range
+        return self.meet - self.cfg.tol_split if fits(rng.dim + self.n_plus.dim, rng.ambient_dim) else -1.0
+
+    @functools.cached_property
+    def c(self) -> np.ndarray:
+        return _c_factor(self.a, self.a_plus, self.t)
+
+    @functools.cached_property
+    def cond(self) -> float:
+        return np.linalg.cond(self.c)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        """B = A+ C^{-1}, solved after C's one conditioning check; read-only."""
+        b = np.linalg.solve(_conditioned(self.c, self.cfg, self.cond).T, self.a_plus.T).T
+        b.flags.writeable = False
+        return b
+
+    @functools.cached_property
+    def tbt_norms(self) -> tuple[float, float]:
+        """||TBT - T|| and ||T||."""
+        return _op_norm_pair(self.t @ self.b @ self.t - self.t, self.t)
+
+
+def _admit(a, ainv: GenInverse, t, cfg: Numerics) -> _Perturbation:
     """The admission of a perturbation, and the one check of A and T: both
     finite matrices of one shape, ``ainv`` an inverse of this A, and T inside
-    the ball ``||T - A|| < ||A+||^{-1}``.  Returns the checked (A, T)."""
+    the ball ``||T - A|| < ||A+||^{-1}``.  Returns the facts of (A+, T, cfg):
+    those in ``ainv``'s slot when it holds the bytes of this T and an equal
+    ``cfg`` (that T passed the ball test against this A+ already), else new
+    ones, which then take the slot."""
     arr, tm = as_matrix(a), as_matrix(t)
     if tm.shape != arr.shape:
         raise ValidationError(f"perturbed operator has shape {tm.shape}, base operator {arr.shape}")
     if not np.array_equal(ainv.forward, arr):
         raise ValidationError(f"inverse belongs to a different operator than the {arr.shape} base")
+    held = ainv._slot
+    if held is not None and (held.cfg is cfg or held.cfg == cfg) and held.t.tobytes() == tm.tobytes():
+        return held
     radius = ainv.ball_radius
     gap = _screened_norm(tm - arr, radius)
     if gap >= radius:
         raise BallError(f"perturbation gap {gap:.6g} >= ball radius {radius:.6g}")
-    return arr, tm
+    facts = _Perturbation(ainv, _read_only(tm), cfg)
+    object.__setattr__(ainv, "_slot", facts)
+    return facts
 
 
 def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fraction: float, eps: float) -> np.ndarray:
@@ -212,10 +306,11 @@ def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fractio
     raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
 
 
-def _conditioned(factor: np.ndarray, cfg: Numerics) -> np.ndarray:
+def _conditioned(factor: np.ndarray, cfg: Numerics, cond: float | None = None) -> np.ndarray:
     """A perturbation factor C or D, checked once where it is formed, before
-    any solve with it: BallError when it is numerically singular."""
-    if np.linalg.cond(factor) > cfg.cond_limit:
+    any solve with it: BallError when it is numerically singular.  ``cond``
+    is its condition number where the caller keeps it."""
+    if (np.linalg.cond(factor) if cond is None else cond) > cfg.cond_limit:
         raise BallError("perturbation factor is numerically singular near the ball boundary")
     return factor
 
@@ -227,18 +322,16 @@ def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse
     N(A+) only in {0}, returns B = A+ C^{-1}(A+, T) with R(B) = R(A+) and
     N(B) = N(A+).  Raises BallError / TransversalityError otherwise.
     """
-    arr, tm = _require_in_ball(a, ainv, t)
-    margin = intersection_margin(range_of(tm, cfg.rank_tol), ainv.kernel_complement, cfg)
+    p = _admit(a, ainv, t, cfg)
+    margin = p.range_margin(operator.le)
     if margin <= 0.0:
         raise TransversalityError(
             f"range of the perturbed operator meets the kernel complement (margin {margin:.3e})"
         )
-    c = _conditioned(_c_factor(arr, ainv, tm), cfg)
-    b = np.linalg.solve(c.T, ainv.inverse.T).T  # A+ C^{-1} without forming C^{-1}
-    resid = op_norm(tm @ b @ tm - tm) / (1.0 + op_norm(tm))
+    resid = _relative(p.tbt_norms)
     if resid > cfg.cond_tol:
         raise TransversalityError(f"candidate violates T B T = T (residual {resid:.3e})")
-    return GenInverse(tm, b, ainv.range_complement, ainv.kernel_complement)
+    return GenInverse(p.t, p.b, ainv.range_complement, ainv.kernel_complement)
 
 
 @dataclass(frozen=True)
@@ -289,25 +382,18 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     (vi)  C^{-1} T N(A) lies in R(A);
     (vii) R(C^{-1} T) lies in R(A).
     """
-    arr, tm = _require_in_ball(a, ainv, t)
+    p = _admit(a, ainv, t, cfg)
+    arr, tm, b, c = p.a, p.t, p.b, p.c
     n = arr.shape[1]
-
-    rng_t, _, _, ker_t = svd_factors(tm, cfg.rank_tol)
-    rng_a, _, _, ker_a = svd_factors(arr, cfg.rank_tol)
+    ker_t = p.factors.kernel
+    rng_a, _, _, ker_a = ainv._factors(cfg.rank_tol)
     onto_range_a = rng_a.orthogonal_projector()
-
-    c = _conditioned(_c_factor(arr, ainv, tm), cfg)
-    b = np.linalg.solve(c.T, ainv.inverse.T).T
 
     margins: dict[str, float] = {}
 
-    margins["i"] = intersection_margin(rng_t, ainv.kernel_complement, cfg)
-
-    resid_tbt = op_norm(tm @ b @ tm - tm) / (1.0 + op_norm(tm))
-    resid_btb = op_norm(b @ tm @ b - b) / (1.0 + op_norm(b))
-    margins["ii"] = cfg.cond_tol - max(resid_tbt, resid_btb)
-
-    margins["iii"] = splitting_margin(rng_t, ainv.kernel_complement, cfg)
+    margins["i"] = p.range_margin(operator.le)
+    margins["ii"] = cfg.cond_tol - max(_relative(p.tbt_norms), _relative(_op_norm_pair(b @ tm @ b - b, b)))
+    margins["iii"] = p.range_margin(operator.eq)
     margins["iv"] = splitting_margin(ker_t, ainv.range_complement, cfg)
 
     domain_proj = np.eye(n) - ainv.inverse @ arr  # projector onto N(A) along R(A+)
@@ -318,15 +404,18 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
         margins["vi"] = cfg.cond_tol
     else:
         mapped = np.linalg.solve(c, tm @ ker_a.basis)
-        resid = op_norm(mapped - onto_range_a @ mapped) / (1.0 + op_norm(mapped))
-        margins["vi"] = cfg.cond_tol - resid
+        margins["vi"] = cfg.cond_tol - _relative(_op_norm_pair(mapped - onto_range_a @ mapped, mapped))
 
-    mapped_full = np.linalg.solve(c, tm)
-    resid = op_norm(mapped_full - onto_range_a @ mapped_full) / (1.0 + op_norm(mapped_full))
-    margins["vii"] = cfg.cond_tol - resid
+    mapped = np.linalg.solve(c, tm)
+    margins["vii"] = cfg.cond_tol - _relative(_op_norm_pair(mapped - onto_range_a @ mapped, mapped))
 
     holds = {k: margins[k] > 0.0 for k in CONDITION_KEYS}
-    return ConditionReport(holds=holds, margins=margins, candidate=b)
+    return ConditionReport(holds=holds, margins=margins, candidate=b.copy())
+
+
+def _relative(norms: tuple[float, float]) -> float:
+    """||residual|| / (1 + ||size||) from the pair of norms."""
+    return norms[0] / (1.0 + norms[1])
 
 
 def rank_class_preserved(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> bool:
@@ -336,9 +425,9 @@ def rank_class_preserved(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> bo
     disagreement between the two routes indicates a broken rank decision and
     raises ToolkitError.
     """
-    arr, tm = _require_in_ball(a, ainv, t)
-    preserved = rank_of(tm, cfg.rank_tol) == rank_of(arr, cfg.rank_tol)
-    margin = intersection_margin(range_of(tm, cfg.rank_tol), ainv.kernel_complement, cfg)
+    p = _admit(a, ainv, t, cfg)
+    preserved = p.factors.range.dim == ainv._factors(cfg.rank_tol).range.dim
+    margin = p.range_margin(operator.le)
     if abs(margin) >= 10.0 * cfg.tol_num and preserved != (margin > 0.0):
         raise ToolkitError(
             f"rank comparison and transversality disagree decisively (margin {margin:.3e})"

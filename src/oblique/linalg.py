@@ -62,6 +62,15 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _op_norm_pair(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """``op_norm`` of two float matrices of one shape from one stacked SVD,
+    which takes each matrix as a single call does, bit for bit."""
+    if x.size == 0:
+        return 0.0, 0.0
+    top = np.linalg.svd(np.stack([x, y]), compute_uv=False)[:, 0]
+    return float(top[0]), float(top[1])
+
+
 def _screened_norm(m: np.ndarray, bound: float) -> float:
     """An upper bound of ||m||_2 that decides ``||m||_2 < bound``: the
     Frobenius norm when it is below ``bound * (1 - 1e-8)``, else the spectral
@@ -233,14 +242,28 @@ class Factors(NamedTuple):
     kernel: Subspace     # N(A), in the domain
 
 
-def _svd_cut(a, tol: float | None):
-    """One full SVD and one rank decision: (U, rank, V^T)."""
-    arr = as_matrix(a)
+def _full_svd(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full SVD (U, s, V^T) of a checked matrix; identities and no
+    singular values for an empty one."""
     m, n = arr.shape
     if arr.size == 0:
-        return np.eye(m), 0, np.eye(n)
-    u, s, vh = np.linalg.svd(arr)
-    return u, int(_ranks(s, arr.shape, tol)), vh
+        return np.eye(m), np.zeros(0), np.eye(n)
+    return np.linalg.svd(arr)
+
+
+def _svd_cut(svd, tol: float | None):
+    """The one rank decision on a ``_full_svd``: (U, rank, V^T)."""
+    u, s, vh = svd
+    return u, int(_ranks(s, (len(u), len(vh)), tol)), vh
+
+
+def _svd_factors(svd, tol: float | None) -> Factors:
+    """``svd_factors`` of a matrix from its ``_full_svd``."""
+    u, r, vh = _svd_cut(svd, tol)
+    return Factors(
+        Subspace._wrap(u[:, :r]), Subspace._wrap(u[:, r:]),
+        Subspace._wrap(vh[:r].T), Subspace._wrap(vh[r:].T),
+    )
 
 
 def svd_factors(a, tol: float | None = None) -> Factors:
@@ -249,16 +272,12 @@ def svd_factors(a, tol: float | None = None) -> Factors:
     One SVD and one rank decision at ``tol`` fix all four, so they are
     mutually orthogonal complements by construction.
     """
-    u, r, vh = _svd_cut(a, tol)
-    return Factors(
-        Subspace._wrap(u[:, :r]), Subspace._wrap(u[:, r:]),
-        Subspace._wrap(vh[:r].T), Subspace._wrap(vh[r:].T),
-    )
+    return _svd_factors(_full_svd(as_matrix(a)), tol)
 
 
 def kernel_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the null space at the given rank tolerance."""
-    _, r, vh = _svd_cut(a, tol)
+    _, r, vh = _svd_cut(_full_svd(as_matrix(a)), tol)
     return Subspace._wrap(vh[r:].T)
 
 
@@ -278,7 +297,7 @@ def _kernel_batch(ranks: np.ndarray, vh: np.ndarray) -> SubspaceBatch:
 
 def range_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space at the given rank tolerance."""
-    u, r, _ = _svd_cut(a, tol)
+    u, r, _ = _svd_cut(_full_svd(as_matrix(a)), tol)
     return Subspace._wrap(u[:, :r])
 
 
@@ -298,9 +317,13 @@ def _margin(u: Subspace, v: Subspace, cfg: Numerics, fits: Callable[[int, int], 
         raise ValidationError(f"subspaces live in different ambient spaces: R^{u.ambient_dim} and R^{v.ambient_dim}")
     if not fits(u.dim + v.dim, u.ambient_dim):
         return -1.0
+    return _smallest_stacked(u, v) - cfg.tol_split
+
+
+def _smallest_stacked(u: Subspace, v: Subspace) -> float:
+    """Smallest singular value of [u.basis | v.basis]; 1.0 when it is empty."""
     stacked = np.hstack([u.basis, v.basis])
-    smallest = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.shape[1] else 1.0
-    return float(smallest) - cfg.tol_split
+    return float(np.linalg.svd(stacked, compute_uv=False)[-1]) if stacked.shape[1] else 1.0
 
 
 def splitting_margin(u: Subspace, v: Subspace, cfg: Numerics = DEFAULTS) -> float:
@@ -332,23 +355,25 @@ def oblique_projector(range_: Subspace, nullspace: Subspace, cfg: Numerics = DEF
     Raises ValueError for different ambient spaces and ComplementError
     unless range_ (+) nullspace spans the ambient space transversally.
     """
-    n = range_.ambient_dim
     margin = splitting_margin(range_, nullspace, cfg)
     if margin <= 0.0:
         raise ComplementError(
-            f"not a direct sum: dim {range_.dim} + {nullspace.dim} in R^{n}, margin {margin:.3e}"
+            f"not a direct sum: dim {range_.dim} + {nullspace.dim} in R^{range_.ambient_dim}, margin {margin:.3e}"
         )
+    return Projector(matrix=_projector_matrix(range_, nullspace))
+
+
+def _projector_matrix(range_: Subspace, nullspace: Subspace) -> np.ndarray:
+    """The matrix of ``oblique_projector`` for a direct sum already certified
+    by ``splitting_margin``, so the square factor is invertible."""
+    n = range_.ambient_dim
     if range_.dim == 0:
-        matrix = np.zeros((n, n))
-    elif nullspace.dim == 0:
-        matrix = np.eye(n)
-    else:
-        b = range_.basis
-        c = nullspace.orthogonal_complement().basis
-        cross = c.T @ b
-        # Transversality already certified, so the square factor is invertible.
-        matrix = b @ np.linalg.solve(cross, c.T)
-    return Projector(matrix=matrix)
+        return np.zeros((n, n))
+    if nullspace.dim == 0:
+        return np.eye(n)
+    b = range_.basis
+    c = nullspace.orthogonal_complement().basis
+    return b @ np.linalg.solve(c.T @ b, c.T)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> float:

@@ -195,7 +195,7 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
 
     # M(A) (+) E* = R^{mn} exactly when R(A) (+) N(A+) splits the codomain
     # and N(A) (+) R(A+) splits the domain.
-    f = svd_factors(arr, cfg.rank_tol)
+    f = ainv._factors(cfg.rank_tol)  # the SVD that moore_penrose took, when it built ainv
     if not (
         direct_sum_check(f.range, ainv.kernel_complement, cfg)
         and direct_sum_check(f.kernel, ainv.range_complement, cfg)
@@ -332,7 +332,7 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
     perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
     if _direction_defect(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
-    c = _conditioned(_c_factor(ctx.a, ctx.ainv, xm), cfg)
+    c = _conditioned(_c_factor(ctx.a, ctx.ainv.inverse, xm), cfg)
     cinv_dx = np.linalg.solve(c, dxm)
     cinv_x = np.linalg.solve(c, xm)
     inner = cinv_dx @ ctx.ainv.inverse @ cinv_x - cinv_dx

@@ -1030,13 +1030,31 @@ def test_closed_form_without_a_split_tolerance_keeps_every_finite_row(rng):
     assert_scale_free(cfg, None, np.vstack([points, across]), alpha, keep)
     tiny, tiny_keep = ev.closed_form(points_at_margins(ev, [1e-200, 1e-300], sizes, directions))
     assert tiny_keep.all() and np.isfinite(tiny).all()
-    # J E* ~ 1e-320 keeps the base's sign, but alpha overflows; numpy warns
-    # of the overflow in the divisions, which is silenced here
+    # J E* ~ 1e-320 keeps the base's sign, but alpha overflows: the row is
+    # dropped, without a warning
     lost = points_at_margins(ev, [1e-320], [1.0], directions)
     assert (np.sign(lost @ ev.bs) == ev.orientation).all()
-    with np.errstate(over="ignore"):
-        alpha, keep = ev.closed_form(lost)
+    alpha, keep = ev.closed_form(lost)
     assert not keep.any() and alpha.shape == (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol_split", [1e-8, 0.0])
+def test_closed_form_drops_fold_and_overflow_rows_without_a_warning(rng, tol_split):
+    # kept rows, rows across the fold, rows exactly on it (J E* = 0) and rows
+    # whose quotients overflow, in one stack: only the first are kept, with
+    # alpha = -(J M0) / (J E*) byte for byte
+    cfg = DEFAULTS.replace(tol_split=tol_split)
+    ev = frobenius._AlphaEvaluator(half_square_family(cfg), cfg)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 2)
+    directions = [np.array([math.cos(t), math.sin(t), 0.0]) for t in angles]
+    kept = points_at_margins(ev, [0.5, 1e-3], [0.25, 3.0], directions)
+    dropped = points_at_margins(ev, [-1e-3, 0.0, 1e-320, -1e-320], [0.25, 3.0], directions)
+    points = np.vstack([dropped[:4], kept, dropped[4:]])
+    alpha, keep = ev.closed_form(points)
+    assert keep.tolist() == [False] * 4 + [True] * len(kept) + [False] * (len(dropped) - 4)
+    prod = np.matmul(kept[:, None, :], ev.pinned)
+    assert alpha.tobytes() == (-(prod[..., 1:] / prod[..., :1])).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from oblique import (
     subspace_distance,
 )
 from oblique.config import DEFAULTS
-from oblique.linalg import _kernel_batch, _kernel_svd
+from oblique.linalg import _kernel_batch, _kernel_svd, _op_norm_pair
 from oblique.linalg import intersection_margin, splitting_margin
 
 # ---------------------------------------------------------------------------
@@ -256,3 +256,13 @@ def test_margins_reject_mixed_ambient_spaces():
     for margin in (splitting_margin, intersection_margin):
         with pytest.raises(ValueError):
             margin(Subspace.trivial(2), Subspace.trivial(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 7), n=st.integers(1, 7), exponent=st.integers(-200, 200))
+def test_stacked_norm_pair_is_two_op_norms_bit_for_bit(seed, m, n, exponent):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n)) * 10.0**exponent
+    y = rng.standard_normal((m, n))
+    assert np.array(_op_norm_pair(x, y)).tobytes() == np.array([op_norm(x), op_norm(y)]).tobytes()
+    assert _op_norm_pair(np.zeros((0, n)), np.zeros((0, n))) == (0.0, 0.0)

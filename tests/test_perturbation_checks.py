@@ -194,8 +194,8 @@ def test_one_conditioning_check_per_factor(monkeypatch):
     t = a + 0.05 * np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 1.0])  # keeps R(T) = R(A)
     seven_conditions(a, ainv, t)
     assert len(calls) == 1
-    perturbed_gi(a, ainv, t)
-    assert len(calls) == 2
+    perturbed_gi(a, ainv, t)  # the same (A+, T): C's check is shared
+    assert len(calls) == 1
 
     ctx = operator_context(random_rank_matrix(trial_rng(4, 0), 4, 3, 2))
     x = sample_fixed_rank_near(ctx, trial_rng(4, 1))
