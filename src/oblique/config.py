@@ -17,10 +17,10 @@ class Numerics:
     tol_num     : generic residual tolerance for constructed objects
                   (projector idempotency, inverse axioms, subspace matches).
     tol_split   : splitting threshold, compared with two margins.
-                  ``direct_sum_check`` and the node checks of a patch take
-                  the smallest singular value of the stacked bases [Q | E*]
-                  as proof of a direct sum; the lattice march takes the
-                  sine of the angle between E* and the moving subspace Q,
+                  ``direct_sum_check`` takes the smallest singular value of
+                  the stacked bases [Q | E*] as proof of a direct sum; a
+                  patch's base, march and node checks take the sine of the
+                  angle between E* and the moving subspace Q,
                   sigma_min(Cperp^T Q) with Cperp an orthonormal basis of
                   the orthogonal complement of E*.
     cond_tol    : decision threshold for residual-based equivalence checks,

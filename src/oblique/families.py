@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoordinateOperator:
     """Linear map from M0-coordinates to E*-coordinates, in pinned bases.
 
@@ -121,7 +121,7 @@ class DifferentiableMap:
                 raise EvalError(f"analytic Jacobian off by {gap:.3e} at {np.asarray(p).tolist()}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceFamily:
     """A map from points to subspaces, anchored at a base point.
 
@@ -172,7 +172,20 @@ class SubspaceFamily:
 
     def eval_batch(self, points) -> SubspaceBatch:
         """The family at each point as one batch, one ``np.stack`` per
-        dimension; dimension -1 where ``eval`` raises EvalError."""
+        dimension; dimension -1 where ``eval`` raises EvalError.  An
+        ``eval_fn`` with a ``_batch`` method takes a finite (N, param_dim)
+        float array in one call, with ``eval``'s bytes; any other input or
+        ``eval_fn``, and a ``_batch`` that raises LinAlgError, go point by point."""
+        batch = getattr(self.eval_fn, "_batch", None)
+        try:
+            arr = np.asarray(points, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numeric
+            arr = np.empty(0)
+        if batch and arr.ndim == 2 and arr.shape[1] == self.param_dim and np.isfinite(arr).all():
+            try:
+                return batch(arr)
+            except np.linalg.LinAlgError:
+                pass
         subs: list[Subspace | None] = []
         for u in points:
             try:
@@ -195,48 +208,35 @@ class _JacobianKernels:
     def __call__(self, x) -> Subspace:
         return kernel_of(self.f.jacobian(x, self.cfg), self.tol)
 
-
-def _point_rows(points, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points with ``dim`` coordinates, as indices and float rows
-    (count, dim); a point of another size is left out.  An (N, dim) float
-    array passes through as it is, and a ragged list is taken point by
-    point, as ``eval`` takes them."""
-    try:
-        arr = np.asarray(points, dtype=float)
-    except ValueError:  # ragged
-        arr = None
-    if arr is not None and arr.ndim:
-        if arr.size != len(arr) * dim:
-            return np.zeros(0, dtype=int), np.zeros((0, dim))
-        return np.arange(len(arr)), arr.reshape(len(arr), dim)
-    index, rows = [], []
-    for i, u in enumerate(points):
-        point = np.asarray(u, dtype=float).ravel()
-        if point.size == dim:
-            index.append(i)
-            rows.append(point)
-    return np.array(index, dtype=int), np.array(rows).reshape(-1, dim)
+    def _batch(self, points: np.ndarray) -> SubspaceBatch:
+        """The kernels at the rows of a finite (N, dom_dim) array, with
+        ``__call__``'s bytes: the Jacobians point by point, their kernels from
+        one stacked SVD; dimension -1 where the Jacobian fails."""
+        rows, stack = _jacobian_stack(self.f, self.cfg, points)
+        ranks, vh = _kernel_svd(stack, self.tol)
+        dims = np.full(len(points), -1)
+        dims[rows] = self.f.dom_dim - ranks
+        return SubspaceBatch(self.f.dom_dim, dims, _kernel_batch(ranks, vh).stacks)
 
 
-def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points) -> tuple[np.ndarray, np.ndarray]:
-    """The points where f's Jacobian evaluates and is finite, as indices, and
-    those Jacobians stacked (count, cod_dim, dom_dim): the one Jacobian loop
-    of the batched routes, bit for bit ``f.jacobian`` point by point.  A
-    point of the wrong size counts as failing.
+def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a float array (N, dom_dim) where f's Jacobian evaluates
+    and is finite, as indices, and those Jacobians stacked (count, cod_dim,
+    dom_dim): the one Jacobian loop of the batched routes, bit for bit
+    ``f.jacobian`` point by point.
 
     ``f.jac`` is called once per point on a row of the point array; its
     results are checked as one stack, and one by one only when the stack is
     not a finite float64 array of the expected shape."""
-    index, rows = _point_rows(points, f.dom_dim)
     jac = f.jac if f.jac is not None else functools.partial(f.fd_jacobian, cfg=cfg)
-    outs, failed = [], []
-    for i, row in enumerate(rows):
+    outs, index = [], []
+    for i, row in enumerate(points):
         try:
             outs.append(jac(row))
         except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
-            failed.append(i)
-    if failed:
-        index = np.delete(index, failed)
+            continue
+        index.append(i)
+    index = np.array(index, dtype=int)
     shape = (len(outs), f.cod_dim, f.dom_dim)
     try:
         stack = np.array(outs)
@@ -260,35 +260,6 @@ def _as_jacobian(out, shape: tuple[int, int]) -> np.ndarray | None:
     except Exception:  # noqa: BLE001 - user code
         return None
     return arr if arr.shape == shape else None
-
-
-class _KernelFamily(SubspaceFamily):
-    """A family whose ``eval_fn`` is a ``_JacobianKernels``, as built by
-    ``kernel_family``.  A batch takes the Jacobians point by point and their
-    kernels from one stacked SVD, bit for bit what ``eval`` gives, without
-    wrapping a ``Subspace`` per point."""
-
-    def _jacobian_svd(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``_jacobian_stack`` with the ranks and V^T of its Jacobians from one
-        stacked SVD.  None when ``eval_fn`` was replaced or the SVD did not
-        converge: then the points are evaluated one by one."""
-        kernels = self.eval_fn
-        if not isinstance(kernels, _JacobianKernels):
-            return None
-        rows, stack = _jacobian_stack(kernels.f, kernels.cfg, points)
-        try:
-            return (rows, *_kernel_svd(stack, kernels.tol))
-        except np.linalg.LinAlgError:
-            return None
-
-    def eval_batch(self, points) -> SubspaceBatch:
-        found = self._jacobian_svd(points)
-        if found is None:
-            return super().eval_batch(points)
-        rows, ranks, vh = found
-        dims = np.full(len(points), -1)
-        dims[rows] = self.ambient_dim - ranks
-        return SubspaceBatch(self.ambient_dim, dims, _kernel_batch(ranks, vh).stacks)
 
 
 def cofinal_member(family: SubspaceFamily, x, cfg: Numerics = DEFAULTS) -> bool:
@@ -342,7 +313,7 @@ def kernel_family(
     base_subspace = kernel_of(t0, tol)
     if estar is None:
         estar = moore_penrose(t0, tol).range_complement
-    return _KernelFamily(
+    return SubspaceFamily(
         eval_fn=_JacobianKernels(f, cfg, tol, t0),
         base_point=base,
         base_subspace=base_subspace,

@@ -27,6 +27,9 @@ stacked bases of the expected dimension, then their splitting margins and
 solves in one stacked call each.  The per-node checks of a finished patch
 and ``tangency_check`` take that second route for every family, so they
 check the march independently.
+A patch's base, march and node checks share one splitting test:
+sigma_min(Cperp^T Q) > ``tol_split``, Cperp an orthonormal basis of E*'s
+orthogonal complement (``direct_sum_check``'s sigma_min [Q | E*] is smaller).
 """
 
 import itertools
@@ -75,7 +78,7 @@ class PatchDiagnostics:
         return asdict(self) | {"spacing": list(self.spacing)}
 
 
-@dataclass
+@dataclass(eq=False)
 class IntegralPatch:
     """Discrete graph of psi over a lattice in M0-coordinates.
 
@@ -163,8 +166,8 @@ class _AlphaEvaluator:
     It is compared scale-free as ||J / (J E*)||_2 < 1 / ``tol_split``, the
     norm taken with ``hypot`` so that no square overflows; a row where that
     quotient overflows, as alpha then does, is dropped without a warning.
-    All other families, and the node checks, take the kernel bases and the
-    splitting SVD (``alpha``, ``splits``).
+    All other families, and the node checks, take the subspace bases and
+    the splitting SVD (``alpha``).
     """
 
     def __init__(self, family: SubspaceFamily, cfg: Numerics):
@@ -191,12 +194,10 @@ class _AlphaEvaluator:
         otherwise.  T0 is the one ``kernel_family`` took, else one Jacobian
         call at the base point."""
         f, kernels = self.family.source_map, self.family.eval_fn
-        if f is None or f.cod_dim != 1 or self.e != 1:
+        if f is None or f.cod_dim != 1 or self.e != 1 or f.dom_dim != self.family.param_dim:
             return None
-        if isinstance(kernels, _JacobianKernels) and kernels.f is f:
-            t0 = kernels.base[None]
-        else:
-            t0 = _jacobian_stack(f, self.cfg, self.family.base_point[None])[1]
+        own = isinstance(kernels, _JacobianKernels) and kernels.f is f
+        t0 = kernels.base[None] if own else _jacobian_stack(f, self.cfg, self.family.base_point[None])[1]
         orientation = np.sign(t0 @ self.bs).ravel()
         if not (orientation.size and orientation[0]):
             return None
@@ -232,15 +233,6 @@ class _AlphaEvaluator:
             return k[..., 0], ok
         alpha, ok = self.closed_form(points)
         return alpha[np.arange(len(alpha)), :, axis[ok]], ok
-
-    def splits(self, found: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``direct_sum_check`` against the complement at each point of an
-        ``of_dim`` result, from one stacked SVD; False where the evaluation
-        failed."""
-        ok, bases = found
-        stacked = np.concatenate([bases, np.broadcast_to(self.bs, (len(bases),) + self.bs.shape)], axis=2)
-        ok[ok] = np.linalg.svd(stacked, compute_uv=False)[:, -1] - self.cfg.tol_split > 0.0
-        return ok
 
     def alpha(self, found: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate operator times ``rhs`` at each point of an ``of_dim``
@@ -501,8 +493,9 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     """Per-node checks: splitting holds, grid derivative matches the field,
     and (for kernel families) the patch stays on the level set.
 
-    All filled nodes are evaluated in one batch; their splitting checks, alpha
-    values and norms are then taken as stacked calls.  ``f`` runs per node.
+    All filled nodes are evaluated in one batch; their alpha values, with the
+    march's splitting test, and their norms are then taken as stacked calls.
+    ``f`` runs per node.
     """
     d, shape = patch.m0_dim, patch.shape
     diag = patch.diagnostics
@@ -510,16 +503,15 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
 
     nodes = np.argwhere(patch.filled)
     points = ev.ambient(patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
-    batch = ev.family.eval_batch(points)
-    split = ev.splits(batch.of_dim(d))
-    failures = int(np.count_nonzero(~split))
+    rhs = np.broadcast_to(ev.full_rhs, (len(points), *ev.full_rhs.shape))
+    am, split = ev.alpha(ev.family.eval_batch(points).of_dim(d), rhs)
+    diag.cofinal_failures = int(np.count_nonzero(~split))
 
-    level_worst = 0.0
     if f is not None:
         f_base = f(ev.family.base_point)
         gaps = np.abs(np.array([f(u) for u in points[split]]).reshape(-1, f.cod_dim) - f_base).max(axis=1)
         # a node with a NaN component does not count, as in a running max
-        level_worst = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))
+        diag.level_set_residual = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))
 
     # interior nodes whose axis neighbors are all filled get the ODE check
     inner = split & np.all((nodes > 0) & (nodes < np.array(shape) - 1), axis=1)
@@ -527,10 +519,8 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     for i in range(d):
         inner[inner] &= patch.filled[tuple((nodes[inner] + unit[i]).T)]
         inner[inner] &= patch.filled[tuple((nodes[inner] - unit[i]).T)]
-    am, ok = ev.alpha(batch.of_dim(d), np.broadcast_to(ev.full_rhs, (len(points), *ev.full_rhs.shape)))
-    failures += int(np.count_nonzero(inner & ~ok))
-    am = am[inner[ok]]
-    rows = np.flatnonzero(inner & ok)
+    am = am[inner[split]]
+    rows = np.flatnonzero(inner)
 
     ode_worst = 0.0
     ode_scaled_worst = 0.0
@@ -546,11 +536,9 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
             ode_worst = max(ode_worst, float(resid.max()))
             ode_scaled_worst = max(ode_scaled_worst, float((resid / scale).max()))
 
-    diag.level_set_residual = level_worst if f is not None else None
     diag.ode_residual = ode_worst
     diag.ode_residual_scaled = ode_scaled_worst
-    diag.cofinal_failures = failures
-    diag.breached = diag.breached or failures > 0
+    diag.breached = diag.breached or diag.cofinal_failures > 0
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

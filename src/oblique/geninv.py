@@ -74,7 +74,7 @@ __all__ = [
 CONDITION_KEYS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenInverse:
     """A matrix together with a {1,2}-inverse and its defining complements.
 
@@ -334,7 +334,7 @@ def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse
     return GenInverse(p.t, p.b, ainv.range_complement, ainv.kernel_complement)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of the seven equivalent transversality conditions.
 

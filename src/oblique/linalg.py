@@ -146,7 +146,7 @@ def rank_of(a, tol: float | None = None) -> int:
     return int(_ranks(s, arr.shape, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^n held as an orthonormal column basis.
 
@@ -301,7 +301,7 @@ def range_of(a, tol: float | None = None) -> Subspace:
     return Subspace._wrap(u[:, :r])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """An idempotent matrix."""
 

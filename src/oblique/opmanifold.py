@@ -37,6 +37,7 @@ from .geninv import GenInverse, _c_factor, _conditioned, _near_identity_sample, 
 from .linalg import (
     Factors,
     Subspace,
+    SubspaceBatch,
     _EPS,
     _ranks,
     _screened_norm,
@@ -82,15 +83,17 @@ def unvec(v: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices, bit for bit, as one broadcast product."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    """``np.kron`` of two matrices, or of each pair of two stacks (..., p, q)
+    and (..., r, s), bit for bit, as one broadcast product."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], p * r, q * s)
 
 
-def _tangent_slice(f: Factors) -> Subspace:
-    """Orthonormal basis [U (x) I_n | U_perp (x) V_row] of M(X) in R^{mn}."""
-    identity = np.eye(f.row.ambient_dim)
-    return Subspace._wrap(np.hstack([_kron(f.range.basis, identity), _kron(f.cokernel.basis, f.row.basis)]))
+def _tangent_slice(u: np.ndarray, u_perp: np.ndarray, v_row: np.ndarray) -> np.ndarray:
+    """Orthonormal basis [U (x) I_n | U_perp (x) V_row] of M(X) in R^{mn}
+    from X's SVD factors, or a stack of them from stacks of the factors."""
+    return np.concatenate([_kron(u, np.eye(v_row.shape[-2])), _kron(u_perp, v_row)], axis=-1)
 
 
 def _slice_directions(ctx: "OperatorFamilyContext", g: np.ndarray) -> np.ndarray:
@@ -124,7 +127,7 @@ def _factors_at(x: np.ndarray, xinv: GenInverse, cfg: Numerics) -> Factors:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorFamilyContext:
     """Base operator, inverse, pinned splitting of operator space, projectors.
 
@@ -168,7 +171,8 @@ class OperatorFamilyContext:
     def m0(self) -> Subspace:
         """[U (x) I_n | U_perp (x) V_row], an (mn) x dim basis of M(A) that only
         the generic ``SubspaceFamily`` route reads."""
-        return _tangent_slice(self.factors)
+        f = self.factors
+        return Subspace._wrap(_tangent_slice(f.range.basis, f.cokernel.basis, f.row.basis))
 
     @functools.cached_property
     def estar(self) -> Subspace:
@@ -227,10 +231,35 @@ def mx_basis(ctx: OperatorFamilyContext, x, xinv: GenInverse, cfg: Numerics = DE
     if (m, n) != (ctx.m, ctx.n):
         raise ValueError("operator shape does not match the context")
     f = _factors_at(xm, xinv, cfg)
-    basis = _tangent_slice(f)
-    if np.max(_slice_defect(f, basis.basis.T.reshape(-1, m, n)), initial=0.0) > cfg.tol_num:
+    basis = _tangent_slice(f.range.basis, f.cokernel.basis, f.row.basis)
+    if np.max(_slice_defect(f, basis.T.reshape(-1, m, n)), initial=0.0) > cfg.tol_num:
         raise ComplementError("constructed element violates T N(X) in R(X)")
-    return basis
+    return Subspace._wrap(basis)
+
+
+class _OperatorSlices:
+    """X -> M(X) over vectorized m x n operators, with the rank of each X cut
+    at ``tol``: an operator family's ``eval_fn``."""
+
+    def __init__(self, m: int, n: int, tol: float | None):
+        self.m, self.n, self.tol = m, n, tol
+
+    def __call__(self, p: np.ndarray) -> Subspace:
+        f = svd_factors(unvec(p, self.m, self.n), self.tol)
+        return Subspace._wrap(_tangent_slice(f.range.basis, f.cokernel.basis, f.row.basis))
+
+    def _batch(self, points: np.ndarray) -> SubspaceBatch:
+        """M(X) at the rows of a finite (N, mn) array from one stacked SVD,
+        each rank group's bases in one broadcast product, bit for bit what
+        ``__call__`` gives."""
+        m, n = self.m, self.n
+        u, s, vh = np.linalg.svd(points.reshape(-1, m, n))
+        ranks = _ranks(s, (m, n), self.tol)
+        stacks = {}
+        for k in set(ranks.tolist()):
+            uk, vk = u[ranks == k], vh[ranks == k]
+            stacks[m * n - (m - k) * (n - k)] = _tangent_slice(uk[..., :k], uk[..., k:], vk[:, :k].transpose(0, 2, 1))
+        return SubspaceBatch(m * n, m * n - (m - ranks) * (n - ranks), stacks)
 
 
 def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, cfg: Numerics = DEFAULTS) -> SubspaceFamily:
@@ -240,15 +269,11 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
     SVD of X, so it is defined for every X, including points where the pinned
     splitting fails; where X has full row rank, U_perp is empty and M(X) is
     the whole space.  ``rank_tol`` controls the rank decision of that SVD.
+    A batch of points takes one stacked SVD.
     """
-    m, n = ctx.m, ctx.n
     tol = cfg.rank_tol if rank_tol is None else rank_tol
-
-    def eval_fn(p: np.ndarray) -> Subspace:
-        return _tangent_slice(svd_factors(unvec(p, m, n), tol))
-
     return SubspaceFamily(
-        eval_fn=eval_fn,
+        eval_fn=_OperatorSlices(ctx.m, ctx.n, tol),
         base_point=vec(ctx.a),
         base_subspace=ctx.m0,
         complement=ctx.estar,

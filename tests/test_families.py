@@ -16,10 +16,12 @@ from oblique import (
     graph_subspace,
     grp_alpha,
     kernel_family,
+    kernel_of,
     locally_fine_probe,
     moore_penrose,
     subspace_distance,
 )
+from oblique.builtins import builtin_family
 from oblique.config import DEFAULTS
 from oblique.families import _jacobian_stack
 from oblique.geninv import trial_rng
@@ -307,6 +309,7 @@ def jacobian_loop(f, points):
 def test_jacobian_stack_matches_the_point_by_point_loop(rng, kind, ragged):
     calls = [0]
     f = unruly_sphere_map(kind, calls)
+    fam = kernel_family(f, [0.0, 0.0, 1.0])
     points = rng.uniform(-1.0, 1.0, size=(24, 3))
     # the whole batch, and the points where a misbehaving Jacobian misbehaves
     # everywhere (so the stack as a whole has the wrong shape or dtype)
@@ -316,14 +319,23 @@ def test_jacobian_stack_matches_the_point_by_point_loop(rng, kind, ragged):
         calls[0] = 0
         want_rows, want = jacobian_loop(f, batch)
         loop_calls, calls[0] = calls[0], 0
-        rows, stack = _jacobian_stack(f, DEFAULTS, batch)
+        want_dims = np.full(len(batch), -1)
+        want_dims[want_rows] = [kernel_of(j).dim for j in want]
+        # a point array takes the stacked route, a ragged list eval_batch's
+        # point-by-point loop: the same dims from the same Jacobian calls
+        assert fam.eval_batch(batch).dims.tolist() == want_dims.tolist()
         assert calls[0] == loop_calls > 0
+        if ragged:
+            continue
+        calls[0] = 0
+        rows, stack = _jacobian_stack(f, DEFAULTS, batch)
+        assert calls[0] == loop_calls
         assert rows.tolist() == want_rows
         assert stack.dtype == np.float64 and stack.shape == want.shape and stack.tobytes() == want.tobytes()
     # a point array of the wrong width calls nothing
     calls[0] = 0
-    rows, stack = _jacobian_stack(f, DEFAULTS, np.zeros((3, 4)))
-    assert calls[0] == 0 and rows.size == 0 and stack.shape == (0, 1, 3)
+    assert fam.eval_batch(np.zeros((3, 4))).dims.tolist() == [-1, -1, -1]
+    assert calls[0] == 0
 
 
 def test_generic_eval_batch_maps_eval_errors_to_none():
@@ -456,8 +468,9 @@ def test_probes_use_the_inline_ray_directions(seed):
 
 def batch_families():
     """Kernel families (analytic and finite-difference Jacobians), the generic
-    loop around the same eval_fn, and a kernel family whose eval_fn was
-    replaced by one that mixes dimensions 2 and 3."""
+    loop around the same eval_fn, a kernel family whose eval_fn was
+    replaced by one that mixes dimensions 2 and 3, and ``sec4_2x2``'s
+    operator family over 2x2 matrices."""
     kernels = kernel_family(misbehaving_sphere_map(), [0.0, 0.0, 1.0])
     generic = SubspaceFamily(
         eval_fn=kernels.eval_fn,
@@ -471,44 +484,72 @@ def batch_families():
         "kernel_fd": kernel_family(misbehaving_sphere_map(analytic=False), [0.0, 0.0, 1.0]),
         "generic": generic,
         "replaced": replaced,
+        "operator": builtin_family("sec4_2x2"),
     }
 
 
-@pytest.mark.parametrize("kind", ["kernel", "kernel_fd", "generic", "replaced"])
+def batch_points(kind, rng):
+    """A shuffled list of points for ``batch_families()[kind]`` and the
+    dimensions it must reach (-1 for a failed evaluation).  For the operator
+    family: ranks 0, 1 and 2 (dimensions 0, 3 and 4), a point of the wrong
+    size, one shaped (2, 2) and one with an inf entry."""
+    if kind == "operator":
+        points = [np.outer(*rng.standard_normal((2, 2))).ravel() for _ in range(12)]
+        points += list(rng.standard_normal((12, 4))) + [np.zeros(4)]
+        points += [np.zeros(3), np.eye(2), np.array([1.0, 0.0, 0.0, np.inf])]
+        dims = {-1, 0, 3, 4}
+    else:
+        points = list(rng.uniform(-2.0, 2.0, size=(40, 3)))
+        points += [np.zeros(3), np.array([1.9, 0.1, 0.2]), np.array([0.1, -1.9, 0.2]), np.zeros(2), np.zeros(4)]
+        dims = {-1, 2, 3}
+    rng.shuffle(points)
+    return points, dims
+
+
+@pytest.mark.parametrize("kind", ["kernel", "kernel_fd", "generic", "replaced", "operator"])
 def test_eval_batch_matches_eval_point_by_point(rng, kind):
     fam = batch_families()[kind]
-    points = list(rng.uniform(-2.0, 2.0, size=(40, 3)))
-    points += [np.zeros(3), np.array([1.9, 0.1, 0.2]), np.array([0.1, -1.9, 0.2]), np.zeros(2), np.zeros(4)]
-    rng.shuffle(points)
-    single = [eval_or_none(fam, p) for p in points]
-    batch = fam.eval_batch(points)
-    assert batch.ambient_dim == 3
-    assert batch.dims.tolist() == [-1 if s is None else s.dim for s in single]
-    assert {-1, 2, 3} <= set(batch.dims.tolist())
-    for k in (0, 1, 2, 3):
-        mask, bases = batch.of_dim(k)
-        assert mask.tolist() == [s is not None and s.dim == k for s in single]
-        members = [s.basis for s in single if s is not None and s.dim == k]
-        if not members:
-            assert bases.shape == (0, 3, k)
-            continue
-        ref = np.stack(members)
-        # equal bytes and the same per-basis memory layout, so that products
-        # with the stack round exactly as products with the single bases
-        assert bases.shape == ref.shape and bases.tobytes() == ref.tobytes()
-        assert bases.strides[1:] == ref.strides[1:]
-    for b, s in zip(batch, single):
-        assert (b is None) == (s is None)
-        if s is not None:
-            assert b.basis.tobytes() == s.basis.tobytes() and b.basis.shape == s.basis.shape
+    points, dims = batch_points(kind, rng)
+    n = fam.ambient_dim
+    # the ragged list, which goes point by point, and its finite points of
+    # the right size as one array, which an eval_fn with ``_batch`` takes
+    stacked = np.array([p.ravel() for p in points if p.size == fam.param_dim and np.isfinite(p).all()])
+    for pts in (points, stacked):
+        single = [eval_or_none(fam, p) for p in pts]
+        batch = fam.eval_batch(pts)
+        assert batch.ambient_dim == n
+        assert batch.dims.tolist() == [-1 if s is None else s.dim for s in single]
+        assert dims - {-1} <= set(batch.dims.tolist())
+        for k in range(n + 1):
+            mask, bases = batch.of_dim(k)
+            assert mask.tolist() == [s is not None and s.dim == k for s in single]
+            members = [s.basis for s in single if s is not None and s.dim == k]
+            if not members:
+                assert bases.shape == (0, n, k)
+                continue
+            ref = np.stack(members)
+            # equal bytes and the same per-basis memory layout, so that products
+            # with the stack round exactly as products with the single bases
+            assert bases.shape == ref.shape and bases.tobytes() == ref.tobytes()
+            assert bases.strides[1:] == ref.strides[1:]
+        for b, s in zip(batch, single):
+            assert (b is None) == (s is None)
+            if s is not None:
+                assert b.basis.tobytes() == s.basis.tobytes() and b.basis.shape == s.basis.shape
+    assert set(fam.eval_batch(points).dims.tolist()) == dims
     empty = fam.eval_batch([])
     assert len(empty.dims) == 0 and list(empty) == []
 
 
 def test_eval_batch_falls_back_when_the_stacked_svd_fails(rng, monkeypatch):
-    fam = batch_families()["kernel"]
-    points = list(rng.uniform(-2.0, 2.0, size=(12, 3))) + [np.zeros(3)]
-    expected = fam.eval_batch(points)
+    families = batch_families()
+    cases = [
+        (families["kernel"], list(rng.uniform(-2.0, 2.0, size=(12, 3))) + [np.zeros(3)]),
+        # ranks 0, 1 and 2 of 2x2 matrices
+        (families["operator"], [np.zeros(4), np.array([1.0, 2.0, 0.5, 1.0])] + list(rng.standard_normal((6, 4)))),
+    ]
+    expected = [fam.eval_batch(points) for fam, points in cases]
+    assert set(expected[1].dims.tolist()) == {0, 3, 4}
     svd, stacked_calls = np.linalg.svd, [0]
 
     def failing_svd(a, *args, **kwargs):
@@ -518,12 +559,14 @@ def test_eval_batch_falls_back_when_the_stacked_svd_fails(rng, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    batch = fam.eval_batch(points)
-    assert stacked_calls[0] == 1
-    assert batch.dims.tolist() == expected.dims.tolist()
-    for k in set(expected.dims.tolist()) - {-1}:
-        assert batch.of_dim(k)[1].tobytes() == expected.of_dim(k)[1].tobytes()
-        mask, bases = fam.eval_batch(points).of_dim(k)
-        assert mask.tolist() == (expected.dims == k).tolist()
-        assert bases.tobytes() == expected.of_dim(k)[1].tobytes()
-    assert stacked_calls[0] == 1 + len(set(expected.dims.tolist()) - {-1})
+    for (fam, points), want in zip(cases, expected):
+        stacked_calls[0] = 0
+        batch = fam.eval_batch(points)
+        assert stacked_calls[0] == 1
+        assert batch.dims.tolist() == want.dims.tolist()
+        for k in set(want.dims.tolist()) - {-1}:
+            assert batch.of_dim(k)[1].tobytes() == want.of_dim(k)[1].tobytes()
+            mask, bases = fam.eval_batch(points).of_dim(k)
+            assert mask.tolist() == (want.dims == k).tolist()
+            assert bases.tobytes() == want.of_dim(k)[1].tobytes()
+        assert stacked_calls[0] == 1 + len(set(want.dims.tolist()) - {-1})

@@ -199,6 +199,20 @@ def test_rank_one_slice_patch_stays_singular():
     assert patch.diagnostics.path_residual <= 1e-8
 
 
+def test_node_checks_take_the_splitting_test_of_the_march():
+    # at tol_split 0.35 the circle's march keeps every node out to 0.9, but
+    # at some of them sigma_min [Q | E*] <= 0.35 < sigma_min(Cperp^T Q): the
+    # node checks test the margin the march tested, so none of them fails
+    cfg = DEFAULTS.replace(tol_split=0.35)
+    f, x0 = builtin_map("sphere_2d")
+    fam = kernel_family(f, x0, cfg)
+    patch = integrate(fam, 0.9, 1e-2, cfg=cfg)
+    assert patch.filled.all()
+    assert patch.diagnostics.cofinal_failures == 0 and not patch.diagnostics.breached
+    nodes = patch.reconstruct()[patch.filled]
+    assert not all(direct_sum_check(fam.eval(u), fam.complement, cfg) for u in nodes)
+
+
 DIAGNOSTIC_KEYS = [
     "step",
     "spacing",
@@ -532,7 +546,7 @@ def sphere_kernels(region, calls):
 def test_kernel_family_stacked_evaluation_matches_serial_reference(region):
     calls = [0]
     fam = sphere_kernels(region, calls)
-    assert type(fam).eval_batch is not SubspaceFamily.eval_batch  # the stacked-SVD path
+    assert hasattr(fam.eval_fn, "_batch")  # the stacked-SVD path
     calls[0] = 0
     patch = integrate(fam, 0.5, 2e-2, grid_points=11)
     tangency_check(patch, fam)
@@ -838,7 +852,7 @@ def test_rank_deficient_kernel_family_keeps_the_svd_route():
     f = DifferentiableMap(3, 2, lambda p: np.array([p @ p, 0.0]), jac)
     fam = kernel_family(f, np.array([0.0, 0.0, 1.0]))
     assert frobenius._AlphaEvaluator(fam, DEFAULTS).source is None
-    assert type(fam).eval_batch is not SubspaceFamily.eval_batch
+    assert hasattr(fam.eval_fn, "_batch")
     calls[0] = 0
     patch = integrate(fam, 0.5, 2e-2, grid_points=11)
     tangency_check(patch, fam)

@@ -6,14 +6,17 @@ import pytest
 from oblique import (
     BallError,
     ComplementError,
+    CoordinateOperator,
     Subspace,
     TransversalityError,
     c_op,
     d_op,
     gi_from_complements,
+    integrate,
     kernel_of,
     locally_fine_probe,
     moore_penrose,
+    oblique_projector,
     op_norm,
     perturbed_gi,
     range_of,
@@ -22,6 +25,7 @@ from oblique import (
     seven_conditions,
     subspace_distance,
 )
+from oblique.builtins import builtin_family, sec4_context
 from oblique.geninv import trial_rng
 from oblique.suites import random_gi, random_rank_matrix, sample_inside, sample_outside
 
@@ -317,3 +321,26 @@ def test_trial_rng_is_order_independent():
     trial_rng(5, 2).standard_normal(10)
     b = trial_rng(5, 3).standard_normal(4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    # values that hold arrays compare and hash as themselves: two equal
+    # builds are different values, and neither comparing nor hashing them
+    # raises (a field-by-field comparison would ask an array for its truth)
+    sub = Subspace.span([1.0, 0.0])
+    builders = {
+        "Subspace": lambda: Subspace.span([1.0, 0.0]),
+        "Projector": lambda: oblique_projector(sub, sub.orthogonal_complement()),
+        "GenInverse": lambda: moore_penrose(np.diag([1.0, 0.5])),
+        "ConditionReport": lambda: seven_conditions(A2, moore_penrose(A2), A2),
+        "CoordinateOperator": lambda: CoordinateOperator(np.eye(2)),
+        "SubspaceFamily": lambda: builtin_family("sphere_2d"),
+        "IntegralPatch": lambda: integrate(builtin_family("sphere_2d"), 0.05, 1e-2),
+        "OperatorFamilyContext": lambda: sec4_context(),
+    }
+    for name, build in builders.items():
+        x, y = build(), build()
+        assert type(x).__name__ == name
+        assert x == x and not x != x, name
+        assert x != y and not x == y, name
+        assert len({x, y, x}) == 2, name

@@ -95,10 +95,10 @@ def test_rank_nullity(a):
 @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (3, 3), (4, 2), (0, 3), (2, 0)])
 @pytest.mark.parametrize("tol", [None, 1e-6])
 def test_kernels_of_is_kernel_of_per_matrix(rng, shape, tol):
-    # the kernels of a stack as ``_KernelFamily.eval_batch`` takes them, one
-    # stacked SVD: matrices at scales far from 1 whose trailing singular
-    # values are shrunk by 1e-7, kept by the default relative cut, dropped by
-    # the cut at 1e-6
+    # the kernels of a stack as a kernel family's ``eval_fn._batch`` takes
+    # them, one stacked SVD: matrices at scales far from 1 whose trailing
+    # singular values are shrunk by 1e-7, kept by the default relative cut,
+    # dropped by the cut at 1e-6
     m, n = shape
     stack, ranks = [np.zeros((m, n))], [0]
     for j in range(24):
