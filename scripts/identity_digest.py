@@ -19,7 +19,11 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of the stdout of ``oblique integrate --manifest M --extent 0.5
   --grid 21 --step 1e-2`` for a kernel manifest M of ``sphere_3d`` at
   (0, 0, 1) with the tilted complement E* = span(0.3, -0.2, 1): the closed
-  form against non-orthogonal pinned bases, and a node left unfilled.
+  form against non-orthogonal pinned bases, and a node left unfilled;
+* the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N`` and
+  of ``oblique conditions --a A --ainv AP --t T`` for the small fixed
+  matrices of ``MATRICES``: an inverse with prescribed complements and the
+  seven conditions against a given, not orthogonal, inverse.
 
 Run it in two checkouts and ``diff`` the outputs: equal lines mean equal
 bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
@@ -38,6 +42,16 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (3, 4)
 TILTED = {"kind": "kernel", "map": "sphere_3d", "x0": [0.0, 0.0, 1.0],
           "estar": {"rows": 3, "cols": 1, "data": [0.3, -0.2, 1.0]}}
+# A_gi has rank 2 with N(A_gi) = span(2, -1, 1); R and N are transversal to
+# its kernel and range.  AP is a {1,2}-inverse of A, and T keeps A's range.
+MATRICES = {
+    "A_gi": [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]],
+    "R": [[1.0, 0.0], [0.0, 1.0], [0.3, 0.4]],
+    "N": [[0.2], [-0.1], [1.0]],
+    "A": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+    "AP": [[1.0, 0.0, 0.2], [0.0, 0.5, -0.1], [0.3, 0.4, -0.02]],
+    "T": [[1.01, 0.02, 0.0], [0.01, 1.98, 0.0], [0.0, 0.0, 0.0]],
+}
 
 
 def verify_digest() -> str:
@@ -90,6 +104,13 @@ def main() -> int:
         manifest.write_text(json.dumps(TILTED))
         argv = ["integrate", "--manifest", str(manifest), "--extent", "0.5", "--grid", "21", "--step", "1e-2"]
         print(f"integrate --manifest sphere_3d-tilted.json --extent 0.5 --grid 21 --step 1e-2  {cli_digest(argv)}")
+        paths = {}
+        for name, rows in MATRICES.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": sum(rows, [])}))
+        for argv in (["gi", "--a", "A_gi", "--r-plus", "R", "--n-plus", "N"],
+                     ["conditions", "--a", "A", "--ainv", "AP", "--t", "T"]):
+            print(f"{' '.join(argv)}  {cli_digest([paths.get(arg, arg) for arg in argv])}")
     return 0
 
 

@@ -26,7 +26,7 @@ from .config import DEFAULTS
 from .errors import NumericalError, ValidationError
 from .frobenius import integrate, tangency_check
 from .geninv import GenInverse, gi_from_complements, moore_penrose, seven_conditions, trial_rng
-from .linalg import Subspace, kernel_of, orth_basis, range_of
+from .linalg import Subspace, orth_basis, svd_factors
 from .matio import dump_json, load_json, matrix_to_dict, read_matrix
 from .opmanifold import fixed_rank_chart_check, operator_context, sample_fixed_rank_near, tangency_fixed_rank
 from .suites import SUITE_NAMES, run_suite
@@ -122,7 +122,8 @@ def _cmd_conditions(args) -> int:
         gi = moore_penrose(a)
     else:
         inv = read_matrix(args.ainv)
-        gi = GenInverse(a, inv, range_of(inv), kernel_of(inv))
+        f = svd_factors(inv)
+        gi = GenInverse(a, inv, f.range, f.kernel)
         gi.validate()
     report = seven_conditions(a, gi, t)
     _emit(report.to_dict(), args.out)

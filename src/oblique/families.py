@@ -301,8 +301,8 @@ def kernel_family(
 ) -> SubspaceFamily:
     """Family of Jacobian kernels x -> N(f'(x)) anchored at ``x0``.
 
-    The default complement is the row space of f'(x0), i.e. the range of its
-    pseudoinverse (the orthogonal complement of the base kernel).
+    The default complement is the row space of f'(x0), the range of its
+    pseudoinverse, whose SVD also gives the base kernel.
     """
     base = np.asarray(x0, dtype=float).ravel()
     if base.size != f.dom_dim:
@@ -310,14 +310,12 @@ def kernel_family(
     f.check_jacobian([base], cfg)
     t0 = f.jacobian(base, cfg)
     tol = cfg.rank_tol if rank_tol is None else rank_tol
-    base_subspace = kernel_of(t0, tol)
-    if estar is None:
-        estar = moore_penrose(t0, tol).range_complement
+    gi0 = moore_penrose(t0, tol)
     return SubspaceFamily(
         eval_fn=_JacobianKernels(f, cfg, tol, t0),
         base_point=base,
-        base_subspace=base_subspace,
-        complement=estar,
+        base_subspace=gi0._factors(tol).kernel,
+        complement=gi0.range_complement if estar is None else estar,
         source_map=f,
     )
 
@@ -340,11 +338,10 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     n = gi0.dom_dim
     onto_estar = gi0.inverse @ t0          # projector onto R(T0+) along N(T0)
     onto_kernel = np.eye(n) - onto_estar
-    m0 = kernel_of(t0, cfg.rank_tol)
-    estar = gi0.range_complement
+    m0 = gi0._factors(cfg.rank_tol).kernel
     d = _conditioned(_d_factor(t0, gi0.inverse, tx), cfg)
     lifted = onto_estar @ np.linalg.solve(d, onto_kernel @ m0.basis)
-    return CoordinateOperator(estar.basis.T @ lifted)
+    return CoordinateOperator(gi0.range_complement.basis.T @ lifted)
 
 
 def generalized_regular_probe(

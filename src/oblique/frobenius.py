@@ -27,6 +27,9 @@ stacked bases of the expected dimension, then their splitting margins and
 solves in one stacked call each.  The per-node checks of a finished patch
 and ``tangency_check`` take that second route for every family, so they
 check the march independently.
+A patch's coordinates are its own: ``tangency_check`` lifts its nodes with
+its ``m0_basis`` and ``estar_basis``, and ``explicit_patch`` refuses an
+inverse whose N(T0) and R(T0+) bases are not those.
 A patch's base, march and node checks share one splitting test:
 sigma_min(Cperp^T Q) > ``tol_split``, Cperp an orthonormal basis of E*'s
 orthogonal complement (``direct_sum_check``'s sigma_min [Q | E*] is smaller).
@@ -48,7 +51,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack
 from .geninv import GenInverse
-from .linalg import kernel_of, oblique_projector
+from .linalg import oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -206,11 +209,6 @@ class _AlphaEvaluator:
         self.margin_bound = 1.0 / self.cfg.tol_split if self.cfg.tol_split > 0.0 else math.inf
         return f
 
-    def ambient(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Ambient points ``lift(z) + lift(w)`` of stacked coordinate rows,
-        one matrix-vector product per row as for a single point."""
-        return np.matmul(self.b0, z[..., None])[..., 0] + np.matmul(self.bs, w[..., None])[..., 0]
-
     def closed_form(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha = -(J M0) / (J E*) at the kept points, shaped (kept, 1, dim
         M0), and the mask of kept points (see the class docstring)."""
@@ -255,6 +253,12 @@ class _AlphaEvaluator:
         return self.estar_rows @ (bases @ np.linalg.solve(cross, rhs)), ok
 
 
+def _ambient(m0: np.ndarray, estar: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ambient points ``lift(z) + lift(w)`` of stacked M0/E* coordinate rows,
+    one matrix-vector product per row as for a single point."""
+    return np.matmul(m0, z[..., None])[..., 0] + np.matmul(estar, w[..., None])[..., 0]
+
+
 @np.errstate(all="ignore")  # as a decorator: no context object per call
 def _quotients(jacs: np.ndarray, je: np.ndarray, jm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha = -(J M0) / (J E*) and ||J / (J E*)||_2 of each row of a Jacobian
@@ -296,9 +300,9 @@ def _rk4_hop(
             if not rows.size:
                 break
             if frac:
-                point = ev.ambient(z + frac * hj * ej, wj + frac * hj * ks[-1])
+                point = _ambient(ev.b0, ev.bs, z + frac * hj * ej, wj + frac * hj * ks[-1])
             else:
-                point = ev.ambient(z, wj)
+                point = _ambient(ev.b0, ev.bs, z, wj)
             k, good = ev.stage(point, aj)
             if not good.all():
                 ok[rows[~good]] = False
@@ -502,7 +506,7 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     f = ev.family.source_map
 
     nodes = np.argwhere(patch.filled)
-    points = ev.ambient(patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
+    points = _ambient(ev.b0, ev.bs, patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
     rhs = np.broadcast_to(ev.full_rhs, (len(points), *ev.full_rhs.shape))
     am, split = ev.alpha(ev.family.eval_batch(points).of_dim(d), rhs)
     diag.cofinal_failures = int(np.count_nonzero(~split))
@@ -593,25 +597,27 @@ def _axis_derivatives(patch: IntegralPatch, nodes: np.ndarray, axis: int) -> tup
     return (interior & ~todo) | fits, out
 
 
-def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics = DEFAULTS) -> float:
+def tangency_check(patch: IntegralPatch, family: SubspaceFamily) -> float:
     """Largest defect of grid tangent vectors against the family's subspaces.
 
     At interior nodes the finite-difference tangents (axis direction plus the
-    psi derivative), lifted to ambient space, are projected onto the
-    orthogonal complement of the subspace at the reconstructed point; the
-    maximal relative projection norm is returned and stored in the patch
-    diagnostics.  The family is evaluated in one batch, once per node; the
-    derivatives, rejections and projections of all nodes are then taken as
-    stacked calls.
+    psi derivative), lifted with the patch's own bases, are projected onto
+    the orthogonal complement of the subspace at the reconstructed point;
+    the maximal relative projection norm is returned and stored in the patch
+    diagnostics.  The family, which must map the patch's R^n into R^n, is
+    evaluated in one batch, once per node; the derivatives, rejections and
+    projections of all nodes are then taken as stacked calls.
     """
     if any(len(ax) < 3 for ax in patch.axes):
         raise GridError("tangency check needs at least 3 nodes per axis")
-    ev = _AlphaEvaluator(family, cfg)
+    b0, bs = patch.m0_basis, patch.estar_basis
+    if (family.param_dim, family.ambient_dim) != (len(b0), len(b0)):
+        raise ValidationError(f"family maps R^{family.param_dim} into R^{family.ambient_dim}, patch is in R^{len(b0)}")
     nodes = np.argwhere(patch.filled)
     derivs = [_axis_derivatives(patch, nodes, i) for i in range(patch.m0_dim)]
     keep = np.logical_or.reduce([has for has, _ in derivs])
     derivs = [(has[keep], values[keep]) for has, values in derivs]
-    batch = family.eval_batch(ev.ambient(patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
+    batch = family.eval_batch(_ambient(b0, bs, patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
 
     worst = 0.0
     # the rejections stack only across subspaces of one dimension
@@ -623,7 +629,7 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily, cfg: Numerics =
             if not sel.any():
                 continue
             dv = values[group][sel]
-            tangent = ev.b0[:, i] + np.matmul(ev.bs, dv[..., None])[..., 0]
+            tangent = b0[:, i] + np.matmul(bs, dv[..., None])[..., 0]
             resid = _norms(np.matmul(reject[sel], tangent[..., None])[..., 0]) / _norms(tangent)
             worst = max(worst, float(resid.max()))
     patch.diagnostics.tangency_residual = worst
@@ -651,9 +657,9 @@ def explicit_psi(
     non-finite entry, and NewtonDivergence with the residual trace if the
     update norm does not reach ``newton_tol``.
     """
-    solve, (m0_dim, estar_dim) = _graph_solver(f, gi0, x0, cfg)
-    w0 = None if w0 is None else _finite_vector(w0, estar_dim, "w0")
-    return solve(_finite_vector(z, m0_dim, "z"), w0)
+    solve, (m0, estar) = _graph_solver(f, gi0, x0, cfg)
+    w0 = None if w0 is None else _finite_vector(w0, estar.shape[1], "w0")
+    return solve(_finite_vector(z, m0.shape[1], "z"), w0)
 
 
 def _finite_vector(value, size: int, name: str) -> np.ndarray:
@@ -670,12 +676,13 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
     """``explicit_psi`` at fixed ``f``, ``gi0`` and ``x0`` as a function of
     ``(z, w0)``, with the quantities that do not depend on z computed once.
 
-    Checks ``x0`` and returns the solver with ``(dim M0, dim E*)``; the solver
-    takes ``z`` and ``w0`` as finite flat vectors of those sizes, unchecked.
+    Checks ``x0`` and returns the solver with the bases of M0 = N(T0) and
+    E* = R(T0+); the solver takes ``z`` and ``w0`` as finite flat vectors of
+    their dimensions, unchecked.
     """
     t0, t0_plus = gi0.forward, gi0.inverse
     base = _finite_vector(x0, t0.shape[1], "x0")
-    m0 = kernel_of(t0, cfg.rank_tol).basis
+    m0 = gi0._factors(cfg.rank_tol).kernel.basis
     estar = gi0.range_complement.basis
     estar_t = np.ascontiguousarray(estar.T)
     f_base = f(base)
@@ -700,7 +707,7 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
             f"graph solve did not reach {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations", trace
         )
 
-    return solve, (m0.shape[1], estar.shape[1])
+    return solve, (m0, estar)
 
 
 def _predict(history: list[np.ndarray]) -> np.ndarray:
@@ -726,12 +733,17 @@ def explicit_patch(
     line; if that start diverges, it is retried once from the previous node.
     A line stops where both starts fail, and unreachable nodes come back as
     NaN.  The integrated psi never enters a solve, so the result checks it
-    independently.  Returns an array shaped like ``patch.psi``.
+    independently.  Returns an array shaped like ``patch.psi``.  Raises
+    ValidationError unless gi0's N(T0) and R(T0+) bases are the patch's M0
+    and E* bases within ``tol_num``.
     """
-    solve, dims = _graph_solver(f, gi0, x0, cfg)
-    if dims != (patch.m0_dim, patch.estar_dim):
-        got = (patch.m0_dim, patch.estar_dim)
+    solve, (m0, estar) = _graph_solver(f, gi0, x0, cfg)
+    dims, got = (m0.shape[1], estar.shape[1]), (patch.m0_dim, patch.estar_dim)
+    if dims != got:
         raise ValidationError(f"patch has (dim M0, dim E*) = {got}, the map gives {dims}")
+    gap = np.hstack([m0, estar]) - np.hstack([patch.m0_basis, patch.estar_basis])
+    if np.max(np.abs(gap), initial=0.0) > cfg.tol_num:
+        raise ValidationError("the inverse's N(T0) and R(T0+) bases are not the patch's M0 and E* bases")
     center = patch.center_index
     out = np.full_like(patch.psi, np.nan)
     out[center] = solve(patch.node_coords(center))

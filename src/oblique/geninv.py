@@ -12,17 +12,19 @@ candidate ``B = A+ C^{-1} = D^{-1} A+`` inverts ``T`` exactly when the range
 of ``T`` stays transversal to N(A+).  ``seven_conditions`` evaluates the seven
 equivalent formulations of that transversality with signed margins.
 
-Each operator of a trial is factorised once.  A ``GenInverse`` holds
+Each operator is factorised once, toolkit-wide.  A ``GenInverse`` holds
 read-only copies of its matrices and the full SVD of ``forward`` (seeded by
 the builder that took it, else taken on first use), which callers cut at
-their own ``rank_tol``.  The facts of (A+, T, cfg) -- T's SVD and rank cut,
-sigma_min [R(T) | N(A+)], C and cond(C), B, ||TBT - T|| and ||T|| -- form one
-record, each fact taken when first read, which ``seven_conditions``,
-``rank_class_preserved`` and ``perturbed_gi`` share: the inverse keeps the
-record of the last T it admitted in one slot, keyed by the bytes of T (the
-record holds a copy) and an equal ``cfg``.  Another T or cfg, or the same
-array edited in place, misses and is admitted afresh.  A stored record never
-changes, so concurrent callers at worst take a fact twice.
+their own ``rank_tol`` (``_factors``) instead of factorising ``forward``
+again.  The facts of (A+, T, cfg) -- T's SVD and rank cut, sigma_min
+[R(T) | N(A+)], C and cond(C), B, ||TBT - T|| and ||T|| -- form one record
+(``_admit``), each fact taken when first read, which ``seven_conditions``,
+``rank_class_preserved``, ``perturbed_gi`` and the operator-manifold checks
+share: the inverse keeps the record of the last T it admitted in one slot,
+keyed by the bytes of T (the record holds a copy) and an equal ``cfg``.
+Another T or cfg, or the same array edited in place, misses and is admitted
+afresh.  A stored record never changes, so concurrent callers at worst take
+a fact twice.
 """
 
 import functools
@@ -475,11 +477,6 @@ class ProbeReport:
 
     outcomes: list[RadiusOutcome]
     alpha_modulus: list[float | None] | None = None
-
-    @property
-    def fine_radii(self) -> list[float]:
-        """Radii at which every sample admitted a continuous inverse."""
-        return [o.radius for o in self.outcomes if o.all_pass]
 
     @property
     def all_pass(self) -> bool:

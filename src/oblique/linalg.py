@@ -251,15 +251,11 @@ def _full_svd(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(arr)
 
 
-def _svd_cut(svd, tol: float | None):
-    """The one rank decision on a ``_full_svd``: (U, rank, V^T)."""
-    u, s, vh = svd
-    return u, int(_ranks(s, (len(u), len(vh)), tol)), vh
-
-
 def _svd_factors(svd, tol: float | None) -> Factors:
-    """``svd_factors`` of a matrix from its ``_full_svd``."""
-    u, r, vh = _svd_cut(svd, tol)
+    """``svd_factors`` of a matrix from its ``_full_svd``: the one rank cut
+    on a full SVD."""
+    u, s, vh = svd
+    r = int(_ranks(s, (len(u), len(vh)), tol))
     return Factors(
         Subspace._wrap(u[:, :r]), Subspace._wrap(u[:, r:]),
         Subspace._wrap(vh[:r].T), Subspace._wrap(vh[r:].T),
@@ -277,8 +273,7 @@ def svd_factors(a, tol: float | None = None) -> Factors:
 
 def kernel_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the null space at the given rank tolerance."""
-    _, r, vh = _svd_cut(_full_svd(as_matrix(a)), tol)
-    return Subspace._wrap(vh[r:].T)
+    return svd_factors(a, tol).kernel
 
 
 def _kernel_svd(arr: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +292,7 @@ def _kernel_batch(ranks: np.ndarray, vh: np.ndarray) -> SubspaceBatch:
 
 def range_of(a, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space at the given rank tolerance."""
-    u, r, _ = _svd_cut(_full_svd(as_matrix(a)), tol)
-    return Subspace._wrap(u[:, :r])
+    return svd_factors(a, tol).range
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, MembershipError, ValidationError
 from .families import SubspaceFamily
-from .geninv import GenInverse, _c_factor, _conditioned, _near_identity_sample, _probe_directions, moore_penrose, perturbed_gi, trial_rng
+from .geninv import GenInverse, _admit, _conditioned, _near_identity_sample, _probe_directions, moore_penrose, perturbed_gi, trial_rng
 from .linalg import (
     Factors,
     Subspace,
@@ -118,9 +118,8 @@ def _slice_defect(f: Factors, t: np.ndarray) -> np.ndarray:
     return np.linalg.norm(f.cokernel.basis.T @ t @ f.kernel.basis, axis=(-2, -1))
 
 
-def _factors_at(x: np.ndarray, xinv: GenInverse, cfg: Numerics) -> Factors:
-    """SVD factors of X, whose rank must be the one its inverse fixes."""
-    f = svd_factors(x, cfg.rank_tol)
+def _factors_at(f: Factors, xinv: GenInverse) -> Factors:
+    """The SVD factors of X, whose rank must be the one its inverse fixes."""
     k = xinv.range_complement.dim  # R(X+) complements N(X)
     if f.range.dim != k:
         raise ComplementError(f"operator has numerical rank {f.range.dim} but its inverse has rank {k}")
@@ -230,7 +229,7 @@ def mx_basis(ctx: OperatorFamilyContext, x, xinv: GenInverse, cfg: Numerics = DE
     m, n = xm.shape
     if (m, n) != (ctx.m, ctx.n):
         raise ValueError("operator shape does not match the context")
-    f = _factors_at(xm, xinv, cfg)
+    f = _factors_at(svd_factors(xm, cfg.rank_tol), xinv)
     basis = _tangent_slice(f.range.basis, f.cokernel.basis, f.row.basis)
     if np.max(_slice_defect(f, basis.T.reshape(-1, m, n)), initial=0.0) > cfg.tol_num:
         raise ComplementError("constructed element violates T N(X) in R(X)")
@@ -354,10 +353,10 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
     outside M(A).
     """
     xm, dxm = as_matrix(x), as_matrix(dx)
-    perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError
+    perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError; conditions C
     if _direction_defect(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
-    c = _conditioned(_c_factor(ctx.a, ctx.ainv.inverse, xm), cfg)
+    c = _admit(ctx.a, ctx.ainv, xm, cfg).c  # the C that perturbed_gi checked
     cinv_dx = np.linalg.solve(c, dxm)
     cinv_x = np.linalg.solve(c, xm)
     inner = cinv_dx @ ctx.ainv.inverse @ cinv_x - cinv_dx
@@ -466,7 +465,7 @@ def tangency_fixed_rank(
     """
     xm = as_matrix(x)
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
-    factors_x = _factors_at(xm, gi_x, cfg)
+    factors_x = _factors_at(_admit(ctx.a, ctx.ainv, xm, cfg).factors, gi_x)  # X's SVD at rank_tol
     t0 = _chart_d(ctx, xm, cfg)
     h = 1e-6 * (1.0 + op_norm(t0))
     m, n = ctx.m, ctx.n

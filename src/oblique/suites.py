@@ -50,11 +50,10 @@ from .geninv import (
 )
 from .linalg import (
     Subspace,
-    kernel_of,
     op_norm,
     orth_basis,
-    range_of,
     subspace_distance,
+    svd_factors,
     unit,
 )
 from .opmanifold import (
@@ -153,9 +152,8 @@ def random_complement(rng: np.random.Generator, sub: Subspace) -> Subspace:
 
 
 def random_gi(rng: np.random.Generator, a: np.ndarray, cfg: Numerics = DEFAULTS) -> GenInverse:
-    r_plus = random_complement(rng, kernel_of(a, cfg.rank_tol))
-    n_plus = random_complement(rng, range_of(a, cfg.rank_tol))
-    return gi_from_complements(a, r_plus, n_plus, cfg)
+    f = svd_factors(a, cfg.rank_tol)
+    return gi_from_complements(a, random_complement(rng, f.kernel), random_complement(rng, f.range), cfg)
 
 
 def sample_inside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fraction: float = 0.3) -> np.ndarray:
@@ -168,8 +166,8 @@ def sample_inside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse, fra
 def sample_outside(rng: np.random.Generator, a: np.ndarray, ainv: GenInverse) -> np.ndarray | None:
     """Perturbation in the ball that bumps the rank: a rank-one term from the
     kernel into the complement of the range, at 0.3 of the ball radius.  None
-    when the rank is full."""
-    ker = kernel_of(a)
+    when the rank is full.  The kernel comes from the SVD of A that ``ainv`` holds."""
+    ker = ainv._factors(None).kernel
     nplus = ainv.kernel_complement
     if ker.dim == 0 or nplus.dim == 0:
         return None
@@ -336,7 +334,7 @@ def run_frobenius(trials: int, seed: int, cfg: Numerics, step: float = 1e-3) -> 
     bound = cfg.ode_residual_factor * spacing**2
     check("circle_ode_residual", patch.diagnostics.ode_residual_scaled <= bound,
           patch.diagnostics.ode_residual_scaled)
-    tres = tangency_check(patch, fam, cfg)
+    tres = tangency_check(patch, fam)
     check("circle_tangency", tres <= 1e-6, tres)
     gi0 = moore_penrose(f.jacobian(x0, cfg))
     gap = float(np.nanmax(np.abs(explicit_patch(f, gi0, patch, x0=x0, cfg=cfg) - patch.psi)))
@@ -353,7 +351,7 @@ def run_frobenius(trials: int, seed: int, cfg: Numerics, step: float = 1e-3) -> 
           patch.diagnostics.path_residual)
     check("sphere_level_set", patch.diagnostics.level_set_residual <= 1e-6,
           patch.diagnostics.level_set_residual)
-    tres = tangency_check(patch, fam, cfg)
+    tres = tangency_check(patch, fam)
     # Tangency is measured by fourth-order differencing, so its defect scales
     # with spacing^4; the fine-grid bound of 1e-5 belongs to the 51-node grid.
     tangency_bound = 100.0 * max(patch.diagnostics.spacing) ** 4

@@ -11,6 +11,7 @@ from oblique import (
     DifferentiableMap,
     GenInverse,
     Subspace,
+    SubspaceFamily,
     coordinate_operator,
     integrate,
     kernel_family,
@@ -19,6 +20,7 @@ from oblique import (
     perturbed_gi,
     rank_class_preserved,
     seven_conditions,
+    tangency_check,
 )
 from oblique.builtins import builtin_map, family_from_manifest
 from oblique.frobenius import explicit_patch, explicit_psi
@@ -171,3 +173,14 @@ def test_explicit_patch_rejects_patch_of_another_dimension():
     patch = integrate(kernel_family(g, y0), 0.1, 1e-2, grid_points=3)
     with pytest.raises(ValidationError, match=r"\(dim M0, dim E\*\) = \(2, 1\)"):
         explicit_patch(f, gi0, patch, x0=x0)
+
+
+def test_tangency_check_rejects_a_family_of_other_points():
+    # a family of planes of R^3 over points of R^2: no node of a sphere_3d
+    # patch is one of its points, which would leave nothing to measure
+    f, x0 = builtin_map("sphere_3d")
+    patch = integrate(kernel_family(f, x0), 0.1, 1e-2, grid_points=3)
+    plane = Subspace(np.eye(3)[:, :2])
+    family = SubspaceFamily(lambda p: plane, np.zeros(2), plane, Subspace.span([0.0, 0.0, 1.0]))
+    with pytest.raises(ValidationError, match=r"maps R\^2 into R\^3, patch is in R\^3"):
+        tangency_check(patch, family)

@@ -1,7 +1,10 @@
-"""One factorisation per operator in a transversality trial: an inverse owns
-its arrays and its forward SVD, and one record of the facts of (A+, T, cfg)
-serves ``seven_conditions``, ``rank_class_preserved`` and ``perturbed_gi``."""
+"""One factorisation per operator: an inverse owns its arrays and its
+forward SVD, one record of the facts of (A+, T, cfg) serves
+``seven_conditions``, ``rank_class_preserved``, ``perturbed_gi`` and the
+operator-manifold checks, every other module reads the factors those objects
+hold, and a patch's coordinates come from the patch."""
 
+import json
 import sys
 import threading
 
@@ -13,20 +16,34 @@ from hypothesis import strategies as st
 from oblique import (
     BallError,
     GenInverse,
+    Subspace,
     ToolkitError,
+    alpha_operator_family,
+    explicit_psi,
     gi_from_complements,
+    grp_alpha,
+    integrate,
+    kernel_family,
     moore_penrose,
     oblique_projector,
+    operator_context,
     perturbed_gi,
     range_of,
     rank_class_preserved,
     seven_conditions,
+    tangency_check,
+    tangency_fixed_rank,
 )
+from oblique.builtins import builtin_map
+from oblique.cli import main
 from oblique.config import DEFAULTS
 from oblique.errors import ValidationError
+from oblique.frobenius import explicit_patch
 from oblique.geninv import trial_rng
 from oblique.linalg import kernel_of
-from oblique.suites import random_complement, random_rank_matrix, sample_outside
+from oblique.matio import matrix_to_dict
+from oblique.opmanifold import sample_fixed_rank_near, unvec
+from oblique.suites import random_complement, random_gi, random_rank_matrix, sample_outside
 
 
 def _near(rng, a, eps=0.01):
@@ -248,3 +265,126 @@ def test_concurrent_callers_of_one_inverse_get_fresh_reports():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
+
+
+# ---------------------------------------------------------------------------
+# every module reads the factors that an object already holds
+
+
+def _census(monkeypatch, call):
+    """The np.linalg.svd and np.linalg.cond calls that ``call()`` makes."""
+    calls = {"svd": 0, "cond": 0}
+    for name in calls:
+        wrapped = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _wrapped=wrapped, **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    call()
+    return calls["svd"], calls["cond"]
+
+
+def _tilted_sphere_patch():
+    """The sphere_3d patch around (0, 0, 1) pinned to E* = span(0.3, -0.2, 1)."""
+    f, x0 = builtin_map("sphere_3d")
+    estar = Subspace.span([0.3, -0.2, 1.0])
+    family = kernel_family(f, x0, estar=estar)
+    return f, x0, estar, family, integrate(family, 0.3, 1e-2, grid_points=7)
+
+
+def _site_kernel_family(tmp_path):
+    f, x0 = builtin_map("sphere_3d")
+    return lambda: kernel_family(f, x0)
+
+
+def _site_tangency_check(tmp_path):
+    f, x0 = builtin_map("sphere_3d")
+    family = kernel_family(f, x0)
+    patch = integrate(family, 0.3, 1e-2, grid_points=7)
+    return lambda: tangency_check(patch, family)
+
+
+def _site_explicit_psi(tmp_path):
+    f, x0 = builtin_map("sphere_3d")
+    gi0 = moore_penrose(f.jacobian(x0))
+    return lambda: explicit_psi(f, gi0, [0.1, 0.0], x0=x0)
+
+
+def _site_grp_alpha(tmp_path):
+    f, x0 = builtin_map("sphere_3d")
+    gi0 = moore_penrose(f.jacobian(x0))
+    return lambda: grp_alpha(f, gi0, x0 + np.array([0.05, 0.02, 0.0]))
+
+
+def _operator_site():
+    ctx = operator_context(random_rank_matrix(trial_rng(4, 0), 4, 3, 2))
+    return ctx, sample_fixed_rank_near(ctx, trial_rng(4, 1))
+
+
+def _site_alpha_operator_family(tmp_path):
+    ctx, x = _operator_site()
+    dx = unvec(ctx.m0.basis[:, 0], ctx.m, ctx.n)
+    return lambda: alpha_operator_family(ctx, x, dx)
+
+
+def _site_tangency_fixed_rank(tmp_path):
+    ctx, x = _operator_site()
+    perturbed_gi(ctx.a, ctx.ainv, x)  # X admitted: its record holds X's SVD
+    return lambda: tangency_fixed_rank(ctx, x, 4)
+
+
+def _site_random_gi(tmp_path):
+    a = random_rank_matrix(trial_rng(4, 3), 4, 5, 2)
+    return lambda: random_gi(trial_rng(4, 4), a)
+
+
+def _site_cli_conditions(tmp_path):
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    paths = {}
+    for name, m in (("a", a), ("ainv", np.linalg.pinv(a)), ("t", a + 0.01)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(matrix_to_dict(m)))
+    return lambda: main(["conditions", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(tmp_path / "out.json")])
+
+
+# site: (np.linalg.svd calls, np.linalg.cond calls), each one fewer than
+# when the site factorised again what it was given
+CENSUS = {
+    "alpha_operator_family": (_site_alpha_operator_family, 3, 1),  # was (3, 2)
+    "cli_conditions": (_site_cli_conditions, 19, 1),  # was (20, 1)
+    "explicit_psi": (_site_explicit_psi, 0, 0),  # was (1, 0)
+    "grp_alpha": (_site_grp_alpha, 3, 1),  # was (4, 1)
+    "kernel_family": (_site_kernel_family, 6, 0),  # was (7, 0)
+    "random_gi": (_site_random_gi, 9, 0),  # was (10, 0)
+    "tangency_check": (_site_tangency_check, 1, 0),  # was (4, 0)
+    "tangency_fixed_rank": (_site_tangency_fixed_rank, 2, 1),  # was (3, 1)
+}
+
+
+@pytest.mark.parametrize("site", sorted(CENSUS))
+def test_each_site_reads_the_factors_it_is_given(monkeypatch, tmp_path, site):
+    setup, svds, conds = CENSUS[site]
+    assert _census(monkeypatch, setup(tmp_path)) == (svds, conds)
+
+
+# ---------------------------------------------------------------------------
+# a patch's coordinates come from the patch
+
+
+def test_tangency_check_lifts_with_the_patchs_own_bases():
+    f, x0, _, tilted, patch = _tilted_sphere_patch()
+    own = tangency_check(patch, tilted)
+    # the same kernels pinned to the default E*: another coordinate system,
+    # but the same subspaces at the same points
+    assert tangency_check(patch, kernel_family(f, x0)) == own < 1e-3
+
+
+def test_explicit_patch_refuses_an_inverse_in_other_coordinates():
+    f, x0, estar, _, patch = _tilted_sphere_patch()
+    t0 = f.jacobian(x0)
+    with pytest.raises(ValidationError, match=r"not the patch's M0 and E\* bases"):
+        explicit_patch(f, moore_penrose(t0), patch, x0=x0)
+    own = explicit_patch(f, gi_from_complements(t0, estar, Subspace.trivial(1)), patch, x0=x0)
+    assert np.nanmax(np.abs(own - patch.psi)) < 1e-8
