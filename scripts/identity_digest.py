@@ -20,10 +20,11 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   --grid 21 --step 1e-2`` for a kernel manifest M of ``sphere_3d`` at
   (0, 0, 1) with the tilted complement E* = span(0.3, -0.2, 1): the closed
   form against non-orthogonal pinned bases, and a node left unfilled;
-* the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N`` and
-  of ``oblique conditions --a A --ainv AP --t T`` for the small fixed
-  matrices of ``MATRICES``: an inverse with prescribed complements and the
-  seven conditions against a given, not orthogonal, inverse.
+* the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
+  ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
+  A`` for the small fixed matrices of ``MATRICES``: an inverse with
+  prescribed complements, the seven conditions against a given, not
+  orthogonal, inverse, and ``operator_context`` on a matrix read from a file.
 
 Run it in two checkouts and ``diff`` the outputs: equal lines mean equal
 bytes.  BLAS pools are pinned to one thread, as in a benchmark run.
@@ -109,7 +110,7 @@ def main() -> int:
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": sum(rows, [])}))
         for argv in (["gi", "--a", "A_gi", "--r-plus", "R", "--n-plus", "N"],
-                     ["conditions", "--a", "A", "--ainv", "AP", "--t", "T"]):
+                     ["conditions", "--a", "A", "--ainv", "AP", "--t", "T"], ["chart", "--a", "A"]):
             print(f"{' '.join(argv)}  {cli_digest([paths.get(arg, arg) for arg in argv])}")
     return 0
 

@@ -20,8 +20,11 @@ from .geninv import GenInverse, _admit, _conditioned, _d_factor, _probe_directio
 from .linalg import (
     Subspace,
     SubspaceBatch,
+    _built,
     _kernel_batch,
     _kernel_svd,
+    _read_only,
+    as_matrix,
     direct_sum_check,
     kernel_of,
     oblique_projector,
@@ -54,10 +57,7 @@ class CoordinateOperator:
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=float)
-        if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-            raise ValueError("alpha must be a finite 2-d array")
-        object.__setattr__(self, "alpha", arr)
+        object.__setattr__(self, "alpha", _read_only(as_matrix(self.alpha, "alpha")))
 
     @property
     def norm(self) -> float:
@@ -141,7 +141,7 @@ class SubspaceFamily:
     source_map: DifferentiableMap | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float).ravel())
+        object.__setattr__(self, "base_point", _read_only(np.asarray(self.base_point, dtype=float).ravel()))
         if not direct_sum_check(self.base_subspace, self.complement):
             raise ComplementError("base subspace and complement do not split the ambient space")
         at_base = self.eval(self.base_point)
@@ -279,7 +279,7 @@ def coordinate_operator(m0: Subspace, estar: Subspace, mx: Subspace, cfg: Numeri
     onto_mx = oblique_projector(mx, estar, cfg)
     onto_estar = oblique_projector(estar, m0, cfg)
     lifted = onto_estar.matrix @ (onto_mx.matrix @ m0.basis)
-    return CoordinateOperator(estar.basis.T @ lifted)
+    return _built(CoordinateOperator, estar.basis.T @ lifted)
 
 
 def graph_subspace(m0: Subspace, estar: Subspace, alpha: CoordinateOperator) -> Subspace:
@@ -287,8 +287,6 @@ def graph_subspace(m0: Subspace, estar: Subspace, alpha: CoordinateOperator) -> 
     arr = alpha.alpha
     if arr.shape != (estar.dim, m0.dim):
         raise DimensionError(f"alpha shape {arr.shape} incompatible with ({estar.dim}, {m0.dim})")
-    if m0.dim == 0:
-        return Subspace.trivial(m0.ambient_dim)
     return Subspace._wrap(orth_basis(m0.basis + estar.basis @ arr))
 
 
@@ -341,7 +339,7 @@ def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS
     m0 = gi0._factors(cfg.rank_tol).kernel
     d = _conditioned(_d_factor(t0, gi0.inverse, tx), cfg)
     lifted = onto_estar @ np.linalg.solve(d, onto_kernel @ m0.basis)
-    return CoordinateOperator(gi0.range_complement.basis.T @ lifted)
+    return _built(CoordinateOperator, gi0.range_complement.basis.T @ lifted)
 
 
 def generalized_regular_probe(

@@ -13,8 +13,8 @@ of ``T`` stays transversal to N(A+).  ``seven_conditions`` evaluates the seven
 equivalent formulations of that transversality with signed margins.
 
 Each operator is factorised once, toolkit-wide.  A ``GenInverse`` holds
-read-only copies of its matrices and the full SVD of ``forward`` (seeded by
-the builder that took it, else taken on first use), which callers cut at
+read-only matrices (see ``linalg``) and the full SVD of ``forward`` (seeded
+by the builder that took it, else taken on first use), which callers cut at
 their own ``rank_tol`` (``_factors``) instead of factorising ``forward``
 again.  The facts of (A+, T, cfg) -- T's SVD and rank cut, sigma_min
 [R(T) | N(A+)], C and cond(C), B, ||TBT - T|| and ||T|| -- form one record
@@ -24,7 +24,7 @@ share: the inverse keeps the record of the last T it admitted in one slot,
 keyed by the bytes of T (the record holds a copy) and an equal ``cfg``.
 Another T or cfg, or the same array edited in place, misses and is admitted
 afresh.  A stored record never changes, so concurrent callers at worst take
-a fact twice.
+a fact twice, and the inverse ``perturbed_gi`` returns holds its T and B.
 """
 
 import functools
@@ -40,11 +40,13 @@ from .errors import BallError, ComplementError, ToolkitError, TransversalityErro
 from .linalg import (
     Factors,
     Subspace,
+    _built,
     _full_svd,
     _norm_exceeds,
     _op_norm_pair,
     _projector_matrix,
     _ranks,
+    _read_only,
     _screened_norm,
     _smallest_stacked,
     _svd_factors,
@@ -122,7 +124,7 @@ class GenInverse:
     @functools.cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The full SVD (U, s, V^T) of ``forward``, seeded by the builders
-        that took it (``_with_svd``), else taken on first access."""
+        that took it, else taken on first access."""
         return _full_svd(self.forward)
 
     def _factors(self, tol: float | None) -> Factors:
@@ -146,32 +148,20 @@ class GenInverse:
             raise ComplementError(f"inverse axioms violated: {bad}")
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    copy = arr.copy()
-    copy.flags.writeable = False
-    return copy
-
-
-def _with_svd(gi: GenInverse, svd) -> GenInverse:
-    """``gi`` seeded with the full SVD of its ``forward`` that its builder took."""
-    gi.__dict__["_svd"] = svd
-    return gi
-
-
 def moore_penrose(a, tol: float | None = None) -> GenInverse:
     """Pseudoinverse with orthogonal complements, from one SVD.
 
     The same rank decision fixes the inverse, R(A+) (row space) and
     N(A+) (orthogonal complement of the column space).
     """
-    arr = as_matrix(a)
+    arr = _read_only(as_matrix(a))
     m, n = arr.shape
     if arr.size == 0 or not arr.any():
-        return GenInverse(arr, np.zeros((n, m)), Subspace.trivial(n), Subspace.full(m))
+        return _built(GenInverse, arr, np.zeros((n, m)), Subspace.trivial(n), Subspace.full(m))
     u, s, vh = svd = _full_svd(arr)
     r = int(_ranks(s, arr.shape, tol))
     inv = (vh[:r].T / s[:r]) @ u[:, :r].T
-    return _with_svd(GenInverse(arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:])), svd)
+    return _built(GenInverse, arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:]), _svd=svd)
 
 
 def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = DEFAULTS) -> GenInverse:
@@ -181,7 +171,7 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
     inverse is A restricted to r_plus -> R(A), inverted there, and extended by
     zero on n_plus.
     """
-    arr = as_matrix(a)
+    arr = _read_only(as_matrix(a))
     svd = _full_svd(arr)
     rng, _, _, ker = _svd_factors(svd, cfg.rank_tol)
     if not direct_sum_check(r_plus, ker, cfg):
@@ -195,7 +185,7 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
         onto_range = _projector_matrix(rng, n_plus)  # the direct sum checked just above
         restricted = arr @ r_plus.basis  # full column rank by transversality
         inv = r_plus.basis @ (np.linalg.pinv(restricted) @ onto_range)
-    return _with_svd(GenInverse(arr, inv, r_plus, n_plus), svd)
+    return _built(GenInverse, arr, inv, r_plus, n_plus, _svd=svd)
 
 
 def c_op(a, ainv: GenInverse, t) -> np.ndarray:
@@ -253,9 +243,7 @@ class _Perturbation:
     @functools.cached_property
     def b(self) -> np.ndarray:
         """B = A+ C^{-1}, solved after C's one conditioning check; read-only."""
-        b = np.linalg.solve(_conditioned(self.c, self.cfg, self.cond).T, self.a_plus.T).T
-        b.flags.writeable = False
-        return b
+        return _read_only(np.linalg.solve(_conditioned(self.c, self.cfg, self.cond).T, self.a_plus.T).T, copy=False)
 
     @functools.cached_property
     def tbt_norms(self) -> tuple[float, float]:
@@ -333,7 +321,7 @@ def perturbed_gi(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> GenInverse
     resid = _relative(p.tbt_norms)
     if resid > cfg.cond_tol:
         raise TransversalityError(f"candidate violates T B T = T (residual {resid:.3e})")
-    return GenInverse(p.t, p.b, ainv.range_complement, ainv.kernel_complement)
+    return _built(GenInverse, p.t, p.b, ainv.range_complement, ainv.kernel_complement)
 
 
 @dataclass(frozen=True, eq=False)

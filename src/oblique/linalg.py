@@ -8,8 +8,9 @@ Conventions used everywhere downstream:
 * complements default to orthogonal complements but any transversal
   complement may be supplied explicitly.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe to call concurrently.
+All values are immutable: a caller's array is checked and copied once, read-only
+(``_read_only``); one the toolkit built is frozen, never copied (``_built``).  All
+operations are pure functions, so everything here is safe to call concurrently.
 """
 
 import math
@@ -52,6 +53,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _read_only(arr: np.ndarray, copy: bool = True) -> np.ndarray:
+    """A caller's checked array copied once, or the toolkit's own (``copy=False``), made read-only."""
+    arr = arr.copy() if copy else arr
+    arr.setflags(write=False)
+    return arr
+
+
+def _built(cls, *values, **cached):
+    """Dataclass ``cls`` of checked values the toolkit built: arrays frozen, ``cached`` seeded, no ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, _read_only(value, copy=False) if isinstance(value, np.ndarray) else value)
+    obj.__dict__.update(cached)
+    return obj
 
 
 def op_norm(a) -> float:
@@ -156,13 +173,12 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        arr = as_matrix(self.basis, "basis")
+        arr = _read_only(as_matrix(self.basis, "basis"))
         object.__setattr__(self, "basis", arr)
         n, k = arr.shape
         if k > n:
             raise ValueError(f"basis has more columns ({k}) than rows ({n})")
-        gram = arr.T @ arr
-        if not np.allclose(gram, np.eye(k), atol=DEFAULTS.tol_ortho):
+        if not np.allclose(arr.T @ arr, np.eye(k), atol=DEFAULTS.tol_ortho):
             raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -175,11 +191,11 @@ class Subspace:
 
     @staticmethod
     def trivial(ambient_dim: int) -> "Subspace":
-        return Subspace(np.zeros((ambient_dim, 0)))
+        return Subspace._wrap(np.zeros((ambient_dim, 0)))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(np.eye(ambient_dim))
+        return Subspace._wrap(np.eye(ambient_dim))
 
     @staticmethod
     def span(*vectors) -> "Subspace":
@@ -189,16 +205,16 @@ class Subspace:
 
     @staticmethod
     def _wrap(basis: np.ndarray) -> "Subspace":
-        # Fast path for bases coming straight out of an SVD/QR: orthonormal
-        # by construction, so the validating __post_init__ is skipped.
+        """A basis the toolkit built orthonormal (from an SVD or QR), frozen, not copied or checked."""
         obj = object.__new__(Subspace)
-        object.__setattr__(obj, "basis", basis)
+        object.__setattr__(obj, "basis", _read_only(basis, copy=False))
         return obj
 
     def orthogonal_complement(self) -> "Subspace":
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return kernel_of(self.basis.T)
+        """Taken on first call and kept, as the basis cannot change; the first one stored wins."""
+        if "_complement" not in self.__dict__:
+            self.__dict__.setdefault("_complement", Subspace.full(self.ambient_dim) if self.dim == 0 else kernel_of(self.basis.T))
+        return self.__dict__["_complement"]
 
     def orthogonal_projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
@@ -301,6 +317,9 @@ class Projector:
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(as_matrix(self.matrix)))
+
 
 def _margin(u: Subspace, v: Subspace, cfg: Numerics, fits: Callable[[int, int], bool]) -> float:
     """Smallest singular value of [u.basis | v.basis] (1.0 when empty) minus
@@ -354,7 +373,7 @@ def oblique_projector(range_: Subspace, nullspace: Subspace, cfg: Numerics = DEF
         raise ComplementError(
             f"not a direct sum: dim {range_.dim} + {nullspace.dim} in R^{range_.ambient_dim}, margin {margin:.3e}"
         )
-    return Projector(matrix=_projector_matrix(range_, nullspace))
+    return _built(Projector, _projector_matrix(range_, nullspace))
 
 
 def _projector_matrix(range_: Subspace, nullspace: Subspace) -> np.ndarray:

@@ -39,6 +39,7 @@ from .linalg import (
     Subspace,
     SubspaceBatch,
     _EPS,
+    _built,
     _ranks,
     _screened_norm,
     _screened_norms,
@@ -190,11 +191,9 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
         ainv = moore_penrose(arr)
     elif not np.array_equal(ainv.forward, arr):
         raise ValidationError(f"inverse belongs to a different operator than the {arr.shape} base")
-    m, n = arr.shape
-    p_ra = arr @ ainv.inverse
-    p_ra_plus = ainv.inverse @ arr
-    p_na_plus = np.eye(m) - p_ra
-    p_na = np.eye(n) - p_ra_plus
+    m, n = arr.shape  # below, A is ainv.forward, which an edit of a cannot reach
+    p_ra = ainv.forward @ ainv.inverse
+    p_ra_plus = ainv.inverse @ ainv.forward
 
     # M(A) (+) E* = R^{mn} exactly when R(A) (+) N(A+) splits the codomain
     # and N(A) (+) R(A+) splits the domain.
@@ -207,15 +206,11 @@ def operator_context(a, ainv: GenInverse | None = None, cfg: Numerics = DEFAULTS
     # Every complement element n w^T must map into N(A+) and kill R(A+), up
     # to tol_num or to the projectors' rounding, eps ||A|| ||A+||, if larger
     # (its two SVDs run only for a residual past tol_num).
-    n_plus = ainv.kernel_complement.basis
     r_plus_perp = ainv.range_complement.orthogonal_complement().basis
-    residual = max(op_norm(p_ra @ n_plus), op_norm(r_plus_perp.T @ p_ra_plus))
-    if residual > cfg.tol_num and residual > 16.0 * _EPS * (op_norm(arr) * op_norm(ainv.inverse)):
+    residual = max(op_norm(p_ra @ ainv.kernel_complement.basis), op_norm(r_plus_perp.T @ p_ra_plus))
+    if residual > cfg.tol_num and residual > 16.0 * _EPS * (op_norm(ainv.forward) * op_norm(ainv.inverse)):
         raise ComplementError("complement element violates its range/kernel characterization")
-    return OperatorFamilyContext(
-        a=arr, ainv=ainv, factors=f,
-        p_ra=p_ra, p_na_plus=p_na_plus, p_ra_plus=p_ra_plus, p_na=p_na,
-    )
+    return _built(OperatorFamilyContext, ainv.forward, ainv, f, p_ra, np.eye(m) - p_ra, p_ra_plus, np.eye(n) - p_ra_plus)
 
 
 def mx_basis(ctx: OperatorFamilyContext, x, xinv: GenInverse, cfg: Numerics = DEFAULTS) -> Subspace:
@@ -302,7 +297,7 @@ def _chart_d(ctx: OperatorFamilyContext, x: np.ndarray, cfg: Numerics) -> np.nda
     return (x - ctx.a) @ ctx.p_ra_plus + np.linalg.solve(c, x)
 
 
-def chart_d_star(ctx: OperatorFamilyContext, t, cfg: Numerics = DEFAULTS) -> np.ndarray:
+def chart_d_star(ctx: OperatorFamilyContext, t) -> np.ndarray:
     """Inverse chart D*(T) = T P[R(A+)] + C(A+, T) T P[N(A)]; D*(A) = A."""
     return _chart_d_star(ctx, as_matrix(t))
 

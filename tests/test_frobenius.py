@@ -211,6 +211,8 @@ def test_node_checks_take_the_splitting_test_of_the_march():
     assert patch.diagnostics.cofinal_failures == 0 and not patch.diagnostics.breached
     nodes = patch.reconstruct()[patch.filled]
     assert not all(direct_sum_check(fam.eval(u), fam.complement, cfg) for u in nodes)
+    tangency_check(patch, fam)
+    assert_matches_reference(patch, SerialReference(fam, cfg).run(patch, 1e-2))
 
 
 DIAGNOSTIC_KEYS = [
@@ -363,12 +365,9 @@ class SerialReference:
             if not patch.filled[idx]:
                 continue
             u = self.ambient(patch.node_coords(idx), patch.psi[idx])
-            try:
-                mx = self.family.eval(u)
-            except EvalError:
-                failures += 1
-                continue
-            if not direct_sum_check(mx, self.family.complement, self.cfg):
+            try:  # the march's splitting test, sigma_min(Cperp^T Q) > tol_split
+                am = self.alpha(self.family.eval(u), self.cperp.T @ self.b0)
+            except (EvalError, CofinalBreach):
                 failures += 1
                 continue
             if f is not None:
@@ -378,11 +377,6 @@ class SerialReference:
             ahead = [idx[:i] + (idx[i] + 1,) + idx[i + 1 :] for i in range(d)]
             back = [idx[:i] + (idx[i] - 1,) + idx[i + 1 :] for i in range(d)]
             if not all(patch.filled[p] and patch.filled[m] for p, m in zip(ahead, back)):
-                continue
-            try:
-                am = self.alpha(mx, self.cperp.T @ self.b0)
-            except CofinalBreach:
-                failures += 1
                 continue
             scale = (1.0 + op_norm(am)) ** 3
             for i in range(d):
@@ -800,7 +794,9 @@ def test_long_line_breaching_partway_matches_serial_reference(region):
 
 def test_integrate_wraps_no_subspace_per_node(monkeypatch):
     # the lattice path reads stacked bases: the number of Subspace objects
-    # made during integrate does not grow with the number of nodes
+    # made during integrate does not grow with the number of nodes; each run
+    # has a fresh family, as a run's first one takes E*'s complement, which
+    # E* then keeps
     wrap, made = Subspace._wrap, [0]
 
     def counted(basis):
@@ -808,9 +804,9 @@ def test_integrate_wraps_no_subspace_per_node(monkeypatch):
         return wrap(basis)
 
     monkeypatch.setattr(Subspace, "_wrap", staticmethod(counted))
-    fam = circle_family()[2]
     counts = []
     for step in (2e-2, 5e-3):
+        fam = circle_family()[2]
         made[0] = 0
         patch = integrate(fam, 0.9, step)
         counts.append((patch.filled.sum(), made[0]))

@@ -38,7 +38,7 @@ from oblique.builtins import builtin_map
 from oblique.cli import main
 from oblique.config import DEFAULTS
 from oblique.errors import ValidationError
-from oblique.frobenius import explicit_patch
+from oblique.frobenius import _AlphaEvaluator, explicit_patch
 from oblique.geninv import trial_rng
 from oblique.linalg import kernel_of
 from oblique.matio import matrix_to_dict
@@ -335,6 +335,17 @@ def _site_tangency_fixed_rank(tmp_path):
     return lambda: tangency_fixed_rank(ctx, x, 4)
 
 
+def _site_alpha_evaluator(tmp_path):
+    f, x0 = builtin_map("sphere_3d")
+    family = kernel_family(f, x0)
+    return lambda: _AlphaEvaluator(family, DEFAULTS)
+
+
+def _site_operator_context(tmp_path):
+    a = random_rank_matrix(trial_rng(4, 0), 4, 3, 2)
+    return lambda: operator_context(a).estar
+
+
 def _site_random_gi(tmp_path):
     a = random_rank_matrix(trial_rng(4, 3), 4, 5, 2)
     return lambda: random_gi(trial_rng(4, 4), a)
@@ -350,13 +361,16 @@ def _site_cli_conditions(tmp_path):
 
 
 # site: (np.linalg.svd calls, np.linalg.cond calls), each one fewer than
-# when the site factorised again what it was given
+# when the site factorised again what it was given; at the two complement
+# sites, E*'s and R(A+)'s orthogonal complement, which the subspace keeps
 CENSUS = {
+    "alpha_evaluator": (_site_alpha_evaluator, 2, 0),  # was (3, 0)
     "alpha_operator_family": (_site_alpha_operator_family, 3, 1),  # was (3, 2)
     "cli_conditions": (_site_cli_conditions, 19, 1),  # was (20, 1)
     "explicit_psi": (_site_explicit_psi, 0, 0),  # was (1, 0)
     "grp_alpha": (_site_grp_alpha, 3, 1),  # was (4, 1)
     "kernel_family": (_site_kernel_family, 6, 0),  # was (7, 0)
+    "operator_context": (_site_operator_context, 6, 0),  # was (7, 0)
     "random_gi": (_site_random_gi, 9, 0),  # was (10, 0)
     "tangency_check": (_site_tangency_check, 1, 0),  # was (4, 0)
     "tangency_fixed_rank": (_site_tangency_fixed_rank, 2, 1),  # was (3, 1)
