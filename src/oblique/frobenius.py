@@ -181,10 +181,10 @@ class _AlphaEvaluator:
         self.d = family.base_subspace.dim
         self.e = family.complement.dim
         n = family.ambient_dim
+        self.cperp = family.complement.orthogonal_complement().basis  # kept on E*: the projector reads it
         self.onto_m0 = oblique_projector(family.base_subspace, family.complement, cfg).matrix
         # rows extracting E*-coordinates of the projection along M0
         self.estar_rows = self.bs.T @ (np.eye(n) - self.onto_m0)
-        self.cperp = family.complement.orthogonal_complement().basis
         # right-hand sides of the solve: all columns of alpha, or one axis
         self.full_rhs = self.cperp.T @ self.b0
         self.axis_rhs = np.stack([(self.cperp.T @ self.b0[:, i])[:, None] for i in range(self.d)])

@@ -242,8 +242,8 @@ class _Perturbation:
 
     @functools.cached_property
     def b(self) -> np.ndarray:
-        """B = A+ C^{-1}, solved after C's one conditioning check; read-only."""
-        return _read_only(np.linalg.solve(_conditioned(self.c, self.cfg, self.cond).T, self.a_plus.T).T, copy=False)
+        """B = A+ C^{-1}, solved after C's one conditioning check; read-only, in storage of its own."""
+        return _read_only(np.linalg.solve(_conditioned(self.c, self.cfg, self.cond).T, self.a_plus.T).T)
 
     @functools.cached_property
     def tbt_norms(self) -> tuple[float, float]:

@@ -56,7 +56,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _read_only(arr: np.ndarray, copy: bool = True) -> np.ndarray:
-    """A caller's checked array copied once, or the toolkit's own (``copy=False``), made read-only."""
+    """``arr`` made read-only: copied into storage of its own, or with ``copy=False`` frozen in place."""
     arr = arr.copy() if copy else arr
     arr.setflags(write=False)
     return arr
@@ -384,9 +384,9 @@ def _projector_matrix(range_: Subspace, nullspace: Subspace) -> np.ndarray:
         return np.zeros((n, n))
     if nullspace.dim == 0:
         return np.eye(n)
-    b = range_.basis
-    c = nullspace.orthogonal_complement().basis
-    return b @ np.linalg.solve(c.T @ b, c.T)
+    # a complement the nullspace keeps is read; one taken here is not kept, so a caller's subspace does not grow
+    c = (nullspace.__dict__.get("_complement") or kernel_of(nullspace.basis.T)).basis
+    return range_.basis @ np.linalg.solve(c.T @ range_.basis, c.T)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> float:

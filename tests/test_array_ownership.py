@@ -51,6 +51,12 @@ def test_subspace_keeps_its_orthogonal_complement():
     perp = sub.orthogonal_complement()
     assert perp is sub.orthogonal_complement() and perp.dim == 2
     assert Subspace.trivial(3).orthogonal_complement().dim == 3
+    # a projector along a subspace reads the complement it keeps, but keeps
+    # none it takes itself: a caller's subspace stays as small as it was
+    plane, fresh = Subspace.span([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), Subspace.span([1.0, 1.0, 0.0])
+    along_fresh = oblique_projector(plane, fresh).matrix
+    assert "_complement" not in fresh.__dict__
+    assert oblique_projector(plane, sub).matrix.tobytes() == along_fresh.tobytes()
 
 
 def test_projector_owns_its_matrix():
