@@ -20,6 +20,9 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   --grid 21 --step 1e-2`` for a kernel manifest M of ``sphere_3d`` at
   (0, 0, 1) with the tilted complement E* = span(0.3, -0.2, 1): the closed
   form against non-orthogonal pinned bases, and a node left unfilled;
+* the sha1 of the stdout of ``oblique integrate --manifest P --extent 0.5
+  --step 1e-2`` for the README's polynomial circle manifest P with a
+  ``rank_tol`` key: ``kernel_family`` on a polynomial map at its own rank cut;
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with
@@ -43,6 +46,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (3, 4)
 TILTED = {"kind": "kernel", "map": "sphere_3d", "x0": [0.0, 0.0, 1.0],
           "estar": {"rows": 3, "cols": 1, "data": [0.3, -0.2, 1.0]}}
+CIRCLE = {"kind": "kernel", "map": {"dom_dim": 2, "components": [[[1.0, [2, 0]], [1.0, [0, 2]]]]},
+          "x0": [0.0, 1.0], "rank_tol": 1e-9}
 # A_gi has rank 2 with N(A_gi) = span(2, -1, 1); R and N are transversal to
 # its kernel and range.  AP is a {1,2}-inverse of A, and T keeps A's range.
 MATRICES = {
@@ -105,6 +110,10 @@ def main() -> int:
         manifest.write_text(json.dumps(TILTED))
         argv = ["integrate", "--manifest", str(manifest), "--extent", "0.5", "--grid", "21", "--step", "1e-2"]
         print(f"integrate --manifest sphere_3d-tilted.json --extent 0.5 --grid 21 --step 1e-2  {cli_digest(argv)}")
+        manifest = Path(tmp) / "circle.json"
+        manifest.write_text(json.dumps(CIRCLE))
+        argv = ["integrate", "--manifest", str(manifest), "--extent", "0.5", "--step", "1e-2"]
+        print(f"integrate --manifest circle-rank_tol.json --extent 0.5 --step 1e-2  {cli_digest(argv)}")
         paths = {}
         for name, rows in MATRICES.items():
             paths[name] = str(Path(tmp) / f"{name}.json")

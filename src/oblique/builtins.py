@@ -151,6 +151,8 @@ def family_from_manifest(manifest: dict, cfg: Numerics = DEFAULTS) -> SubspaceFa
         spec = manifest.get("map")
         if isinstance(spec, str):
             if spec == "sec4_2x2":
+                if fixed := sorted({"x0", "estar", "rank_tol"} & manifest.keys()):
+                    raise ValidationError(f"sec4_2x2 fixes its own base, complement and rank cut; drop {', '.join(fixed)}")
                 return builtin_family(spec, cfg)
             f, default_x0 = builtin_map(spec)
             x0 = np.asarray(manifest.get("x0", default_x0), dtype=float)

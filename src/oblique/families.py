@@ -142,8 +142,7 @@ class SubspaceFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "base_point", _read_only(np.asarray(self.base_point, dtype=float).ravel()))
-        if not direct_sum_check(self.base_subspace, self.complement):
-            raise ComplementError("base subspace and complement do not split the ambient space")
+        _splitting(self.base_subspace, self.complement)
         at_base = self.eval(self.base_point)
         if subspace_distance(at_base, self.base_subspace) > DEFAULTS.tol_num:
             raise ValueError("family does not evaluate to the base subspace at the base point")
@@ -196,6 +195,13 @@ class SubspaceFamily:
         stacks = {k: np.stack([s.basis for s in subs if s is not None and s.dim == k])
                   for k in set(dims.tolist()) - {-1}}
         return SubspaceBatch(self.ambient_dim, dims, stacks)
+
+
+def _splitting(base: Subspace, complement: Subspace) -> Subspace:
+    """``complement``, once checked to split the ambient space with ``base``."""
+    if not direct_sum_check(base, complement):
+        raise ComplementError("base subspace and complement do not split the ambient space")
+    return complement
 
 
 class _JacobianKernels:
@@ -299,8 +305,9 @@ def kernel_family(
 ) -> SubspaceFamily:
     """Family of Jacobian kernels x -> N(f'(x)) anchored at ``x0``.
 
-    The default complement is the row space of f'(x0), the range of its
-    pseudoinverse, whose SVD also gives the base kernel.
+    One SVD of f'(x0) gives the base kernel, bit for bit the family's value at
+    ``x0``, and the default complement, the row space of f'(x0), which splits
+    with it by construction; only a caller's ``estar`` is checked (ComplementError).
     """
     base = np.asarray(x0, dtype=float).ravel()
     if base.size != f.dom_dim:
@@ -309,13 +316,9 @@ def kernel_family(
     t0 = f.jacobian(base, cfg)
     tol = cfg.rank_tol if rank_tol is None else rank_tol
     gi0 = moore_penrose(t0, tol)
-    return SubspaceFamily(
-        eval_fn=_JacobianKernels(f, cfg, tol, t0),
-        base_point=base,
-        base_subspace=gi0._factors(tol).kernel,
-        complement=gi0.range_complement if estar is None else estar,
-        source_map=f,
-    )
+    kernel = gi0._factors(tol).kernel
+    complement = gi0.range_complement if estar is None else _splitting(kernel, estar)
+    return _built(SubspaceFamily, _JacobianKernels(f, cfg, tol, t0), _read_only(base), kernel, complement, f)
 
 
 def grp_alpha(f: DifferentiableMap, gi0: GenInverse, x, cfg: Numerics = DEFAULTS) -> CoordinateOperator:

@@ -135,8 +135,8 @@ class GenInverse:
         a, b = self.forward, self.inverse
         rng_b, _, _, ker_b = svd_factors(b)
         return {
-            "aba": op_norm(a @ b @ a - a) / (1.0 + op_norm(a)),
-            "bab": op_norm(b @ a @ b - b) / (1.0 + op_norm(b)),
+            "aba": _relative(_op_norm_pair(a @ b @ a - a, a)),
+            "bab": _relative(_op_norm_pair(b @ a @ b - b, b)),
             "range_match": subspace_distance(rng_b, self.range_complement),
             "kernel_match": subspace_distance(ker_b, self.kernel_complement),
         }
@@ -178,13 +178,9 @@ def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = D
         raise ComplementError("supplied range complement is not transversal to the kernel")
     if not direct_sum_check(rng, n_plus, cfg):
         raise ComplementError("supplied kernel complement is not transversal to the range")
-    m, n = arr.shape
-    if r_plus.dim == 0:
-        inv = np.zeros((n, m))
-    else:
-        onto_range = _projector_matrix(rng, n_plus)  # the direct sum checked just above
-        restricted = arr @ r_plus.basis  # full column rank by transversality
-        inv = r_plus.basis @ (np.linalg.pinv(restricted) @ onto_range)
+    onto_range = _projector_matrix(rng, n_plus)  # the direct sum checked just above
+    restricted = arr @ r_plus.basis  # full column rank by transversality
+    inv = r_plus.basis @ (np.linalg.pinv(restricted) @ onto_range)
     return _built(GenInverse, arr, inv, r_plus, n_plus, _svd=svd)
 
 
@@ -390,11 +386,8 @@ def seven_conditions(a, ainv: GenInverse, t, cfg: Numerics = DEFAULTS) -> Condit
     image = Subspace._wrap(orth_basis(domain_proj @ ker_t.basis, cfg.rank_tol))
     margins["v"] = cfg.cond_tol - subspace_distance(image, ker_a)
 
-    if ker_a.dim == 0:
-        margins["vi"] = cfg.cond_tol
-    else:
-        mapped = np.linalg.solve(c, tm @ ker_a.basis)
-        margins["vi"] = cfg.cond_tol - _relative(_op_norm_pair(mapped - onto_range_a @ mapped, mapped))
+    mapped = np.linalg.solve(c, tm @ ker_a.basis)
+    margins["vi"] = cfg.cond_tol - _relative(_op_norm_pair(mapped - onto_range_a @ mapped, mapped))
 
     mapped = np.linalg.solve(c, tm)
     margins["vii"] = cfg.cond_tol - _relative(_op_norm_pair(mapped - onto_range_a @ mapped, mapped))
@@ -449,15 +442,6 @@ class RadiusOutcome:
     def max_deviation(self) -> float | None:
         return max(self.deviations) if self.deviations else None
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "all_pass": self.all_pass,
-            "max_deviation": self.max_deviation,
-            "n_samples": len(self.deviations) + len(self.failures),
-            "failures": list(self.failures),
-        }
-
 
 @dataclass
 class ProbeReport:
@@ -469,12 +453,6 @@ class ProbeReport:
     @property
     def all_pass(self) -> bool:
         return all(o.all_pass for o in self.outcomes)
-
-    def to_dict(self) -> dict:
-        d = {"outcomes": [o.to_dict() for o in self.outcomes], "all_pass": self.all_pass}
-        if self.alpha_modulus is not None:
-            d["alpha_modulus"] = self.alpha_modulus
-        return d
 
 
 def locally_fine_probe(

@@ -127,10 +127,11 @@ def _factors_at(f: Factors, xinv: GenInverse) -> Factors:
     return f
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OperatorFamilyContext:
     """Base operator, inverse, pinned splitting of operator space, projectors.
 
+    Built only by ``operator_context``, which checks it and freezes its arrays.
     ``factors`` holds the SVD subspaces of A, which give the slice elements
     of M(A) of dimension ``dim``; ``m0``, built on first access, spans M(A)
     inside R^{mn}, and ``estar`` the complement {T : R(T) in N(A+), N(T)
@@ -482,7 +483,7 @@ def tangency_fixed_rank(
         velocities[moving : moving + speed.size] = velocity.reshape(speed.size, -1)
         moving += speed.size
 
-    span_dim = rank_of(velocities[:moving].T, 1e-6) if moving else 0
+    span_dim = rank_of(velocities[:moving].T, 1e-6)
     return TangencyReport(
         max_residual=worst, tangent_span_dim=span_dim, expected_dim=ctx.dim, curves=curves
     )

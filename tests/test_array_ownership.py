@@ -8,6 +8,7 @@ import pytest
 
 from oblique import (
     CoordinateOperator,
+    OperatorFamilyContext,
     Projector,
     Subspace,
     coordinate_operator,
@@ -107,6 +108,13 @@ def test_operator_context_keeps_its_base_operator():
     assert ctx.a is ctx.ainv.forward
     for arr in (ctx.a, ctx.p_ra, ctx.p_na_plus, ctx.p_ra_plus, ctx.p_na, ctx.factors.range.basis):
         _refuses_writes(arr)
+
+
+def test_operator_context_has_one_builder():
+    # a hand-built context once kept the caller's arrays writable and aliased
+    ctx = operator_context(np.diag([1.0, 0.0]))
+    with pytest.raises(TypeError):
+        OperatorFamilyContext(ctx.a, ctx.ainv, ctx.factors, np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
 
 
 def test_builders_hand_over_what_they_built():

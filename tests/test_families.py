@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oblique import (
+    ComplementError,
     CoordinateOperator,
     DifferentiableMap,
     DimensionError,
@@ -21,7 +22,7 @@ from oblique import (
     moore_penrose,
     subspace_distance,
 )
-from oblique.builtins import builtin_family
+from oblique.builtins import builtin_family, builtin_map, polynomial_map
 from oblique.config import DEFAULTS
 from oblique.families import _jacobian_stack
 from oblique.geninv import trial_rng
@@ -190,6 +191,38 @@ def test_kernel_family_sphere_3d_base():
     fam = kernel_family(sphere_map(), [0.0, 0.0, 1.0])
     expected = Subspace(np.eye(3)[:, :2])
     assert subspace_distance(fam.base_subspace, expected) <= 1e-12
+
+
+# a 1e-8 second row that rank_tol 1e-6 cuts: the kernel at (0, 0, 1) is a plane
+_FAINT_SPEC = {"dom_dim": 3, "components": [[[1.0, [2, 0, 0]], [1.0, [0, 2, 0]], [1.0, [0, 0, 2]]],
+                                            [[1e-8, [1, 0, 0]]]]}
+
+
+@pytest.mark.parametrize("case", ["sphere_2d", "sphere_3d", "rank_tol", "rank_one", "zero"])
+def test_kernel_family_base_kernel_is_its_value_at_the_base(case):
+    # the base kernel is cut from the SVD that the family's own evaluation
+    # takes at x0, so it is that evaluation, bit for bit
+    rank_tol = None
+    if case in ("sphere_2d", "sphere_3d"):
+        f, x0 = builtin_map(case)
+    elif case == "rank_tol":
+        f, x0, rank_tol = polynomial_map(_FAINT_SPEC), np.array([0.0, 0.0, 1.0]), 1e-6
+    else:  # (|x|^2, 0) has rank 1 into R^2; |x|^2 at the origin has rank 0
+        f = DifferentiableMap(3, 2, lambda p: np.array([p @ p, 0.0]), lambda p: np.vstack([2.0 * p, np.zeros(3)]))
+        x0 = np.array([0.0, 0.0, 1.0]) if case == "rank_one" else np.zeros(3)
+    fam = kernel_family(f, x0, rank_tol=rank_tol)
+    at_base = fam.eval(x0).basis
+    assert fam.base_subspace.basis.shape == at_base.shape
+    assert fam.base_subspace.basis.tobytes() == at_base.tobytes()
+    assert fam.base_subspace.dim == {"sphere_2d": 1, "sphere_3d": 2, "rank_tol": 2, "rank_one": 2, "zero": 3}[case]
+
+
+def test_kernel_family_checks_a_callers_complement():
+    f, x0 = builtin_map("sphere_3d")  # base kernel: the plane x3 = 0
+    with pytest.raises(ComplementError, match="do not split the ambient space"):
+        kernel_family(f, x0, estar=Subspace.span([1.0, 1.0, 0.0]))
+    tilted = kernel_family(f, x0, estar=Subspace.span([0.3, -0.2, 1.0]))
+    assert tilted.complement.basis.tolist() == Subspace.span([0.3, -0.2, 1.0]).basis.tolist()
 
 
 def test_cofinal_failure_on_kernel_dimension_drift():

@@ -312,7 +312,7 @@ def test_probe_deterministic_for_seed():
     gi = moore_penrose(jac(np.array([0.0, 1.0])))
     r1 = locally_fine_probe(jac, [0.0, 1.0], gi, [0.1, 0.05], 7, seed=9)
     r2 = locally_fine_probe(jac, [0.0, 1.0], gi, [0.1, 0.05], 7, seed=9)
-    assert r1.to_dict() == r2.to_dict()
+    assert r1 == r2
 
 
 def test_trial_rng_is_order_independent():

@@ -196,6 +196,15 @@ def test_cli_integrate_manifest_requires_extent(tmp_path):
     assert main(["integrate", "--manifest", str(manifest)]) == 2
 
 
+@pytest.mark.parametrize("fixed", [{"x0": [1.0, 0.0, 0.0, 0.0]}, {"estar": {"rows": 4, "cols": 1, "data": [0, 1, 0, 0]}},
+                                   {"rank_tol": 1e-6}, {}])
+def test_cli_sec4_manifest_refuses_keys_the_builtin_fixes(tmp_path, fixed):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"kind": "kernel", "map": "sec4_2x2", **fixed}))
+    argv = ["integrate", "--manifest", str(manifest), "--extent", "0.1", "--grid", "3", "--step", "1e-2"]
+    assert main([*argv, "--out", str(tmp_path / "patch.json")]) == (2 if fixed else 0)
+
+
 def test_cli_chart_report(tmp_path, capsys):
     code = main(["chart", "--builtin", "sec4_2x2", "--samples", "20", "--seed", "3"])
     assert code == 0
