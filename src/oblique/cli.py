@@ -25,8 +25,8 @@ from .builtins import (
 from .config import DEFAULTS
 from .errors import NumericalError, ValidationError
 from .frobenius import integrate, tangency_check
-from .geninv import GenInverse, gi_from_complements, moore_penrose, seven_conditions, trial_rng
-from .linalg import Subspace, orth_basis, svd_factors
+from .geninv import _given_inverse, gi_from_complements, moore_penrose, seven_conditions, trial_rng
+from .linalg import Subspace, orth_basis
 from .matio import dump_json, load_json, matrix_to_dict, read_matrix
 from .opmanifold import fixed_rank_chart_check, operator_context, sample_fixed_rank_near, tangency_fixed_rank
 from .suites import SUITE_NAMES, run_suite
@@ -121,10 +121,7 @@ def _cmd_conditions(args) -> int:
     if args.ainv is None:
         gi = moore_penrose(a)
     else:
-        inv = read_matrix(args.ainv)
-        f = svd_factors(inv)
-        gi = GenInverse(a, inv, f.range, f.kernel)
-        gi.validate()
+        gi = _given_inverse(a, read_matrix(args.ainv))
     report = seven_conditions(a, gi, t)
     _emit(report.to_dict(), args.out)
     return 0

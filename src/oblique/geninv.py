@@ -131,9 +131,15 @@ class GenInverse:
         """``svd_factors(forward, tol)`` from the one SVD."""
         return _svd_factors(self._svd, tol)
 
+    @functools.cached_property
+    def _inverse_factors(self) -> Factors:
+        """``svd_factors(inverse)``, seeded by ``_given_inverse``, which took
+        it, else taken on first access."""
+        return svd_factors(self.inverse)
+
     def residuals(self) -> dict[str, float]:
         a, b = self.forward, self.inverse
-        rng_b, _, _, ker_b = svd_factors(b)
+        rng_b, _, _, ker_b = self._inverse_factors
         return {
             "aba": _relative(_op_norm_pair(a @ b @ a - a, a)),
             "bab": _relative(_op_norm_pair(b @ a @ b - b, b)),
@@ -162,6 +168,17 @@ def moore_penrose(a, tol: float | None = None) -> GenInverse:
     r = int(_ranks(s, arr.shape, tol))
     inv = (vh[:r].T / s[:r]) @ u[:, :r].T
     return _built(GenInverse, arr, inv, Subspace._wrap(vh[:r].T), Subspace._wrap(u[:, r:]), _svd=svd)
+
+
+def _given_inverse(a, inv) -> GenInverse:
+    """A given {1,2}-inverse B of A whose complements are read from it: R(B)
+    and N(B) from one SVD of B, which the inverse keeps for ``residuals``.
+    Raises ComplementError unless it passes ``validate``."""
+    f = svd_factors(inv)
+    gi = GenInverse(a, inv, f.range, f.kernel)
+    gi.__dict__["_inverse_factors"] = f
+    gi.validate()
+    return gi
 
 
 def gi_from_complements(a, r_plus: Subspace, n_plus: Subspace, cfg: Numerics = DEFAULTS) -> GenInverse:
@@ -295,7 +312,9 @@ def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fractio
 def _conditioned(factor: np.ndarray, cfg: Numerics, cond: float | None = None) -> np.ndarray:
     """A perturbation factor C or D, checked once where it is formed, before
     any solve with it: BallError when it is numerically singular.  ``cond``
-    is its condition number where the caller keeps it."""
+    is its condition number, or an upper bound of it, where the caller keeps
+    one; a bound past ``cond_limit`` would refuse a factor that is not
+    singular, so a caller passes one only well below the limit."""
     if (np.linalg.cond(factor) if cond is None else cond) > cfg.cond_limit:
         raise BallError("perturbation factor is numerically singular near the ball boundary")
     return factor

@@ -89,18 +89,40 @@ def _op_norm_pair(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _screened_norm(m: np.ndarray, bound: float) -> float:
-    """An upper bound of ||m||_2 that decides ``||m||_2 < bound``: the
-    Frobenius norm when it is below ``bound * (1 - 1e-8)``, else the spectral
-    norm from an SVD.  So the result is below ``bound`` exactly when
-    ``op_norm(m)`` is, and equals it whenever it is not below.
+    """An upper bound of ||m||_2 that decides ``||m||_2 < bound``, from the
+    first of three tiers that settles it:
 
-    ||m||_2 <= ||m||_F, and both round like (entries) * eps, so the slack
-    covers up to a million entries.  The unscaled Frobenius norm loses
-    squares below 5e-324, so bounds of 1e-150 or less always take the SVD.
-    Past about 1e154 the squares overflow to inf, which the SVD decides too."""
+    1. the Frobenius norm (sum sigma_i^2)^(1/2);
+    2. max|m| ||(S^T S)^2||_F^(1/4) = (sum sigma_i^8)^(1/8), with S = m / max|m|
+       and the Gram matrix S^T S taken on the smaller side of m;
+    3. the spectral norm from an SVD.
+
+    Each of the first two is used only when it is below ``bound * (1 - 1e-8)``,
+    so the result is below ``bound`` exactly when ``op_norm(m)`` is, and
+    equals it whenever it is not below.  The second tier lets a matrix whose
+    few leading singular values carry its norm pass without an SVD.
+
+    Why the slack holds: the Frobenius norm and the SVD round like (entries)
+    * eps, which covers up to a million entries.  The two products of the
+    second tier round like p q eps relative to sigma_1^2 and sigma_1^4 (p x q
+    the shape, every entry of S at most 1), and the fourth root quarters
+    that, which covers some ten million entries.  The unscaled Frobenius
+    norm loses squares below 5e-324, so bounds of 1e-150 or less always take
+    the SVD; past about 1e154 the squares overflow to inf, which the later
+    tiers decide.  The second tier runs only for 1e-150 < bound < 1e150, as
+    ``_norm_exceeds`` does, where the scaled comparison keeps its precision."""
     with np.errstate(over="ignore"):
         frobenius = float(np.linalg.norm(m))
-    return frobenius if _screen_settles(frobenius, bound) else op_norm(m)
+    if _screen_settles(frobenius, bound):
+        return frobenius
+    if 1e-150 < bound < 1e150:
+        peak = float(np.max(np.abs(m)))  # > 0: a zero matrix passed the first tier
+        scaled = m / peak
+        gram = scaled @ scaled.T if scaled.shape[0] <= scaled.shape[1] else scaled.T @ scaled
+        eighth = peak * float(np.linalg.norm(gram @ gram)) ** 0.25
+        if eighth < bound * (1.0 - 1e-8):
+            return eighth
+    return op_norm(m)
 
 
 def _screen_settles(frobenius, bound: float):
@@ -109,8 +131,9 @@ def _screen_settles(frobenius, bound: float):
 
 
 def _screened_norms(stack: np.ndarray, bound: float) -> np.ndarray:
-    """``_screened_norm`` of each matrix in a stack (count, p, q): the
-    matrices the screen leaves open share one stacked SVD."""
+    """``_screened_norm`` of each matrix in a stack (count, p, q) with its
+    first tier alone: the matrices the Frobenius screen leaves open share one
+    stacked SVD."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(stack, axis=(-2, -1))
     open_ = ~_screen_settles(norms, bound)
@@ -393,8 +416,9 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     """Gap metric: spectral norm of the difference of orthogonal projectors.
 
     Equals the sine of the largest principal angle for equal dimensions and
-    1.0 whenever the dimensions differ.
+    1.0 whenever the dimensions differ; 0.0 from no SVD for one subspace
+    given twice.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    return op_norm(u.orthogonal_projector() - v.orthogonal_projector())
+    return 0.0 if u is v else op_norm(u.orthogonal_projector() - v.orthogonal_projector())

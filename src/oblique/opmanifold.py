@@ -275,16 +275,23 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
     )
 
 
-def _chart_factor(ctx: OperatorFamilyContext, x: np.ndarray) -> np.ndarray:
-    """C(A+, X) = I + (X - A) A+ of X, or of each X in a stack (count, m, n),
-    formed as ``c_op`` forms it, for X in the chart region ||(X - A) A+|| < 1;
-    BallError with the spectral norm of the first X outside it."""
+def _chart_gap(ctx: OperatorFamilyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = (X - A) A+ of X, or of each X in a stack (count, m, n), with an
+    upper bound of each ||G||_2 (``_screened_norm``), for X in the chart
+    region ||G|| < 1; BallError with the spectral norm of the first X outside
+    it."""
     gap = (x - ctx.a) @ ctx.ainv.inverse
     norms = _screened_norms(gap, 1.0) if gap.ndim == 3 else np.array([_screened_norm(gap, 1.0)])
     outside = norms[norms >= 1.0]
     if outside.size:
         raise BallError(f"||(X - A) A+|| = {outside[0]:.6g} >= 1: outside the chart region")
-    return np.eye(ctx.m) + gap
+    return gap, norms
+
+
+def _chart_factor(ctx: OperatorFamilyContext, x: np.ndarray) -> np.ndarray:
+    """C(A+, X) = I + (X - A) A+ of X, or of each X in a stack (count, m, n),
+    formed as ``c_op`` forms it, for X in the chart region (``_chart_gap``)."""
+    return np.eye(ctx.m) + _chart_gap(ctx, x)[0]
 
 
 def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -293,8 +300,13 @@ def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarr
 
 
 def _chart_d(ctx: OperatorFamilyContext, x: np.ndarray, cfg: Numerics) -> np.ndarray:
-    """``chart_d`` of a checked matrix."""
-    c = _conditioned(_chart_factor(ctx, x), cfg)
+    """``chart_d`` of a checked matrix.  C = I + G is certified by the bound
+    b >= ||G||_2 that the chart region test took, as cond(C) <= (1 + b) /
+    (1 - b); only a bound past half of ``cond_limit``, a margin for the
+    SVD's own rounding near the limit, leaves the check to ``np.linalg.cond``."""
+    gap, (bound,) = _chart_gap(ctx, x)
+    cond = (1.0 + bound) / (1.0 - bound)
+    c = _conditioned(np.eye(ctx.m) + gap, cfg, cond if cond <= 0.5 * cfg.cond_limit else None)
     return (x - ctx.a) @ ctx.p_ra_plus + np.linalg.solve(c, x)
 
 
@@ -456,18 +468,22 @@ def tangency_fixed_rank(
     Curves are c(t) = D*(D(X) + t dT) for random slice directions dT; the
     distance ||U_perp^T V V_N||_F of their finite-difference velocities V at
     t = 0 from M(X) is measured (max relative residual returned) and their
-    span is rank-checked against dim M(X) = mn - (m - k)(n - k).  Curves run
-    in stacked blocks.
+    span is rank-checked against dim M(X) = mn - (m - k)(n - k).  The span is
+    that of each velocity's coordinates (U^T V, U_perp^T V V_row) in the
+    orthonormal basis [U (x) I_n | U_perp (x) V_row] of M(X), from X's
+    factors: a curves x dim matrix in place of curves x mn, whose rank
+    differs from the velocities' only by the part outside M(X) that the
+    residual bounds.  Curves run in stacked blocks.
     """
     xm = as_matrix(x)
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
-    factors_x = _factors_at(_admit(ctx.a, ctx.ainv, xm, cfg).factors, gi_x)  # X's SVD at rank_tol
+    f = _factors_at(_admit(ctx.a, ctx.ainv, xm, cfg).factors, gi_x)  # X's SVD at rank_tol
     t0 = _chart_d(ctx, xm, cfg)
     h = 1e-6 * (1.0 + op_norm(t0))
-    m, n = ctx.m, ctx.n
+    m, n, k = ctx.m, ctx.n, f.range.dim
 
     worst = 0.0
-    velocities = np.empty((curves, m * n))
+    coords = np.empty((curves, k * n + (m - k) * k))
     moving = 0
     for start in range(0, curves, _block(ctx)):
         block = range(start, min(curves, start + _block(ctx)))
@@ -478,12 +494,15 @@ def tangency_fixed_rank(
         velocity = (ends[0::2] - ends[1::2]) / (2.0 * h)
         speed = np.linalg.norm(velocity, axis=(-2, -1))
         velocity, speed = velocity[speed != 0.0], speed[speed != 0.0]
-        if speed.size:
-            worst = max(worst, float(np.max(_slice_defect(factors_x, velocity) / speed)))
-        velocities[moving : moving + speed.size] = velocity.reshape(speed.size, -1)
-        moving += speed.size
+        count = speed.size
+        across = f.cokernel.basis.T @ velocity  # U_perp^T V, which _slice_defect forms first
+        if count:
+            worst = max(worst, float(np.max(np.linalg.norm(across @ f.kernel.basis, axis=(-2, -1)) / speed)))
+        coords[moving : moving + count, : k * n] = (f.range.basis.T @ velocity).reshape(count, k * n)
+        coords[moving : moving + count, k * n :] = (across @ f.row.basis).reshape(count, (m - k) * k)
+        moving += count
 
-    span_dim = rank_of(velocities[:moving].T, 1e-6)
+    span_dim = rank_of(coords[:moving].T, 1e-6)
     return TangencyReport(
         max_residual=worst, tangent_span_dim=span_dim, expected_dim=ctx.dim, curves=curves
     )

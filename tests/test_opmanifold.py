@@ -23,8 +23,18 @@ from oblique import (
     tangency_fixed_rank,
 )
 from oblique.builtins import sec4_context
-from oblique.geninv import c_op
-from oblique.opmanifold import membership_residual, sample_fixed_rank_near, unvec, vec
+from oblique.config import DEFAULTS
+from oblique.geninv import _admit, _probe_directions, c_op, trial_rng
+from oblique.opmanifold import (
+    _block,
+    _chart_d_star,
+    _slice_defect,
+    _slice_directions,
+    membership_residual,
+    sample_fixed_rank_near,
+    unvec,
+    vec,
+)
 from oblique.suites import random_gi
 from oblique.suites import random_rank_matrix
 
@@ -376,6 +386,48 @@ def test_tangency_fixed_rank_off_base(rng):
     rep = tangency_fixed_rank(ctx, x, curves=ctx.m0.dim + 6, seed=5)
     assert rep.max_residual <= 1e-6
     assert rep.tangent_span_dim == rep.expected_dim == 9 - 4
+
+
+def _velocity_span_reference(ctx, x, curves, seed):
+    """``tangency_fixed_rank``'s max residual and span as the curves x mn
+    velocity matrix gave them: the same stacked blocks, and ``rank_of`` of all
+    moving velocities in R^{mn}."""
+    f = _admit(ctx.a, ctx.ainv, x, DEFAULTS).factors
+    t0 = chart_d(ctx, x)
+    h = 1e-6 * (1.0 + op_norm(t0))
+    m, n = ctx.m, ctx.n
+    worst, rows = 0.0, []
+    for start in range(0, curves, _block(ctx)):
+        block = range(start, min(curves, start + _block(ctx)))
+        step = h * _slice_directions(ctx, np.array(_probe_directions(seed, block, ctx.dim)))
+        ends = _chart_d_star(ctx, (t0 + np.stack([step, -step], axis=1)).reshape(-1, m, n))
+        velocity = (ends[0::2] - ends[1::2]) / (2.0 * h)
+        speed = np.linalg.norm(velocity, axis=(-2, -1))
+        velocity, speed = velocity[speed != 0.0], speed[speed != 0.0]
+        if speed.size:
+            worst = max(worst, float(np.max(_slice_defect(f, velocity) / speed)))
+        rows.extend(velocity.reshape(speed.size, -1))
+    return worst, rank_of(np.array(rows).T, 1e-6)
+
+
+def _survey_points():
+    """The context and point of each ``scripts/chart_survey.py`` shape at seed
+    0, and of ``oblique chart --builtin sec4_2x2``."""
+    for m, n, k in [(m, n, k) for m in (2, 3, 4) for n in (2, 3, 5) for k in range(1, min(m, n) + 1)]:
+        rng = trial_rng(0, m, n, k)
+        ctx = operator_context(random_rank_matrix(rng, m, n, k))
+        yield ctx, sample_fixed_rank_near(ctx, rng)
+    ctx = sec4_context()
+    yield ctx, sample_fixed_rank_near(ctx, trial_rng(0, 999))
+
+
+def test_tangent_coordinates_span_as_the_velocities_do():
+    for ctx, x in _survey_points():
+        for curves in (ctx.dim + 6, ctx.dim - 1):
+            rep = tangency_fixed_rank(ctx, x, curves=curves, seed=0)
+            worst, span = _velocity_span_reference(ctx, x, curves, 0)
+            assert rep.tangent_span_dim == span == min(curves, ctx.dim), (ctx.a.shape, ctx.rank, curves)
+            assert np.float64(rep.max_residual).tobytes() == np.float64(worst).tobytes()
 
 
 def test_key_ball_identities(rng):

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblique import (
     BallError,
@@ -99,6 +101,60 @@ def test_screen_leaves_tiny_bounds_to_the_svd(monkeypatch, bound):
     assert _screened_norm(m, bound) == op_norm(m)
     assert _screened_norm(m / 4.0, bound) == op_norm(m / 4.0)
     assert len(calls) == 4
+
+
+# The second tier, (sum sigma_i^8)^(1/8) from the Gram matrix on the smaller
+# side, settles what the Frobenius screen leaves open when a few singular
+# values carry the norm.
+
+
+def _with_spectrum(seed: int, shape, rank: int, decay: float, scale: float) -> np.ndarray:
+    """A matrix of the given rank whose column scales fall by ``decay``."""
+    rng = trial_rng(seed, *shape, rank)
+    left = rng.standard_normal((shape[0], rank)) * decay ** np.arange(rank)
+    return scale * (left @ rng.standard_normal((rank, shape[1])))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    rank=st.integers(0, 8),
+    decay=st.sampled_from([1.0, 0.5, 0.1]),
+    power=st.floats(-140.0, 140.0),
+    edge=st.sampled_from(["spectral", "frobenius", "eighth"]),
+    rel=st.one_of(st.floats(-1e-9, 1e-9), st.floats(-0.5, 0.5)),
+)
+def test_screened_norm_decides_like_the_spectral_norm_at_every_scale_and_rank(seed, shape, rank, decay, power, edge, rel):
+    m = _with_spectrum(seed, shape, min(rank, *shape), decay, 10.0**power)
+    exact = op_norm(m)
+    if exact == 0.0:
+        bound = 10.0**power * (1.0 + abs(rel))
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
+        tiers = {"spectral": exact, "frobenius": float(np.linalg.norm(m)) / (1.0 - 1e-8)}
+        tiers["eighth"] = exact * float(np.sum((s / exact) ** 8)) ** 0.125 / (1.0 - 1e-8)
+        bound = tiers[edge] * (1.0 + rel)  # near the spectral norm, or near either screen's cut
+    screened = _screened_norm(m, bound)
+    assert (screened < bound) == (exact < bound)
+    # an upper bound of ||m||_2; a rank-one matrix's Frobenius norm equals it
+    # and rounds an ulp either side of the SVD's value
+    assert screened >= exact * (1.0 - 64.0 * np.finfo(float).eps)
+    if screened >= bound:
+        assert screened == exact
+
+
+@pytest.mark.parametrize("scale", [1e-140, 1.0, 1e140])
+def test_second_tier_settles_without_an_svd(monkeypatch, scale):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    m = scale * np.diag([0.6, 0.6, 0.6, 0.6, 0.0])[:4]  # ||m||_F = 1.2 scale, (sum sigma^8)^(1/8) = 0.71 scale
+    assert _screened_norm(m, scale) == pytest.approx(0.6 * 4.0**0.125 * scale, rel=1e-15)
+    assert not calls
+    assert _screened_norm(m, 0.7 * scale) == op_norm(m)  # past the second tier: the SVD decides
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("power", [-550, -20, -10, 0, 10, 20])
@@ -206,7 +262,22 @@ def test_one_conditioning_check_per_factor(monkeypatch):
     calls.clear()
     chart_d(ctx, x)
     chart_d_star(ctx, x)  # multiplies by its factor, never solves
+    assert len(calls) == 0  # was 1: chart_d certifies C from its region bound
+
+
+def test_chart_factor_past_the_condition_limit_is_refused(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+    ctx = operator_context(np.diag([1.0, 0.5]))
+    # G = (X - A) A+ = diag(0, -(1 - 1e-13)): inside the chart region, with
+    # cond(C) = 1e13 past cond_limit; its bound (1 + b) / (1 - b) = 2e13 is
+    # past half the limit too, so np.linalg.cond decides
+    x = ctx.a + np.diag([0.0, -(1.0 - 1e-13) * 0.5])
+    with pytest.raises(BallError, match="numerically singular"):
+        chart_d(ctx, x)
     assert len(calls) == 1
+    assert chart_d_star(ctx, x).shape == (2, 2)  # multiplies by C, so needs no check
 
 
 def test_zero_base_operator_is_a_validation_error(tmp_path, capsys):
@@ -289,6 +360,16 @@ def test_rejected_halvings_take_no_svd(monkeypatch, scale, shape):
     svds, halvings = _sampler_svds(monkeypatch, a, 0.4, 4.0, range(6))
     assert halvings >= 6 * 5
     assert svds == 0
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_accepting_steps_take_no_svd(monkeypatch, scale):
+    # A rank-5 base keeps the gap's rank at most 10, whose leading singular
+    # values carry its norm: the second screen tier accepts where the
+    # Frobenius screen cannot.
+    a = scale * random_rank_matrix(trial_rng(5, 1), 30, 30, 5)
+    svds, _ = _sampler_svds(monkeypatch, a, 0.4, 0.1, range(20))
+    assert svds == 0  # one per draw with the Frobenius screen alone
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e170])

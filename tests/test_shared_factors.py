@@ -366,14 +366,14 @@ def _site_cli_conditions(tmp_path):
 CENSUS = {
     "alpha_evaluator": (_site_alpha_evaluator, 2, 0),  # was (3, 0)
     "alpha_operator_family": (_site_alpha_operator_family, 3, 1),  # was (3, 2)
-    "cli_conditions": (_site_cli_conditions, 17, 1),  # was (20, 1), then (19, 1)
+    "cli_conditions": (_site_cli_conditions, 14, 1),  # was (20, 1), then (19, 1), then (17, 1)
     "explicit_psi": (_site_explicit_psi, 0, 0),  # was (1, 0)
     "grp_alpha": (_site_grp_alpha, 3, 1),  # was (4, 1)
     "kernel_family": (_site_kernel_family, 3, 0),  # was (7, 0), then (6, 0)
     "operator_context": (_site_operator_context, 6, 0),  # was (7, 0)
     "random_gi": (_site_random_gi, 9, 0),  # was (10, 0)
     "tangency_check": (_site_tangency_check, 1, 0),  # was (4, 0)
-    "tangency_fixed_rank": (_site_tangency_fixed_rank, 2, 1),  # was (3, 1)
+    "tangency_fixed_rank": (_site_tangency_fixed_rank, 2, 0),  # was (3, 1), then (2, 1)
 }
 
 
