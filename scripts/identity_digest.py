@@ -23,6 +23,10 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of the stdout of ``oblique integrate --manifest P --extent 0.5
   --step 1e-2`` for the README's polynomial circle manifest P with a
   ``rank_tol`` key: ``kernel_family`` on a polynomial map at its own rank cut;
+* the sha1 of ``explicit_patch`` on the ``sphere_3d`` patch of extent 0.99,
+  grid 41 and step 2e-2, which runs past the fold: the explicit graph map
+  where predicted starts fail, retries run and lattice lines stop, which no
+  workload reaches;
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with
@@ -79,6 +83,21 @@ def cli_digest(argv: list[str]) -> str:
     return hashlib.sha1(out.getvalue().encode()).hexdigest()
 
 
+def explicit_digest() -> tuple[str, int, int]:
+    """``explicit_patch`` past the fold: (sha1 of its values, nodes reached, nodes)."""
+    import numpy as np
+
+    from oblique import kernel_family, moore_penrose
+    from oblique.builtins import builtin_map
+    from oblique.frobenius import explicit_patch, integrate
+
+    f, x0 = builtin_map("sphere_3d")
+    patch = integrate(kernel_family(f, x0), 0.99, 2e-2, grid_points=41)
+    values = explicit_patch(f, moore_penrose(f.jacobian(x0)), patch, x0=x0)
+    reached = int((~np.isnan(values).any(axis=-1)).sum())
+    return hashlib.sha1(values.tobytes()).hexdigest(), reached, values.shape[0] * values.shape[1]
+
+
 def workload_digest(harness, name: str, seed: int) -> tuple[str, int, int]:
     """One untraced pass of a workload: (sha1 of its job digests, attempted, failed)."""
     wl = harness.workloads.WORKLOADS[name](seed, False)
@@ -105,6 +124,8 @@ def main() -> int:
     for argv in (["integrate", "--builtin", "sec4_2x2"], ["chart", "--builtin", "sec4_2x2"],
                  ["integrate", "--builtin", "sphere_3d", "--grid", "51"]):
         print(f"{' '.join(argv)}  {cli_digest(argv)}")
+    digest, reached, nodes = explicit_digest()
+    print(f"explicit_patch sphere_3d --extent 0.99 --grid 41 --step 2e-2  {digest}  reached {reached} of {nodes}")
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "tilted.json"
         manifest.write_text(json.dumps(TILTED))

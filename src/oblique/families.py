@@ -71,11 +71,11 @@ class CoordinateOperator:
 class DifferentiableMap:
     """A C^1 map R^dom_dim -> R^cod_dim with optional analytic Jacobian.
 
-    ``jac`` is called with a 1-D float64 view of one point and returns the
-    Jacobian there, shape (cod_dim, dom_dim).  It must not write to its
-    argument: the batched routes pass it the rows of one point array.  In a
-    batch, a point whose ``jac`` raises, has the wrong shape or is not
-    finite counts as failed.
+    ``func`` and ``jac`` are called with a 1-D float64 view of one point and
+    return the value there, cod_dim entries, and the Jacobian there, shape
+    (cod_dim, dom_dim).  Neither may write to its argument: the batched
+    routes pass them the rows of one point array.  In a batch, a point whose
+    ``jac`` raises, has the wrong shape or is not finite counts as failed.
     """
 
     dom_dim: int
@@ -84,7 +84,11 @@ class DifferentiableMap:
     jac: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> np.ndarray:
-        out = np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float).ravel()
+        return self._value(self.func(np.asarray(x, dtype=float)))
+
+    def _value(self, out) -> np.ndarray:
+        """A ``func`` result as a flat float vector of cod_dim entries, or EvalError."""
+        out = np.asarray(out, dtype=float).ravel()
         if out.size != self.cod_dim:
             raise EvalError(f"map returned {out.size} components, expected {self.cod_dim}")
         return out
@@ -223,6 +227,24 @@ class _JacobianKernels:
         dims = np.full(len(points), -1)
         dims[rows] = self.f.dom_dim - ranks
         return SubspaceBatch(self.f.dom_dim, dims, _kernel_batch(ranks, vh).stacks)
+
+
+def _value_stack(f: DifferentiableMap, points: np.ndarray) -> np.ndarray:
+    """f at the rows of a float array (N, dom_dim), stacked (N, cod_dim): the
+    one value loop of the batched routes, bit for bit ``f`` point by point.
+
+    ``f.func`` is called once per row; its results are checked as one stack,
+    and one by one, with ``f``'s EvalError, only when the stack is not a
+    float64 array of N rows of cod_dim entries."""
+    func = f.func
+    outs = [func(row) for row in points]
+    try:
+        stack = np.array(outs)
+    except Exception:  # noqa: BLE001 - ragged or not numeric: checked one by one below
+        stack = None
+    if stack is None or stack.dtype != np.float64 or stack.size != len(points) * f.cod_dim:
+        return np.array([f._value(out) for out in outs]).reshape(-1, f.cod_dim)
+    return stack.reshape(-1, f.cod_dim)
 
 
 def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from .errors import (
     StepError,
     ValidationError,
 )
-from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack
+from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack, _value_stack
 from .geninv import GenInverse
 from .linalg import oblique_projector
 
@@ -209,14 +209,21 @@ class _AlphaEvaluator:
         self.margin_bound = 1.0 / self.cfg.tol_split if self.cfg.tol_split > 0.0 else math.inf
         return f
 
-    def closed_form(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def closed_form(self, points: np.ndarray, axis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """alpha = -(J M0) / (J E*) at the kept points, shaped (kept, 1, dim
-        M0), and the mask of kept points (see the class docstring)."""
+        M0), and the mask of kept points (see the class docstring).  With
+        ``axis``, only column ``axis[r]`` of each, shaped (kept, 1, 1): the
+        one division a stage needs."""
         rows, jacs = _jacobian_stack(self.source, self.cfg, points)
         prod = np.matmul(jacs, self.pinned)
-        alpha, norms = _quotients(jacs, prod[..., :1], prod[..., 1:])
+        every = len(rows) == len(points)
+        if axis is None:
+            jm = prod[..., 1:]
+        else:
+            jm = prod[np.arange(len(rows)), :, 1 + (axis if every else axis[rows])][..., None]
+        alpha, norms = _quotients(jacs, prod[..., :1], jm)
         kept = (np.sign(prod[:, 0, 0]) == self.orientation) & (norms < self.margin_bound)
-        if len(rows) == len(points) and kept.all():
+        if every and np.count_nonzero(kept) == len(kept):
             return alpha, kept  # every point evaluated and kept: kept is the mask
         ok = np.zeros(len(points), dtype=bool)
         ok[rows[kept]] = True
@@ -229,8 +236,8 @@ class _AlphaEvaluator:
         if self.source is None:
             k, ok = self.alpha(self.family.eval_batch(points).of_dim(self.d), self.axis_rhs[axis])
             return k[..., 0], ok
-        alpha, ok = self.closed_form(points)
-        return alpha[np.arange(len(alpha)), :, axis[ok]], ok
+        alpha, ok = self.closed_form(points, axis)
+        return alpha[..., 0], ok
 
     def alpha(self, found: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate operator times ``rhs`` at each point of an ``of_dim``
@@ -286,28 +293,32 @@ def _rk4_hop(
     evaluates nothing further.
     """
     n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
-    h = delta / n_sub
+    h = delta[:, None] / n_sub[:, None]
     unit = np.eye(z0.shape[1])[axis]
     w = w0.copy()
     ok = np.ones(len(z0), dtype=bool)
+    every, n_min, intact = np.arange(len(z0)), int(n_sub.min()), True
     for j in range(int(n_sub.max())):
-        rows = np.flatnonzero(ok & (j < n_sub))
-        hj, ej, aj = h[rows, None], unit[rows], axis[rows]
-        z = z0[rows] + (j * hj) * ej
-        wj = w[rows]
+        if j < n_min and intact:  # every row goes on: no gathers
+            rows, hj, ej, aj, z, wj = every, h, unit, axis, z0 + (j * h) * unit, w
+        else:
+            rows = np.flatnonzero(ok & (j < n_sub))
+            hj, ej, aj = h[rows], unit[rows], axis[rows]
+            z, wj = z0[rows] + (j * hj) * ej, w[rows]
+        # the M0 parts of the stage points, each lifted once: z, z + h/2
+        # (stages 2 and 3) and z + h
+        lifts = [np.matmul(ev.b0, zz[..., None])[..., 0] for zz in (z, z + 0.5 * hj * ej, z + 1.0 * hj * ej)]
         ks: list[np.ndarray] = []
-        for frac in (0.0, 0.5, 0.5, 1.0):
+        for frac, lift in zip((0.0, 0.5, 0.5, 1.0), (0, 1, 1, 2)):
             if not rows.size:
                 break
-            if frac:
-                point = _ambient(ev.b0, ev.bs, z + frac * hj * ej, wj + frac * hj * ks[-1])
-            else:
-                point = _ambient(ev.b0, ev.bs, z, wj)
-            k, good = ev.stage(point, aj)
-            if not good.all():
+            ws = wj + frac * hj * ks[-1] if frac else wj
+            k, good = ev.stage(lifts[lift] + np.matmul(ev.bs, ws[..., None])[..., 0], aj)
+            if np.count_nonzero(good) < len(good):
                 ok[rows[~good]] = False
-                rows, hj, ej, aj, z, wj = (a[good] for a in (rows, hj, ej, aj, z, wj))
-                ks = [kk[good] for kk in ks]
+                intact = False
+                rows, hj, aj, wj = rows[good], hj[good], aj[good], wj[good]
+                lifts, ks = [v[good] for v in lifts], [v[good] for v in ks]
             ks.append(k)
         if rows.size:
             k1, k2, k3, k4 = ks
@@ -329,12 +340,6 @@ def _line_heads(reached: np.ndarray, center: tuple[int, ...], done, axis: int) -
     starts = np.repeat(np.array(starts, dtype=int).reshape(-1, len(shape)), 2, axis=0)
     signs = np.tile([1, -1], len(starts) // 2)
     return starts, signs, np.where(signs > 0, shape[axis] - starts[:, axis], starts[:, axis] + 1)
-
-
-def _outward_lines(reached: np.ndarray, center: tuple[int, ...], done, axis: int) -> list[list[tuple[int, ...]]]:
-    """The lines of ``_line_heads``, each as the node indices it visits."""
-    heads = zip(*(a.tolist() for a in _line_heads(reached, center, done, axis)))
-    return [[(*s[:axis], s[axis] + j * sign, *s[axis + 1 :]) for j in range(count)] for s, sign, count in heads]
 
 
 def _sweep(
@@ -499,7 +504,8 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
 
     All filled nodes are evaluated in one batch; their alpha values, with the
     march's splitting test, and their norms are then taken as stacked calls.
-    ``f`` runs per node.
+    ``f`` runs once per splitting node, its values checked as one stack
+    (``_value_stack``).
     """
     d, shape = patch.m0_dim, patch.shape
     diag = patch.diagnostics
@@ -513,7 +519,7 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
 
     if f is not None:
         f_base = f(ev.family.base_point)
-        gaps = np.abs(np.array([f(u) for u in points[split]]).reshape(-1, f.cod_dim) - f_base).max(axis=1)
+        gaps = np.abs(_value_stack(f, points[split]) - f_base).max(axis=1)
         # a node with a NaN component does not count, as in a running max
         diag.level_set_residual = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))
 
@@ -651,15 +657,15 @@ def explicit_psi(
     the constant-linear-model iteration ``w <- w - E*^T T0+ (f(u) - f(x0))``
     (the exact local model, since the relevant derivative is the constant
     projector onto E* along N0), started from ``w0``, by default the
-    E*-coordinates of ``x0``.  ``explicit_patch`` passes each node a start
-    predicted from the nodes before it on its lattice line.  Raises
-    ValidationError for a ``z``, ``w0`` or ``x0`` of the wrong size or with a
-    non-finite entry, and NewtonDivergence with the residual trace if the
-    update norm does not reach ``newton_tol``.
+    E*-coordinates of ``x0``: the batched chord iteration of
+    ``explicit_patch`` on a batch of one point.  Raises ValidationError for
+    a ``z``, ``w0`` or ``x0`` of the wrong size or with a non-finite entry,
+    and NewtonDivergence with the trace of update norms if the update norm
+    does not reach ``newton_tol``.
     """
     solve, (m0, estar) = _graph_solver(f, gi0, x0, cfg)
     w0 = None if w0 is None else _finite_vector(w0, estar.shape[1], "w0")
-    return solve(_finite_vector(z, m0.shape[1], "z"), w0)
+    return _solved(solve, _finite_vector(z, m0.shape[1], "z"), w0, cfg)
 
 
 def _finite_vector(value, size: int, name: str) -> np.ndarray:
@@ -672,13 +678,25 @@ def _finite_vector(value, size: int, name: str) -> np.ndarray:
     return v
 
 
+# how a row of a graph solve ends
+_SOLVED, _DIVERGED, _UNSOLVED = 0, 1, 2
+
+
 def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
-    """``explicit_psi`` at fixed ``f``, ``gi0`` and ``x0`` as a function of
-    ``(z, w0)``, with the quantities that do not depend on z computed once.
+    """The chord iteration of ``explicit_psi`` at fixed ``f``, ``gi0`` and
+    ``x0`` over a batch of points, with the quantities that do not depend on
+    z computed once.
 
     Checks ``x0`` and returns the solver with the bases of M0 = N(T0) and
-    E* = R(T0+); the solver takes ``z`` and ``w0`` as finite flat vectors of
-    their dimensions, unchecked.
+    E* = R(T0+).  The solver takes points ``z`` (N, dim M0) and starts
+    ``w0`` (N, dim E*), finite and unchecked, or None for the E*-coordinates
+    of ``x0`` as every start.  Each row iterates exactly as a single point
+    does, with its map values from one ``_value_stack`` per iteration, and
+    leaves the batch at its own stop: solved once its update norm is at most
+    ``newton_tol``, diverged when the update is not finite or above 1e9,
+    unsolved when ``newton_max_iter`` runs out.  It returns each row's last
+    iterate, its outcome (``_SOLVED``, ``_DIVERGED`` or ``_UNSOLVED``) and
+    the update norms of each iteration over the rows still iterating then.
     """
     t0, t0_plus = gi0.forward, gi0.inverse
     base = _finite_vector(x0, t0.shape[1], "x0")
@@ -688,31 +706,57 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
     f_base = f(base)
     w_base = estar_t @ ((t0_plus @ t0) @ base)
 
-    def solve(z: np.ndarray, w0: np.ndarray | None = None) -> np.ndarray:
-        w = w_base if w0 is None else w0
-        lift = m0 @ z
-        trace: list[float] = []
+    def solve(z: np.ndarray, w0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        # w, dw and the M0 parts of the points as column stacks (rows, size, 1)
+        w = np.repeat(w_base[None, :, None], len(z), axis=0) if w0 is None else w0[..., None]
+        lift = np.matmul(m0, z[..., None])
+        trace: list[np.ndarray] = []
+        rows = None  # the rows still iterating, once some have stopped
         for _ in range(cfg.newton_max_iter):
-            u = lift + estar @ w
-            dw = estar_t @ (t0_plus @ (f(u) - f_base))
-            # bit for bit np.linalg.norm of a real vector: sqrt of its dot product
-            update = math.sqrt(dw @ dw)
+            u = (lift + np.matmul(estar, w))[..., 0]
+            dw = np.matmul(estar_t, np.matmul(t0_plus, (_value_stack(f, u) - f_base)[..., None]))
+            # bit for bit np.linalg.norm of each update: sqrt of its dot product
+            update = np.sqrt(np.matmul(dw.transpose(0, 2, 1), dw)[:, 0, 0])
             trace.append(update)
             w = w - dw
-            if update <= cfg.newton_tol:
-                return w
-            if not math.isfinite(update) or update > 1e9:
-                raise NewtonDivergence(f"graph solve diverged at z={z.tolist()}", trace)
-        raise NewtonDivergence(
-            f"graph solve did not reach {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations", trace
-        )
+            go = (update > cfg.newton_tol) & (update <= 1e9)  # a NaN update stops: it is not finite
+            going = np.count_nonzero(go)
+            if going == len(go):
+                continue
+            ends = np.where(update <= cfg.newton_tol, _SOLVED, _DIVERGED)
+            if rows is None:
+                if not going:  # every row stops at once
+                    return w[..., 0], ends, trace
+                rows, last, outcome = np.arange(len(z)), np.empty_like(w), np.full(len(z), _UNSOLVED)
+            stop = rows[~go]
+            last[stop], outcome[stop] = w[~go], ends[~go]
+            if not going:
+                return last[..., 0], outcome, trace
+            rows, lift, w = rows[go], lift[go], w[go]
+        if rows is None:
+            return w[..., 0], np.full(len(z), _UNSOLVED), trace
+        last[rows] = w
+        return last[..., 0], outcome, trace
 
     return solve, (m0, estar)
 
 
-def _predict(history: list[np.ndarray]) -> np.ndarray:
+def _solved(solve, z: np.ndarray, w0: np.ndarray | None, cfg: Numerics) -> np.ndarray:
+    """The solution of ``solve`` at one point ``z`` from ``w0``, or
+    NewtonDivergence with its trace of update norms."""
+    w, (outcome,), trace = solve(z[None], None if w0 is None else w0[None])
+    if outcome == _SOLVED:
+        return w[0]
+    trace = [float(update[0]) for update in trace]
+    if outcome == _DIVERGED:
+        raise NewtonDivergence(f"graph solve diverged at z={z.tolist()}", trace)
+    raise NewtonDivergence(f"graph solve did not reach {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations", trace)
+
+
+def _predict(history) -> np.ndarray:
     """Start for the next node of a lattice line from its solved nodes, newest
-    first: degree 4 through the last five, lower while there are fewer."""
+    first: degree 4 through the last five, lower while there are fewer.
+    ``history`` may stack the nodes of many lines, one array per depth."""
     weights = _PREDICTORS[min(len(history), len(_PREDICTORS)) - 1]
     return sum(c * w for c, w in zip(weights, history))
 
@@ -728,14 +772,18 @@ def explicit_patch(
     """Evaluate the explicit graph map on a patch's lattice.
 
     Nodes are visited marching outward from the center along the lattice
-    lines of ``integrate``'s axis passes.  Each solve starts from the
-    polynomial extrapolation (``_predict``) of the nodes already solved on its
-    line; if that start diverges, it is retried once from the previous node.
-    A line stops where both starts fail, and unreachable nodes come back as
-    NaN.  The integrated psi never enters a solve, so the result checks it
-    independently.  Returns an array shaped like ``patch.psi``.  Raises
-    ValidationError unless gi0's N(T0) and R(T0+) bases are the patch's M0
-    and E* bases within ``tol_num``.
+    lines of ``integrate``'s axis passes (``_line_heads``).  The lines of a
+    pass advance together, hop by hop: one batched chord iteration solves
+    the next node of every line, each started from the polynomial
+    extrapolation (``_predict``) of the nodes already solved on its line;
+    the rows whose start fails are solved once more, from the previous node
+    of their line.  A line stops where both starts fail, and unreachable
+    nodes come back as NaN.  Every node gets the iterates, and the map
+    calls, that ``explicit_psi`` makes from the same start.  The integrated
+    psi never enters a solve, so the result checks it independently.
+    Returns an array shaped like ``patch.psi``.  Raises ValidationError
+    unless gi0's N(T0) and R(T0+) bases are the patch's M0 and E* bases
+    within ``tol_num``, and NewtonDivergence if the center does not solve.
     """
     solve, (m0, estar) = _graph_solver(f, gi0, x0, cfg)
     dims, got = (m0.shape[1], estar.shape[1]), (patch.m0_dim, patch.estar_dim)
@@ -745,22 +793,35 @@ def explicit_patch(
     if np.max(np.abs(gap), initial=0.0) > cfg.tol_num:
         raise ValidationError("the inverse's N(T0) and R(T0+) bases are not the patch's M0 and E* bases")
     center = patch.center_index
-    out = np.full_like(patch.psi, np.nan)
-    out[center] = solve(patch.node_coords(center))
+    shape = patch.shape
+    out = np.full((*shape, patch.estar_dim), np.nan)
+    out[center] = _solved(solve, patch.node_coords(center), None, cfg)
 
+    flat = out.reshape(-1, patch.estar_dim)  # a view: ``out`` is C-contiguous
     for pos in range(patch.m0_dim):
-        reached = ~np.isnan(out).any(axis=-1)
-        for line in _outward_lines(reached, center, range(pos), pos):
-            history = [out[line[0]]]
-            for idx in line[1:]:
-                z = patch.node_coords(idx)
-                try:
-                    w = solve(z, _predict(history))
-                except NewtonDivergence:
-                    try:
-                        w = solve(z, history[0])
-                    except NewtonDivergence:
-                        break
-                out[idx] = w
-                history = [w, *history[: len(_PREDICTORS) - 1]]
+        starts, signs, lengths = _line_heads(~np.isnan(out).any(axis=-1), center, range(pos), pos)
+        # per hop and line, clipped past the line's end: its node's index,
+        # flat index into ``out`` and M0-coordinates
+        idx = np.repeat(starts[None], lengths.max(), axis=0)
+        idx[..., pos] = np.clip(starts[:, pos] + np.arange(len(idx))[:, None] * signs, 0, shape[pos] - 1)
+        idx = np.moveaxis(idx, -1, 0)
+        nodes = np.ravel_multi_index(tuple(idx), shape)
+        zs = np.stack([ax[i] for ax, i in zip(patch.axes, idx)], axis=-1)
+        history = flat[nodes[0]][None]  # solved nodes of each line still going, newest first
+        ends = set(lengths.tolist())
+        for hop in range(1, len(zs)):
+            if hop in ends:  # some lines end here
+                on = lengths > hop
+                zs, nodes, lengths, history = zs[:, on], nodes[:, on], lengths[on], history[:, on]
+            if not lengths.size:
+                break
+            z = zs[hop]
+            w, outcome, _ = solve(z, _predict(history))
+            if np.count_nonzero(outcome):  # a start failed: retry from the previous node
+                retry = np.flatnonzero(outcome)
+                w[retry], outcome[retry], _ = solve(z[retry], history[0, retry])
+                ok = outcome == _SOLVED
+                zs, nodes, lengths, history, w = zs[:, ok], nodes[:, ok], lengths[ok], history[:, ok], w[ok]
+            flat[nodes[hop]] = w
+            history = np.concatenate([w[None], history[: len(_PREDICTORS) - 1]])
     return out

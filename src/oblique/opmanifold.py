@@ -41,6 +41,7 @@ from .linalg import (
     _EPS,
     _built,
     _ranks,
+    _read_only,
     _screened_norm,
     _screened_norms,
     as_matrix,
@@ -265,14 +266,18 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
     splitting fails; where X has full row rank, U_perp is empty and M(X) is
     the whole space.  ``rank_tol`` controls the rank decision of that SVD.
     A batch of points takes one stacked SVD.
+
+    The family is built from the context, which has checked the splitting
+    M(A) (+) E*: its base subspace is ``ctx.m0`` and its complement
+    ``ctx.estar``.  The one check left is that ``rank_tol`` cuts A, whose
+    singular values the inverse holds, at the context's rank (ValueError).
     """
     tol = cfg.rank_tol if rank_tol is None else rank_tol
-    return SubspaceFamily(
-        eval_fn=_OperatorSlices(ctx.m, ctx.n, tol),
-        base_point=vec(ctx.a),
-        base_subspace=ctx.m0,
-        complement=ctx.estar,
-    )
+    rank = int(_ranks(ctx.ainv._svd[1], ctx.a.shape, tol))
+    if rank != ctx.rank:
+        raise ValueError(f"family does not evaluate to the base subspace at the base point "
+                         f"(rank_tol {tol} cuts A at rank {rank}, the context at {ctx.rank})")
+    return _built(SubspaceFamily, _OperatorSlices(ctx.m, ctx.n, tol), _read_only(vec(ctx.a)), ctx.m0, ctx.estar, None)
 
 
 def _chart_gap(ctx: OperatorFamilyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from oblique import frobenius
 from oblique.builtins import builtin_family, builtin_map
 from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
-from oblique.frobenius import _outward_lines, explicit_patch
+from oblique.frobenius import _line_heads, explicit_patch
 from oblique.frobenius import _axis_derivatives
 from oblique.families import _JacobianKernels
 from oblique.linalg import direct_sum_check, kernel_of, oblique_projector, op_norm, rank_of
@@ -643,10 +645,18 @@ def test_lock_step_orders_match_each_order_alone(source):
     assert psi[0].tobytes() != psi[1].tobytes()
 
 
-def node_by_node_explicit(f, gi0, patch, x0, start):
+def _outward_lines(reached, center, done, axis):
+    """The lines of ``_line_heads``, each as the node indices it visits."""
+    heads = zip(*(a.tolist() for a in _line_heads(reached, center, done, axis)))
+    return [[(*s[:axis], s[axis] + j * sign, *s[axis + 1 :]) for j in range(count)] for s, sign, count in heads]
+
+
+def node_by_node_explicit(f, gi0, patch, x0, start, retry=False):
     """``explicit_patch``'s march redone with one ``explicit_psi`` call per
     node: each solve starts from ``start`` of the solved nodes of its line,
-    newest first, and a line stops at its first divergence."""
+    newest first, and a line stops at its first divergence.  With ``retry``,
+    a failed start is first retried from the previous node, as
+    ``explicit_patch`` does."""
     ref = np.full_like(patch.psi, np.nan)
     center = patch.center_index
     ref[center] = explicit_psi(f, gi0, patch.node_coords(center), x0=x0)
@@ -655,9 +665,14 @@ def node_by_node_explicit(f, gi0, patch, x0, start):
         for line in _outward_lines(reached, center, range(pos), pos):
             for i, idx in enumerate(line[1:], 1):
                 history = [ref[j] for j in line[i - 1 :: -1]]
-                try:
-                    ref[idx] = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=start(history))
-                except NewtonDivergence:
+                starts = [start(history), history[0]] if retry else [start(history)]
+                for w0 in starts:
+                    try:
+                        ref[idx] = explicit_psi(f, gi0, patch.node_coords(idx), x0=x0, w0=w0)
+                        break
+                    except NewtonDivergence:
+                        pass
+                else:
                     break
     return ref
 
@@ -1104,6 +1119,96 @@ def test_explicit_patch_circle_takes_few_map_calls():
     ep = explicit_patch(counted, gi0, patch, x0=x0)
     assert calls[0] <= 4000  # 22,920 from neighbour starts
     assert float(np.nanmax(np.abs(ep - patch.psi))) <= 1e-6
+
+
+def recording(f):
+    """``f`` with a list of the bytes of every point its ``func`` is called at."""
+    points = []
+
+    def func(x):
+        points.append(x.tobytes())
+        return f.func(x)
+
+    return DifferentiableMap(f.dom_dim, f.cod_dim, func, f.jac), points
+
+
+def test_explicit_patch_calls_f_where_the_node_by_node_march_does(monkeypatch):
+    # past the fold, where predicted starts fail, retries run and lines
+    # stop: the batched march evaluates f at the same points as one
+    # explicit_psi call per start, bit for bit, and no more
+    f, x0, gi0, patch = explicit_setup("sphere_3d", 0.99, 2e-2, 41)
+    recorded, points = recording(f)
+    solves = []
+
+    def counted_psi(*args, **kwargs):
+        solves.append(args[2])
+        return frobenius.explicit_psi(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules[__name__], "explicit_psi", counted_psi)
+    ref = node_by_node_explicit(recorded, gi0, patch, x0, frobenius._predict, retry=True)
+    expected = collections.Counter(points)
+    # each explicit_psi call evaluates f(x0) once, the patch once in all
+    expected[np.asarray(x0, dtype=float).tobytes()] -= len(solves) - 1
+    points.clear()
+    ep = explicit_patch(recorded, gi0, patch, x0=x0)
+    assert collections.Counter(points) == expected
+    assert ep.tobytes() == ref.tobytes()
+    reached = ~np.isnan(ep).any(axis=-1)
+    assert 0 < reached.sum() < reached.size
+    assert len(solves) > reached.sum()  # some starts failed
+
+
+def test_three_dimensional_explicit_patch_matches_node_by_node_solves():
+    # |x|^2 on R^4: d = 3, so the last axis pass starts from a 2-D slab
+    f = DifferentiableMap(4, 1, lambda p: np.array([p @ p]), lambda p: 2.0 * p.reshape(1, -1))
+    x0 = np.array([0.1, -0.2, 0.3, 0.9])
+    x0 = x0 / np.linalg.norm(x0)
+    patch = integrate(kernel_family(f, x0), 0.3, 5e-2, grid_points=7)
+    assert patch.m0_dim == 3 and patch.filled.all()
+    # the same lattice without its last node along axis 1: the lines of a
+    # pass along that axis end at different hops
+    cut = dataclasses.replace(patch, axes=(patch.axes[0], patch.axes[1][:-1], patch.axes[2]),
+                              psi=patch.psi[:, :-1], filled=patch.filled[:, :-1])
+    gi0 = moore_penrose(f.jacobian(x0))
+    for lattice in (patch, cut):
+        ref = node_by_node_explicit(f, gi0, lattice, x0, frobenius._predict, retry=True)
+        assert explicit_patch(f, gi0, lattice, x0=x0).tobytes() == ref.tobytes()
+        assert not np.isnan(ref).any()
+
+
+@pytest.mark.parametrize(
+    "max_iter, message, trace",
+    [
+        (50, r"diverged at z=\[-1\.5\]", [1.125, 0.6328125, 0.912139892578125, 2.019370496738702,
+                                           7.430551690818531, 62.45080533897025, 2706.947471879744,
+                                           3865641.221241446, 7482343376905.755]),
+        (3, "did not reach 1e-12 in 3 iterations", [1.125, 0.6328125, 0.912139892578125]),
+    ],
+)
+def test_explicit_psi_divergence_keeps_its_trace(max_iter, message, trace):
+    # no circle point above x = 1.5: the update norms of every chord
+    # iteration, as the one-point solver recorded them
+    f, x0 = builtin_map("sphere_2d")
+    gi0 = moore_penrose(f.jacobian(x0))
+    with pytest.raises(NewtonDivergence, match=message) as err:
+        explicit_psi(f, gi0, [-1.5], x0=x0, cfg=DEFAULTS.replace(newton_max_iter=max_iter))
+    assert err.value.trace == trace and all(type(t) is float for t in err.value.trace)
+
+
+def test_a_map_of_the_wrong_size_raises_in_every_batched_loop():
+    # f has two components off x0 > 0.2: the level-set loop of the node
+    # checks and the graph solves raise EvalError, as a call of f does
+    def func(p):
+        return np.array([p @ p, 0.0]) if p[0] > 0.2 else np.array([p @ p])
+
+    f = DifferentiableMap(3, 1, func, lambda p: 2.0 * p.reshape(1, -1))
+    x0 = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(EvalError, match="map returned 2 components, expected 1"):
+        integrate(kernel_family(f, x0), 0.5, 2e-2, grid_points=11)
+    g = DifferentiableMap(3, 1, lambda p: np.array([p @ p]), f.jac)
+    patch = integrate(kernel_family(g, x0), 0.5, 2e-2, grid_points=11)
+    with pytest.raises(EvalError, match="map returned 2 components, expected 1"):
+        explicit_patch(f, moore_penrose(f.jacobian(x0)), patch, x0=x0)
 
 
 def test_explicit_patch_falls_back_to_the_neighbour_start(monkeypatch):

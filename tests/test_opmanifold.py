@@ -152,6 +152,18 @@ def test_operator_family_tracks_slice_dimension(rng):
     assert cofinal_member(fam, vec(x))
 
 
+def test_operator_family_refuses_a_rank_cut_other_than_the_contexts():
+    # A = diag(1, 1e-6, 0) has rank 2 at the default cut; 1e-4 cuts it at 1
+    ctx = operator_context(np.diag([1.0, 1e-6, 0.0]))
+    assert ctx.rank == 2
+    with pytest.raises(ValueError, match="does not evaluate to the base subspace"):
+        operator_family(ctx, rank_tol=1e-4)
+    fam = operator_family(ctx, rank_tol=1e-8)
+    assert fam.base_subspace is ctx.m0 and fam.complement is ctx.estar and fam.source_map is None
+    assert subspace_distance(fam.eval(fam.base_point), ctx.m0) <= DEFAULTS.tol_num
+    assert fam.base_point.tobytes() == vec(ctx.a).tobytes() and not fam.base_point.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # charts
 

@@ -27,6 +27,7 @@ from oblique import (
     moore_penrose,
     oblique_projector,
     operator_context,
+    operator_family,
     perturbed_gi,
     range_of,
     rank_class_preserved,
@@ -323,6 +324,12 @@ def _operator_site():
     return ctx, sample_fixed_rank_near(ctx, trial_rng(4, 1))
 
 
+def _site_operator_family(tmp_path):
+    ctx, _ = _operator_site()
+    ctx.m0, ctx.estar  # built on first access, not by the family
+    return lambda: operator_family(ctx)
+
+
 def _site_alpha_operator_family(tmp_path):
     ctx, x = _operator_site()
     dx = unvec(ctx.m0.basis[:, 0], ctx.m, ctx.n)
@@ -371,6 +378,7 @@ CENSUS = {
     "grp_alpha": (_site_grp_alpha, 3, 1),  # was (4, 1)
     "kernel_family": (_site_kernel_family, 3, 0),  # was (7, 0), then (6, 0)
     "operator_context": (_site_operator_context, 6, 0),  # was (7, 0)
+    "operator_family": (_site_operator_family, 0, 0),  # was (3, 0)
     "random_gi": (_site_random_gi, 9, 0),  # was (10, 0)
     "tangency_check": (_site_tangency_check, 1, 0),  # was (4, 0)
     "tangency_fixed_rank": (_site_tangency_fixed_rank, 2, 0),  # was (3, 1), then (2, 1)
