@@ -16,6 +16,9 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   patch and the chart command that no workload runs;
 * the sha1 of the stdout of ``oblique integrate --builtin sphere_3d --grid
   51``, the closed-form stages with the builtin's own Jacobian;
+* the sha1 of the stdout of ``oblique integrate --builtin sphere_3d --extent
+  0.3 0.5 --grid 7 --step 3e-2``, an anisotropic lattice whose lines take 4
+  and 6 RK4 sub-steps per hop in one batch;
 * the sha1 of the stdout of ``oblique integrate --manifest M --extent 0.5
   --grid 21 --step 1e-2`` for a kernel manifest M of ``sphere_3d`` at
   (0, 0, 1) with the tilted complement E* = span(0.3, -0.2, 1): the closed
@@ -122,7 +125,8 @@ def main() -> int:
             digest, attempted, failed = workload_digest(harness, name, seed)
             print(f"perfbench {name} seed {seed}  {digest}  attempted {attempted} failed {failed}")
     for argv in (["integrate", "--builtin", "sec4_2x2"], ["chart", "--builtin", "sec4_2x2"],
-                 ["integrate", "--builtin", "sphere_3d", "--grid", "51"]):
+                 ["integrate", "--builtin", "sphere_3d", "--grid", "51"],
+                 ["integrate", "--builtin", "sphere_3d", "--extent", "0.3", "0.5", "--grid", "7", "--step", "3e-2"]):
         print(f"{' '.join(argv)}  {cli_digest(argv)}")
     digest, reached, nodes = explicit_digest()
     print(f"explicit_patch sphere_3d --extent 0.99 --grid 41 --step 2e-2  {digest}  reached {reached} of {nodes}")

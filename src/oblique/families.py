@@ -253,18 +253,21 @@ def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points: np.ndarray) -> 
     dom_dim): the one Jacobian loop of the batched routes, bit for bit
     ``f.jacobian`` point by point.
 
-    ``f.jac`` is called once per point on a row of the point array; its
-    results are checked as one stack, and one by one only when the stack is
-    not a finite float64 array of the expected shape."""
+    ``f.jac`` is called once per point on a row of the point array, in row
+    order; the rows where it raises are noted as they come, and the row
+    index is cut from them only then.  The results are checked as one
+    stack, and one by one only when the stack is not a finite float64
+    array of the expected shape."""
     jac = f.jac if f.jac is not None else functools.partial(f.fd_jacobian, cfg=cfg)
-    outs, index = [], []
+    outs, raised = [], []
     for i, row in enumerate(points):
         try:
             outs.append(jac(row))
         except Exception:  # noqa: BLE001 - user code; eval maps it to EvalError
-            continue
-        index.append(i)
-    index = np.array(index, dtype=int)
+            raised.append(i)
+    index = np.arange(len(points))
+    if raised:
+        index = np.delete(index, raised)
     shape = (len(outs), f.cod_dim, f.dom_dim)
     try:
         stack = np.array(outs)
@@ -274,7 +277,7 @@ def _jacobian_stack(f: DifferentiableMap, cfg: Numerics, points: np.ndarray) -> 
         jacs = [_as_jacobian(out, shape[1:]) for out in outs]
         index = index[[j is not None for j in jacs]]
         stack = np.array([j for j in jacs if j is not None]).reshape(-1, *shape[1:])
-    if not np.isfinite(stack).all():
+    if np.count_nonzero(np.isfinite(stack)) < stack.size:
         finite = np.isfinite(stack).all(axis=(1, 2))
         index, stack = index[finite], stack[finite]
     return index, stack

@@ -213,11 +213,11 @@ class _AlphaEvaluator:
         """alpha = -(J M0) / (J E*) at the kept points, shaped (kept, 1, dim
         M0), and the mask of kept points (see the class docstring).  With
         ``axis``, only column ``axis[r]`` of each, shaped (kept, 1, 1): the
-        one division a stage needs."""
+        one division a stage needs (for dim M0 = 1 the one column there is)."""
         rows, jacs = _jacobian_stack(self.source, self.cfg, points)
         prod = np.matmul(jacs, self.pinned)
         every = len(rows) == len(points)
-        if axis is None:
+        if axis is None or self.d == 1:
             jm = prod[..., 1:]
         else:
             jm = prod[np.arange(len(rows)), :, 1 + (axis if every else axis[rows])][..., None]
@@ -275,39 +275,43 @@ def _quotients(jacs: np.ndarray, je: np.ndarray, jm: np.ndarray) -> tuple[np.nda
     return -(jm / je), np.hypot.reduce(jacs / je, axis=2)[:, 0]
 
 
+# where each RK4 sub-step's stage points sit, as fractions of the sub-step:
+# z, z + h/2 (stages 2 and 3) and z + h, each lifted once
+_STAGE_FRACTIONS = np.array([0.0, 0.5, 1.0])[:, None, None]
+
+
 def _rk4_hop(
     ev: _AlphaEvaluator,
     z0: np.ndarray,
     w0: np.ndarray,
     axis: np.ndarray,
-    delta: np.ndarray,
-    step: float,
+    unit: np.ndarray,
+    h: np.ndarray,
+    n_sub: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of lines one lattice hop, each along its own axis,
     with RK4 sub-steps.
 
     Row r starts at M0-coordinates ``z0[r]`` with psi value ``w0[r]`` and
-    moves ``delta[r]`` along axis ``axis[r]`` in sub-steps of at most
-    ``step``.  Returns the psi values reached and the mask of rows that got
-    there; a row whose field evaluation fails drops out at once and
-    evaluates nothing further.
+    takes ``n_sub[r]`` sub-steps of length ``h[r]`` (shaped (rows, 1)) along
+    axis ``axis[r]``, whose unit vector is ``unit[r]``: values that
+    ``_sweep`` reads once per pass from its line table.  Returns the psi
+    values reached and the mask of rows that got there; a row whose field
+    evaluation fails drops out at once and evaluates nothing further.
     """
-    n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
-    h = delta[:, None] / n_sub[:, None]
-    unit = np.eye(z0.shape[1])[axis]
     w = w0.copy()
     ok = np.ones(len(z0), dtype=bool)
-    every, n_min, intact = np.arange(len(z0)), int(n_sub.min()), True
-    for j in range(int(n_sub.max())):
+    counts = n_sub.tolist()
+    every, n_min, intact = np.arange(len(z0)), min(counts), True
+    for j in range(max(counts)):
         if j < n_min and intact:  # every row goes on: no gathers
             rows, hj, ej, aj, z, wj = every, h, unit, axis, z0 + (j * h) * unit, w
         else:
             rows = np.flatnonzero(ok & (j < n_sub))
             hj, ej, aj = h[rows], unit[rows], axis[rows]
             z, wj = z0[rows] + (j * hj) * ej, w[rows]
-        # the M0 parts of the stage points, each lifted once: z, z + h/2
-        # (stages 2 and 3) and z + h
-        lifts = [np.matmul(ev.b0, zz[..., None])[..., 0] for zz in (z, z + 0.5 * hj * ej, z + 1.0 * hj * ej)]
+        # the M0 parts of the three stage points, lifted in one product
+        lifts = np.matmul(ev.b0, (z + _STAGE_FRACTIONS * hj * ej)[..., None])[..., 0]
         ks: list[np.ndarray] = []
         for frac, lift in zip((0.0, 0.5, 0.5, 1.0), (0, 1, 1, 2)):
             if not rows.size:
@@ -318,7 +322,7 @@ def _rk4_hop(
                 ok[rows[~good]] = False
                 intact = False
                 rows, hj, aj, wj = rows[good], hj[good], aj[good], wj[good]
-                lifts, ks = [v[good] for v in lifts], [v[good] for v in ks]
+                lifts, ks = lifts[:, good], [v[good] for v in ks]
             ks.append(k)
         if rows.size:
             k1, k2, k3, k4 = ks
@@ -342,6 +346,33 @@ def _line_heads(reached: np.ndarray, center: tuple[int, ...], done, axis: int) -
     return starts, signs, np.where(signs > 0, shape[axis] - starts[:, axis], starts[:, axis] + 1)
 
 
+def _line_table(axes: tuple[np.ndarray, ...], center: tuple[int, ...], passes) -> tuple[np.ndarray, ...]:
+    """The lattice lines of one axis pass, with the nodes each visits
+    gathered once for the whole pass: the one traversal of ``_sweep`` and
+    ``explicit_patch``.
+
+    ``passes`` holds one (reached mask, axes done, axis) per lattice, each
+    lattice spanned by ``axes``; its lines are ``_line_heads``'s, in the
+    order of ``passes``.  Returns per line its axis and its length in nodes,
+    start node included, and per hop and line its node, as a flat index
+    into the stack of the lattices, shaped (hops, lines), and that node's
+    M0-coordinates, shaped (hops, lines, d).  Past a line's end both stay
+    at its last node.
+    """
+    shape = tuple(len(ax) for ax in axes)
+    heads = [_line_heads(reached, center, done, axis) for reached, done, axis in passes]
+    slot = np.repeat(np.arange(len(passes)), [len(signs) for _, signs, _ in heads])
+    starts, signs, lengths = (np.concatenate(parts) for parts in zip(*heads))
+    axis = np.array([axis for _, _, axis in passes])[slot]
+    lines = np.arange(len(starts))
+    idx = np.repeat(starts[None], lengths.max(), axis=0)
+    moved = starts[lines, axis] + np.arange(len(idx))[:, None] * signs
+    idx[:, lines, axis] = np.clip(moved, 0, np.array(shape)[axis] - 1)
+    idx = np.moveaxis(idx, -1, 0)
+    nodes = np.ravel_multi_index((np.broadcast_to(slot, idx.shape[1:]), *idx), (len(passes), *shape))
+    return axis, lengths, nodes, np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
+
+
 def _sweep(
     ev: _AlphaEvaluator,
     axes: tuple[np.ndarray, ...],
@@ -355,46 +386,46 @@ def _sweep(
     batch, hop by hop: each line carries its own axis and the slot of its
     order, whose lattice it fills.  A line stops at its first breach, which
     counts once for its order.  Returns psi, the reached mask and the breach
-    count of each order, stacked along a leading slot axis."""
+    count of each order, stacked along a leading slot axis.
+
+    Each pass reads its lines from one ``_line_table`` and takes from it,
+    once for the pass, every line's unit vector and, per hop, its sub-step
+    count and length; the per-line arrays shrink only at a hop where a line
+    ends or breaches."""
     shape = tuple(len(ax) for ax in axes)
-    slots = len(orders)
+    slots, size = len(orders), math.prod(shape)
     psi = np.full((slots, *shape, ev.e), np.nan)
     filled = np.zeros((slots, *shape), dtype=bool)
     psi[(slice(None), *center)] = base_estar
     filled[(slice(None), *center)] = True
     breaches = np.zeros(slots, dtype=int)
-    flat_axes = np.concatenate(axes)
-    offsets = np.cumsum((0,) + shape[:-1])
+    psi_at, filled_at = psi.reshape(-1, ev.e), filled.reshape(-1)  # views by flat node index
 
     for pos in range(len(shape)):
-        heads = [_line_heads(filled[s], center, order[:pos], order[pos]) for s, order in enumerate(orders)]
-        slot = np.repeat(np.arange(slots), [len(signs) for _, signs, _ in heads])
-        starts, signs, lengths = (np.concatenate(parts) for parts in zip(*heads))
-        # per line, gathered once per pass: its axis, node move, and
-        # coordinate along its axis at each hop (clipped past the line's end)
-        axis = np.array([order[pos] for order in orders])[slot]
-        moves = signs[:, None] * np.eye(len(shape), dtype=int)[axis]
-        live = np.arange(len(starts))
-        first = offsets[axis] + starts[live, axis]
-        hops = np.arange(lengths.max())
-        coord = flat_axes[np.clip(first[:, None] + signs[:, None] * hops, 0, flat_axes.size - 1)]
-        z = np.column_stack([ax[starts[:, i]] for i, ax in enumerate(axes)])
-        w = psi[(slot, *starts.T)]
-        for hop in hops[1:]:
-            live = live[lengths[live] > hop]
-            if not live.size:
+        passes = [(filled[s], order[:pos], order[pos]) for s, order in enumerate(orders)]
+        axis, lengths, nodes, zs = _line_table(axes, center, passes)
+        # per hop and line: the sub-steps, of at most ``step``, of its move along its axis
+        along = zs[:, np.arange(len(axis)), axis]
+        delta = along[1:] - along[:-1]
+        n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
+        h = (delta / n_sub)[..., None]
+        unit = np.eye(len(shape))[axis]
+        w = psi_at[nodes[0]]
+        ends = set(lengths.tolist())
+        for hop in range(1, len(nodes)):
+            if hop in ends:  # some lines end here
+                on = lengths > hop
+                axis, unit, lengths, w = axis[on], unit[on], lengths[on], w[on]
+                nodes, zs, n_sub, h = nodes[:, on], zs[:, on], n_sub[:, on], h[:, on]
+            if not lengths.size:
                 break
-            nodes = starts[live] + hop * moves[live]
-            along, target = axis[live], coord[live, hop]
-            w_new, ok = _rk4_hop(ev, z[live], w[live], along, target - z[live, along], step)
-            if not ok.all():
-                breaches += np.bincount(slot[live[~ok]], minlength=slots)
-                live, nodes, along, target, w_new = live[ok], nodes[ok], along[ok], target[ok], w_new[ok]
-            reached = (slot[live], *nodes.T)
-            psi[reached] = w_new
-            filled[reached] = True
-            z[live, along] = target
-            w[live] = w_new
+            w, ok = _rk4_hop(ev, zs[hop - 1], w, axis, unit, h[hop - 1], n_sub[hop - 1])
+            if np.count_nonzero(ok) < len(ok):  # these lines breach here
+                breaches += np.bincount(nodes[0, ~ok] // size, minlength=slots)
+                axis, unit, lengths, w = axis[ok], unit[ok], lengths[ok], w[ok]
+                nodes, zs, n_sub, h = nodes[:, ok], zs[:, ok], n_sub[:, ok], h[:, ok]
+            psi_at[nodes[hop]] = w
+            filled_at[nodes[hop]] = True
     return psi, filled, breaches
 
 
@@ -568,12 +599,15 @@ _STENCILS_5 = (
 # Extrapolation to the next node of a uniformly spaced lattice line: row j
 # weighs its last j + 1 nodes, newest first, by the polynomial of degree j
 # through them (binomial coefficients with alternating signs).
-_PREDICTORS = (
-    (1.0,),
-    (2.0, -1.0),
-    (3.0, -3.0, 1.0),
-    (4.0, -6.0, 4.0, -1.0),
-    (5.0, -10.0, 10.0, -5.0, 1.0),
+_PREDICTORS = tuple(
+    np.array(weights)
+    for weights in (
+        (1.0,),
+        (2.0, -1.0),
+        (3.0, -3.0, 1.0),
+        (4.0, -6.0, 4.0, -1.0),
+        (5.0, -10.0, 10.0, -5.0, 1.0),
+    )
 )
 
 
@@ -756,9 +790,15 @@ def _solved(solve, z: np.ndarray, w0: np.ndarray | None, cfg: Numerics) -> np.nd
 def _predict(history) -> np.ndarray:
     """Start for the next node of a lattice line from its solved nodes, newest
     first: degree 4 through the last five, lower while there are fewer.
-    ``history`` may stack the nodes of many lines, one array per depth."""
+    ``history`` may stack the nodes of many lines, one array per depth; in
+    ``explicit_patch`` it is the stacked (depth, lines, dim E*) history of
+    the lines still going.  One product and one sum over the depth axis:
+    numpy adds five terms or fewer in order, here from 0.0 as Python's
+    ``sum`` starts, so the result has the bytes of
+    ``sum(c * w for c, w in zip(weights, history))``."""
     weights = _PREDICTORS[min(len(history), len(_PREDICTORS)) - 1]
-    return sum(c * w for c, w in zip(weights, history))
+    terms = np.asarray(history[: len(weights)]).T  # depth last
+    return np.add.reduce(weights * terms, axis=-1, initial=0.0).T
 
 
 def explicit_patch(
@@ -772,8 +812,10 @@ def explicit_patch(
     """Evaluate the explicit graph map on a patch's lattice.
 
     Nodes are visited marching outward from the center along the lattice
-    lines of ``integrate``'s axis passes (``_line_heads``).  The lines of a
-    pass advance together, hop by hop: one batched chord iteration solves
+    lines of ``integrate``'s axis passes, read once per pass from the line
+    table ``_sweep`` reads (``_line_table``); the per-line arrays shrink only
+    at a hop where a line ends or stops.  The lines of a pass advance
+    together, hop by hop: one batched chord iteration solves
     the next node of every line, each started from the polynomial
     extrapolation (``_predict``) of the nodes already solved on its line;
     the rows whose start fails are solved once more, from the previous node
@@ -793,20 +835,12 @@ def explicit_patch(
     if np.max(np.abs(gap), initial=0.0) > cfg.tol_num:
         raise ValidationError("the inverse's N(T0) and R(T0+) bases are not the patch's M0 and E* bases")
     center = patch.center_index
-    shape = patch.shape
-    out = np.full((*shape, patch.estar_dim), np.nan)
+    out = np.full((*patch.shape, patch.estar_dim), np.nan)
     out[center] = _solved(solve, patch.node_coords(center), None, cfg)
 
     flat = out.reshape(-1, patch.estar_dim)  # a view: ``out`` is C-contiguous
     for pos in range(patch.m0_dim):
-        starts, signs, lengths = _line_heads(~np.isnan(out).any(axis=-1), center, range(pos), pos)
-        # per hop and line, clipped past the line's end: its node's index,
-        # flat index into ``out`` and M0-coordinates
-        idx = np.repeat(starts[None], lengths.max(), axis=0)
-        idx[..., pos] = np.clip(starts[:, pos] + np.arange(len(idx))[:, None] * signs, 0, shape[pos] - 1)
-        idx = np.moveaxis(idx, -1, 0)
-        nodes = np.ravel_multi_index(tuple(idx), shape)
-        zs = np.stack([ax[i] for ax, i in zip(patch.axes, idx)], axis=-1)
+        _, lengths, nodes, zs = _line_table(patch.axes, center, [(~np.isnan(out).any(axis=-1), range(pos), pos)])
         history = flat[nodes[0]][None]  # solved nodes of each line still going, newest first
         ends = set(lengths.tolist())
         for hop in range(1, len(zs)):

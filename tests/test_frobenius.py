@@ -519,6 +519,33 @@ def test_batched_lattice_makes_the_serial_number_of_evaluations():
     assert patch.diagnostics.unfilled == 0
 
 
+@pytest.mark.parametrize("source", ["kernel", "breach"])
+def test_anisotropic_lattice_matches_serial_reference(source):
+    # spacings 0.1 and 0.15 at step 3e-2: one batch holds rows of 4 and of 5
+    # sub-steps, on lines of 3 and of 5 nodes
+    calls = [0]
+    if source == "kernel":
+        f, x0 = builtin_map("sphere_3d")
+
+        def jac(p):
+            calls[0] += 1
+            return f.jac(p)
+
+        fam = kernel_family(DifferentiableMap(3, 1, f.func, jac), x0)
+    else:
+        fam = sphere_variant("breach", calls)
+    calls[0] = 0
+    patch = integrate(fam, (0.2, 0.6), 3e-2, grid_points=(5, 9))
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 3e-2)
+    assert_matches_reference(patch, ref)
+    assert batched == calls[0] > 0
+    assert [math.ceil(h / 3e-2) for h in patch.diagnostics.spacing] == [4, 5]
+    assert patch.diagnostics.breached == (source == "breach")
+
+
 def sphere_kernels(region, calls):
     """``kernel_family`` of |x|^2 around (0, 0, 1) itself, whose analytic
     Jacobian raises, turns NaN or vanishes (the kernel jumps to R^3) off an
@@ -1110,6 +1137,21 @@ def test_predictor_rows_extrapolate_polynomials_exactly():
         for degree in range(j + 1):
             history = [np.array([float((-k) ** degree)]) for k in range(1, j + 2)]
             assert frobenius._predict(history)[0] == 0.0**degree
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), (4, 2)])
+def test_predictor_keeps_the_bytes_of_a_python_sum(rng, shape):
+    # float histories, where the order of summation shows in the last bit
+    for depth in range(1, 8):
+        for _ in range(20):
+            history = rng.standard_normal((depth, *shape)) * 10.0 ** rng.integers(-6, 7, size=(depth, *shape))
+            weights = frobenius._PREDICTORS[min(depth, len(frobenius._PREDICTORS)) - 1]
+            expected = sum(c * w for c, w in zip(weights, history))
+            for stacked in (history, list(history)):
+                assert frobenius._predict(stacked).tobytes() == expected.tobytes()
+    # the sum starts from 0, so a lone -0.0 comes out as 0.0
+    zeros = np.full((1, *shape), -0.0)
+    assert frobenius._predict(zeros).tobytes() == sum(1.0 * w for w in zeros).tobytes() == np.zeros(shape).tobytes()
 
 
 def test_explicit_patch_circle_takes_few_map_calls():
