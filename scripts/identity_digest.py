@@ -30,6 +30,9 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   grid 41 and step 2e-2, which runs past the fold: the explicit graph map
   where predicted starts fail, retries run and lattice lines stop, which no
   workload reaches;
+* the sha1 of ``explicit_patch`` on the patch of |x|^2 on R^4 at x0 along
+  (0.1, -0.2, 0.3, 0.9), extent 0.3, step 5e-2 and grid 7, with axis 1 cut
+  to 6 nodes: a three-dimensional lattice whose lines end at different hops;
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with
@@ -86,19 +89,23 @@ def cli_digest(argv: list[str]) -> str:
     return hashlib.sha1(out.getvalue().encode()).hexdigest()
 
 
-def explicit_digest() -> tuple[str, int, int]:
-    """``explicit_patch`` past the fold: (sha1 of its values, nodes reached, nodes)."""
+def explicit_digest(f, x0, extent: float, step: float, grid: int, cut: bool = False) -> tuple[str, int, int]:
+    """``explicit_patch`` on the patch of ``f`` at ``x0``, its axis 1 less its
+    last node if ``cut``: (sha1 of its values, nodes reached, nodes)."""
+    import dataclasses
+
     import numpy as np
 
     from oblique import kernel_family, moore_penrose
-    from oblique.builtins import builtin_map
     from oblique.frobenius import explicit_patch, integrate
 
-    f, x0 = builtin_map("sphere_3d")
-    patch = integrate(kernel_family(f, x0), 0.99, 2e-2, grid_points=41)
+    patch = integrate(kernel_family(f, x0), extent, step, grid_points=grid)
+    if cut:
+        axes = (patch.axes[0], patch.axes[1][:-1], *patch.axes[2:])
+        patch = dataclasses.replace(patch, axes=axes, psi=patch.psi[:, :-1], filled=patch.filled[:, :-1])
     values = explicit_patch(f, moore_penrose(f.jacobian(x0)), patch, x0=x0)
     reached = int((~np.isnan(values).any(axis=-1)).sum())
-    return hashlib.sha1(values.tobytes()).hexdigest(), reached, values.shape[0] * values.shape[1]
+    return hashlib.sha1(values.tobytes()).hexdigest(), reached, values[..., 0].size
 
 
 def workload_digest(harness, name: str, seed: int) -> tuple[str, int, int]:
@@ -128,8 +135,18 @@ def main() -> int:
                  ["integrate", "--builtin", "sphere_3d", "--grid", "51"],
                  ["integrate", "--builtin", "sphere_3d", "--extent", "0.3", "0.5", "--grid", "7", "--step", "3e-2"]):
         print(f"{' '.join(argv)}  {cli_digest(argv)}")
-    digest, reached, nodes = explicit_digest()
+    import numpy as np
+
+    from oblique import DifferentiableMap
+    from oblique.builtins import builtin_map
+
+    digest, reached, nodes = explicit_digest(*builtin_map("sphere_3d"), 0.99, 2e-2, 41)
     print(f"explicit_patch sphere_3d --extent 0.99 --grid 41 --step 2e-2  {digest}  reached {reached} of {nodes}")
+    square = DifferentiableMap(4, 1, lambda p: np.array([p @ p]), lambda p: 2.0 * p.reshape(1, -1))
+    x0 = np.array([0.1, -0.2, 0.3, 0.9])
+    digest, reached, nodes = explicit_digest(square, x0 / np.linalg.norm(x0), 0.3, 5e-2, 7, cut=True)
+    print(f"explicit_patch |x|^2 on R^4 --extent 0.3 --grid 7 --step 5e-2, axis 1 cut to 6  {digest}  "
+          f"reached {reached} of {nodes}")
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "tilted.json"
         manifest.write_text(json.dumps(TILTED))

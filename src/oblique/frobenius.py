@@ -35,7 +35,6 @@ sigma_min(Cperp^T Q) > ``tol_split``, Cperp an orthonormal basis of E*'s
 orthogonal complement (``direct_sum_check``'s sigma_min [Q | E*] is smaller).
 """
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -283,7 +282,7 @@ _STAGE_FRACTIONS = np.array([0.0, 0.5, 1.0])[:, None, None]
 def _rk4_hop(
     ev: _AlphaEvaluator,
     z0: np.ndarray,
-    w0: np.ndarray,
+    w: np.ndarray,
     axis: np.ndarray,
     unit: np.ndarray,
     h: np.ndarray,
@@ -292,14 +291,14 @@ def _rk4_hop(
     """Advance a batch of lines one lattice hop, each along its own axis,
     with RK4 sub-steps.
 
-    Row r starts at M0-coordinates ``z0[r]`` with psi value ``w0[r]`` and
+    Row r starts at M0-coordinates ``z0[r]`` with psi value ``w[r]`` and
     takes ``n_sub[r]`` sub-steps of length ``h[r]`` (shaped (rows, 1)) along
     axis ``axis[r]``, whose unit vector is ``unit[r]``: values that
-    ``_sweep`` reads once per pass from its line table.  Returns the psi
-    values reached and the mask of rows that got there; a row whose field
-    evaluation fails drops out at once and evaluates nothing further.
+    ``_sweep`` reads once per pass from its line table, and ``w`` a fresh
+    gather of its lattice, which the hop overwrites.  Returns ``w`` holding
+    the psi values reached and the mask of rows that got there; a row whose
+    field evaluation fails drops out at once and evaluates nothing further.
     """
-    w = w0.copy()
     ok = np.ones(len(z0), dtype=bool)
     counts = n_sub.tolist()
     every, n_min, intact = np.arange(len(z0)), min(counts), True
@@ -330,47 +329,43 @@ def _rk4_hop(
     return w, ok
 
 
-def _line_heads(reached: np.ndarray, center: tuple[int, ...], done, axis: int) -> tuple[np.ndarray, ...]:
-    """The lattice lines of one axis pass: start nodes (lines, d), directions
-    (+1 or -1 along ``axis``) and lengths in nodes, start node included.
-
-    Every reached node of the slab through the center that is free along the
-    axes in ``done`` starts two lines, one per direction, running outward
-    along ``axis`` to the lattice boundary.
-    """
-    shape = reached.shape
-    ranges = [range(n) if i in done else (center[i],) for i, n in enumerate(shape)]
-    starts = [start for start in itertools.product(*ranges) if reached[start]]
-    starts = np.repeat(np.array(starts, dtype=int).reshape(-1, len(shape)), 2, axis=0)
-    signs = np.tile([1, -1], len(starts) // 2)
-    return starts, signs, np.where(signs > 0, shape[axis] - starts[:, axis], starts[:, axis] + 1)
+def _reached(psi: np.ndarray) -> np.ndarray:
+    """The nodes a lattice walk reached: those whose psi is a number."""
+    return ~np.isnan(psi).any(axis=-1)
 
 
-def _line_table(axes: tuple[np.ndarray, ...], center: tuple[int, ...], passes) -> tuple[np.ndarray, ...]:
+def _line_table(axes: tuple[np.ndarray, ...], center: tuple[int, ...], psi: np.ndarray, passes) -> tuple:
     """The lattice lines of one axis pass, with the nodes each visits
     gathered once for the whole pass: the one traversal of ``_sweep`` and
     ``explicit_patch``.
 
-    ``passes`` holds one (reached mask, axes done, axis) per lattice, each
-    lattice spanned by ``axes``; its lines are ``_line_heads``'s, in the
-    order of ``passes``.  Returns per line its axis and its length in nodes,
-    start node included, and per hop and line its node, as a flat index
-    into the stack of the lattices, shaped (hops, lines), and that node's
-    M0-coordinates, shaped (hops, lines, d).  Past a line's end both stay
-    at its last node.
+    ``psi`` stacks one lattice per entry of ``passes``, each spanned by
+    ``axes``, and ``passes`` holds its (axes done, axis).  Every reached
+    node (``_reached``) of the slab through the center that is free along
+    the axes done starts two lines, one per direction, running outward
+    along the axis to the lattice boundary; the lines come in row-major
+    order of their start nodes in the stack.  Returns per line its axis and
+    its length in nodes, start node included, and per hop and line its
+    node, as a flat index into the stack, shaped (hops, lines), and that
+    node's M0-coordinates, shaped (hops, lines, d).  Past a line's end both
+    stay at its last node.
     """
-    shape = tuple(len(ax) for ax in axes)
-    heads = [_line_heads(reached, center, done, axis) for reached, done, axis in passes]
-    slot = np.repeat(np.arange(len(passes)), [len(signs) for _, signs, _ in heads])
-    starts, signs, lengths = (np.concatenate(parts) for parts in zip(*heads))
-    axis = np.array([axis for _, _, axis in passes])[slot]
-    lines = np.arange(len(starts))
+    reached = _reached(psi)
+    slab = np.zeros_like(reached)
+    for s, (done, _) in enumerate(passes):
+        at = (s, *(slice(None) if i in done else c for i, c in enumerate(center)))
+        slab[at] = reached[at]
+    starts = np.repeat(np.argwhere(slab), 2, axis=0)  # per line: its slot, then its start node
+    signs = np.tile([1, -1], len(starts) // 2)
+    lines, axis = np.arange(len(starts)), np.array([axis for _, axis in passes])[starts[:, 0]]
+    col, sizes = 1 + axis, np.array(reached.shape)  # each line's moving column in ``starts``
+    first = starts[lines, col]
+    lengths = np.where(signs > 0, sizes[col] - first, first + 1)
     idx = np.repeat(starts[None], lengths.max(), axis=0)
-    moved = starts[lines, axis] + np.arange(len(idx))[:, None] * signs
-    idx[:, lines, axis] = np.clip(moved, 0, np.array(shape)[axis] - 1)
+    idx[:, lines, col] = np.clip(first + np.arange(len(idx))[:, None] * signs, 0, sizes[col] - 1)
     idx = np.moveaxis(idx, -1, 0)
-    nodes = np.ravel_multi_index((np.broadcast_to(slot, idx.shape[1:]), *idx), (len(passes), *shape))
-    return axis, lengths, nodes, np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
+    nodes = np.ravel_multi_index(tuple(idx), reached.shape)
+    return axis, lengths, nodes, np.stack([ax[i] for ax, i in zip(axes, idx[1:])], axis=-1)
 
 
 def _sweep(
@@ -385,48 +380,45 @@ def _sweep(
     axis pass per entry of an order.  Pass k of every order advances in one
     batch, hop by hop: each line carries its own axis and the slot of its
     order, whose lattice it fills.  A line stops at its first breach, which
-    counts once for its order.  Returns psi, the reached mask and the breach
-    count of each order, stacked along a leading slot axis.
+    counts once for its order.  Returns psi, the reached mask (``_reached``
+    of psi) and the breach count of each order, stacked along a leading slot
+    axis.
 
-    Each pass reads its lines from one ``_line_table`` and takes from it,
-    once for the pass, every line's unit vector and, per hop, its sub-step
-    count and length; the per-line arrays shrink only at a hop where a line
-    ends or breaches."""
+    psi is the march's only state.  Each pass reads its lines from one
+    ``_line_table`` and takes from it, once for the pass, every line's unit
+    vector and, per hop, its sub-step count and length; each hop gathers its
+    start values from psi at the lines' previous nodes.  The per-line arrays
+    shrink only at a hop where a line ends or breaches."""
     shape = tuple(len(ax) for ax in axes)
     slots, size = len(orders), math.prod(shape)
     psi = np.full((slots, *shape, ev.e), np.nan)
-    filled = np.zeros((slots, *shape), dtype=bool)
     psi[(slice(None), *center)] = base_estar
-    filled[(slice(None), *center)] = True
     breaches = np.zeros(slots, dtype=int)
-    psi_at, filled_at = psi.reshape(-1, ev.e), filled.reshape(-1)  # views by flat node index
+    psi_at = psi.reshape(-1, ev.e)  # a view by flat node index
 
     for pos in range(len(shape)):
-        passes = [(filled[s], order[:pos], order[pos]) for s, order in enumerate(orders)]
-        axis, lengths, nodes, zs = _line_table(axes, center, passes)
+        axis, lengths, nodes, zs = _line_table(axes, center, psi, [(order[:pos], order[pos]) for order in orders])
         # per hop and line: the sub-steps, of at most ``step``, of its move along its axis
         along = zs[:, np.arange(len(axis)), axis]
         delta = along[1:] - along[:-1]
         n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
         h = (delta / n_sub)[..., None]
         unit = np.eye(len(shape))[axis]
-        w = psi_at[nodes[0]]
         ends = set(lengths.tolist())
         for hop in range(1, len(nodes)):
             if hop in ends:  # some lines end here
                 on = lengths > hop
-                axis, unit, lengths, w = axis[on], unit[on], lengths[on], w[on]
+                axis, unit, lengths = axis[on], unit[on], lengths[on]
                 nodes, zs, n_sub, h = nodes[:, on], zs[:, on], n_sub[:, on], h[:, on]
             if not lengths.size:
                 break
-            w, ok = _rk4_hop(ev, zs[hop - 1], w, axis, unit, h[hop - 1], n_sub[hop - 1])
+            w, ok = _rk4_hop(ev, zs[hop - 1], psi_at[nodes[hop - 1]], axis, unit, h[hop - 1], n_sub[hop - 1])
             if np.count_nonzero(ok) < len(ok):  # these lines breach here
                 breaches += np.bincount(nodes[0, ~ok] // size, minlength=slots)
                 axis, unit, lengths, w = axis[ok], unit[ok], lengths[ok], w[ok]
                 nodes, zs, n_sub, h = nodes[:, ok], zs[:, ok], n_sub[:, ok], h[:, ok]
             psi_at[nodes[hop]] = w
-            filled_at[nodes[hop]] = True
-    return psi, filled, breaches
+    return psi, _reached(psi), breaches
 
 
 def integrate(
@@ -503,14 +495,9 @@ def integrate(
     psis, reached, breaches = _sweep(ev, axes, center, base_estar, step, orders)
     psi, filled = psis[0], reached[0]
 
-    path_residual: float | None = 0.0
-    if d > 1:
-        both = reached.all(axis=0)
-        if both.any():
-            path_residual = float(np.nanmax(np.abs(psi[both] - psis[1][both])))
-
     diag = PatchDiagnostics(step=float(step), spacing=tuple(spacing))
-    diag.path_residual = path_residual
+    # NaN at a node either order missed; both reach the center
+    diag.path_residual = 0.0 if d == 1 else float(np.nanmax(np.abs(psi - psis[1])))
     diag.breached = bool(breaches[0])
     diag.unfilled = int(filled.size - filled.sum())
     diag.initial_residual = float(np.max(np.abs(psi[center] - base_estar)))
@@ -791,10 +778,10 @@ def _predict(history) -> np.ndarray:
     """Start for the next node of a lattice line from its solved nodes, newest
     first: degree 4 through the last five, lower while there are fewer.
     ``history`` may stack the nodes of many lines, one array per depth; in
-    ``explicit_patch`` it is the stacked (depth, lines, dim E*) history of
-    the lines still going.  One product and one sum over the depth axis:
-    numpy adds five terms or fewer in order, here from 0.0 as Python's
-    ``sum`` starts, so the result has the bytes of
+    ``explicit_patch`` it is a (depth, lines, dim E*) gather of the lattice
+    at the solved nodes of the lines still going.  One product and one sum
+    over the depth axis: numpy adds five terms or fewer in order, here from
+    0.0 as Python's ``sum`` starts, so the result has the bytes of
     ``sum(c * w for c, w in zip(weights, history))``."""
     weights = _PREDICTORS[min(len(history), len(_PREDICTORS)) - 1]
     terms = np.asarray(history[: len(weights)]).T  # depth last
@@ -815,9 +802,10 @@ def explicit_patch(
     lines of ``integrate``'s axis passes, read once per pass from the line
     table ``_sweep`` reads (``_line_table``); the per-line arrays shrink only
     at a hop where a line ends or stops.  The lines of a pass advance
-    together, hop by hop: one batched chord iteration solves
-    the next node of every line, each started from the polynomial
-    extrapolation (``_predict``) of the nodes already solved on its line;
+    together, hop by hop: one batched chord iteration solves the next node
+    of every line, each started from the polynomial extrapolation
+    (``_predict``) of the nodes already solved on its line, newest first,
+    which the hop gathers from the values: they are the walk's only state;
     the rows whose start fails are solved once more, from the previous node
     of their line.  A line stops where both starts fail, and unreachable
     nodes come back as NaN.  Every node gets the iterates, and the map
@@ -840,22 +828,20 @@ def explicit_patch(
 
     flat = out.reshape(-1, patch.estar_dim)  # a view: ``out`` is C-contiguous
     for pos in range(patch.m0_dim):
-        _, lengths, nodes, zs = _line_table(patch.axes, center, [(~np.isnan(out).any(axis=-1), range(pos), pos)])
-        history = flat[nodes[0]][None]  # solved nodes of each line still going, newest first
+        _, lengths, nodes, zs = _line_table(patch.axes, center, out[None], [(range(pos), pos)])
         ends = set(lengths.tolist())
         for hop in range(1, len(zs)):
             if hop in ends:  # some lines end here
                 on = lengths > hop
-                zs, nodes, lengths, history = zs[:, on], nodes[:, on], lengths[on], history[:, on]
+                zs, nodes, lengths = zs[:, on], nodes[:, on], lengths[on]
             if not lengths.size:
                 break
-            z = zs[hop]
+            z, history = zs[hop], flat[nodes[hop - 1 :: -1][: len(_PREDICTORS)]]
             w, outcome, _ = solve(z, _predict(history))
             if np.count_nonzero(outcome):  # a start failed: retry from the previous node
                 retry = np.flatnonzero(outcome)
                 w[retry], outcome[retry], _ = solve(z[retry], history[0, retry])
                 ok = outcome == _SOLVED
-                zs, nodes, lengths, history, w = zs[:, ok], nodes[:, ok], lengths[ok], history[:, ok], w[ok]
+                zs, nodes, lengths, w = zs[:, ok], nodes[:, ok], lengths[ok], w[ok]
             flat[nodes[hop]] = w
-            history = np.concatenate([w[None], history[: len(_PREDICTORS) - 1]])
     return out

@@ -26,7 +26,7 @@ from oblique import frobenius
 from oblique.builtins import builtin_family, builtin_map
 from oblique.config import DEFAULTS
 from oblique.errors import CofinalBreach, EvalError
-from oblique.frobenius import _line_heads, explicit_patch
+from oblique.frobenius import explicit_patch
 from oblique.frobenius import _axis_derivatives
 from oblique.families import _JacobianKernels
 from oblique.linalg import direct_sum_check, kernel_of, oblique_projector, op_norm, rank_of
@@ -673,9 +673,17 @@ def test_lock_step_orders_match_each_order_alone(source):
 
 
 def _outward_lines(reached, center, done, axis):
-    """The lines of ``_line_heads``, each as the node indices it visits."""
-    heads = zip(*(a.tolist() for a in _line_heads(reached, center, done, axis)))
-    return [[(*s[:axis], s[axis] + j * sign, *s[axis + 1 :]) for j in range(count)] for s, sign, count in heads]
+    """The lines of one axis pass, each as the node indices it visits: every
+    reached node of the slab through the center that is free along the axes
+    in ``done`` starts two lines, outward along ``axis`` first in the
+    positive direction, then in the negative, to the lattice boundary."""
+    ranges = [range(n) if i in done else (center[i],) for i, n in enumerate(reached.shape)]
+    lines = []
+    for start in itertools.product(*ranges):
+        if reached[start]:
+            for along in (range(start[axis], reached.shape[axis]), range(start[axis], -1, -1)):
+                lines.append([(*start[:axis], i, *start[axis + 1 :]) for i in along])
+    return lines
 
 
 def node_by_node_explicit(f, gi0, patch, x0, start, retry=False):
