@@ -672,6 +672,34 @@ def test_lock_step_orders_match_each_order_alone(source):
     assert psi[0].tobytes() != psi[1].tobytes()
 
 
+@pytest.mark.parametrize(
+    "family, extent, step, grid, filled",
+    [
+        (lambda: kernel_family(*builtin_map("sphere_3d"), estar=Subspace.span([0.3, -0.2, 1.0])), 0.5, 1e-2, 21, 440),
+        (lambda: kernel_family(*builtin_map("sphere_3d")), 1.3, 2e-2, 21, 185),
+        (lambda: circle_family()[2], 1.2, 1e-3, None, 2001),
+    ],
+)
+def test_a_breached_patch_fills_exactly_the_nodes_whose_psi_is_a_number(family, extent, step, grid, filled):
+    patch = integrate(family(), extent, step, grid_points=grid)
+    assert patch.diagnostics.breached
+    assert patch.filled.sum() == filled < patch.filled.size
+    assert patch.filled.tobytes() == (~np.isnan(patch.psi).any(-1)).tobytes()
+
+
+def test_each_order_of_a_breached_sweep_reaches_exactly_the_nodes_whose_psi_is_a_number():
+    fam, step = sphere_variant("breach"), 2e-2
+    patch = integrate(fam, 0.5, step, grid_points=11)
+    order = tuple(range(patch.m0_dim))
+    ev = frobenius._AlphaEvaluator(fam, DEFAULTS)
+    psi, filled, breaches = frobenius._sweep(ev, patch.axes, patch.center_index, patch.base_estar, step,
+                                             [order, order[::-1]])
+    assert (breaches > 0).all()
+    for slot in range(2):
+        assert not filled[slot].all()
+        assert filled[slot].tobytes() == (~np.isnan(psi[slot]).any(-1)).tobytes()
+
+
 def _outward_lines(reached, center, done, axis):
     """The lines of one axis pass, each as the node indices it visits: every
     reached node of the slab through the center that is free along the axes

@@ -13,8 +13,10 @@ from oblique import (
     Subspace,
     SubspaceFamily,
     coordinate_operator,
+    gi_from_complements,
     integrate,
     kernel_family,
+    locally_fine_probe,
     moore_penrose,
     operator_context,
     perturbed_gi,
@@ -25,7 +27,7 @@ from oblique import (
 from oblique.builtins import builtin_map, family_from_manifest
 from oblique.frobenius import explicit_patch, explicit_psi
 from oblique.cli import main
-from oblique.errors import ValidationError
+from oblique.errors import CofinalBreach, ComplementError, ValidationError
 from oblique.matio import matrix_to_dict
 
 A2 = np.diag([1.0, 0.0])
@@ -86,6 +88,78 @@ def test_integrate_rejects_grid_count_above_base_dimension():
     fam = kernel_family(f, [0.0, 1.0])
     with pytest.raises(ValidationError, match="grid_points has 2 values"):
         integrate(fam, 0.1, 1e-2, grid_points=[5, 5])
+
+
+def _full_after_first_call():
+    """A family of lines of R^2 that is the base line at its first call, the
+    construction's check, and R^2 from then on."""
+    base, calls = Subspace.span([1.0, 0.0]), [0]
+
+    def eval_fn(x):
+        calls[0] += 1
+        return base if calls[0] == 1 else Subspace.full(2)
+
+    return SubspaceFamily(eval_fn, np.array([0.0, 5.0]), base, Subspace.span([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "family, extent, grid, error, message",
+    [
+        (lambda: SubspaceFamily(lambda p: Subspace(np.eye(3)[:, :2]), np.zeros(2), Subspace(np.eye(3)[:, :2]),
+                                Subspace.span([0.0, 0.0, 1.0])),
+         0.1, None, ValidationError, "family parameters must be ambient points"),
+        (lambda: SubspaceFamily(lambda p: Subspace.trivial(2), np.zeros(2), Subspace.trivial(2), Subspace.full(2)),
+         0.1, None, ValidationError, "base subspace is trivial"),
+        (lambda: kernel_family(*builtin_map("sphere_2d")), 0.0, None, ValidationError, "extents must be positive"),
+        (lambda: kernel_family(*builtin_map("sphere_3d")), (0.1, -0.1), None, ValidationError,
+         "extents must be positive"),
+        (lambda: kernel_family(*builtin_map("sphere_2d")), 0.1, 4, ValidationError,
+         r"grid_points must be odd and >= 3, got 4"),
+        (_full_after_first_call, 0.1, None, CofinalBreach,
+         r"no splitting at the base point \(subspace of dim 2, expected dim 1\)"),
+    ],
+)
+def test_integrate_rejects_inputs_it_cannot_integrate(family, extent, grid, error, message):
+    with pytest.raises(error, match=message):
+        integrate(family(), extent, 1e-2, grid_points=grid)
+
+
+# ---------------------------------------------------------------------------
+# inverses and probes check their spaces and arguments
+
+
+@pytest.mark.parametrize(
+    "range_complement, kernel_complement, message",
+    [
+        (Subspace.full(2), Subspace.full(2), r"range complement in R\^2, domain is R\^3"),
+        (Subspace.full(3), Subspace.full(3), r"kernel complement in R\^3, codomain is R\^2"),
+    ],
+)
+def test_gen_inverse_rejects_complements_in_the_wrong_space(range_complement, kernel_complement, message):
+    # A maps R^3 to R^2: R(A+) lives in the domain, N(A+) in the codomain
+    with pytest.raises(ValidationError, match=message):
+        GenInverse(np.eye(2, 3), np.eye(3, 2), range_complement, kernel_complement)
+
+
+def test_cli_conditions_rejects_an_inverse_that_breaks_the_axioms(tmp_path, capsys):
+    # 2 A+ of A = diag(1, 0): A B A = 2 A, so B is not a {1,2}-inverse
+    argv = ["conditions", "--a", write_matrix(tmp_path / "a.json", A2),
+            "--ainv", write_matrix(tmp_path / "ai.json", 2.0 * A2), "--t", write_matrix(tmp_path / "t.json", T2)]
+    assert main(argv) == 3
+    assert "inverse axioms violated" in capsys.readouterr().err
+
+
+def test_gi_from_complements_rejects_a_kernel_complement_that_meets_the_range():
+    # R(A) = span(e1) = N+: the two do not add up to R^2
+    with pytest.raises(ComplementError, match="supplied kernel complement is not transversal to the range"):
+        gi_from_complements(A2, Subspace.span([1.0, 0.0]), Subspace.span([1.0, 0.0]))
+    assert gi_from_complements(A2, Subspace.span([1.0, 0.0]), Subspace.span([1.0, 1.0])).residuals()["aba"] == 0.0
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1])
+def test_locally_fine_probe_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radii must be positive"):
+        locally_fine_probe(lambda x: A2 + x[0] * T2, [0.0], moore_penrose(A2), [0.1, radius], samples=2)
 
 
 # ---------------------------------------------------------------------------

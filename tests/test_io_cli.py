@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,56 @@ def test_cli_verify_deterministic(tmp_path):
 def test_cli_rejects_counts_and_seeds_below_their_floor(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must be at least")
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _matrix_file(name, text):
+    return lambda tmp_path: ["gi", "--a", _write(tmp_path / name, text)]
+
+
+def _manifest(payload):
+    return lambda tmp_path: ["integrate", "--manifest", _write(tmp_path / "m.json", json.dumps(payload)),
+                             "--extent", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (_matrix_file("m.csv", "1.0,2.0\n3.0,x\n"), r"m\.csv:2: could not convert string to float: 'x'"),
+        (_matrix_file("m.csv", "1.0,nan\n"), r"m\.csv:1: non-finite entries rejected"),
+        (_matrix_file("m.csv", "\n  \n"), r"m\.csv: empty matrix"),
+        (lambda tmp_path: ["gi", "--a", str(tmp_path / "missing.json")], r"no such file: .*missing\.json"),
+        (lambda tmp_path: ["gi", "--a", str(tmp_path / "missing.csv")], r"no such file: .*missing\.csv"),
+        (_matrix_file("bad.json", '{"rows": 1,\n "cols": 1,,\n "data": [1.0]}'), r"bad\.json:2: invalid JSON"),
+        (_manifest({"kind": "kernel", "map": {"dom_dim": 2, "components": [[[1.0, [2, 0, 0]]]]}, "x0": [0.0, 1.0]}),
+         "polynomial exponents must be nonnegative, one per variable"),
+        (_manifest({"kind": "kernel", "map": {"dom_dim": 2, "components": [[[1.0, [2, 0]]]]}}),
+         "kernel manifest with a polynomial map needs x0"),
+        (_manifest({"kind": "kernel", "map": 3, "x0": [0.0, 1.0]}),
+         "kernel manifest needs map: builtin name or polynomial spec"),
+        (_manifest({"kind": "explicit", "points": [[0.0, 1.0], [1.0, 0.0]],
+                    "bases": [{"rows": 2, "cols": 1, "data": [1.0, 0.0]}]}),
+         "explicit manifest: points and bases must align and be nonempty"),
+        (lambda tmp_path: ["gi", "--a", write_matrix(tmp_path / "a.json", np.eye(2)),
+                           "--r-plus", write_matrix(tmp_path / "r.json", np.eye(2))],
+         "--r-plus and --n-plus must be given together"),
+        (lambda tmp_path: ["verify", "thm1_2", "--tol", "0"], "--tol must be positive"),
+    ],
+)
+def test_cli_file_manifest_and_flag_errors_exit_2(tmp_path, capsys, make_argv, message):
+    assert main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(message, err)
+
+
+def test_cli_verify_tol_sets_tol_num_and_cond_tol(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "thm1_2", "--trials", "3", "--tol", "1e-7", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["tol_num"] == 1e-7
+    assert config["cond_tol"] == 100 * 1e-7
