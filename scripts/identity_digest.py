@@ -19,6 +19,9 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of the stdout of ``oblique integrate --builtin sphere_3d --extent
   0.3 0.5 --grid 7 --step 3e-2``, an anisotropic lattice whose lines take 4
   and 6 RK4 sub-steps per hop in one batch;
+* the sha1 of the stdout of ``oblique integrate --builtin sphere_3d --grid 5
+  --step 2e-3``, a march whose hops take 125 RK4 sub-steps each: the first
+  sub-step of a hop and the later ones;
 * the sha1 of the stdout of ``oblique integrate --manifest M --extent 0.5
   --grid 21 --step 1e-2`` for a kernel manifest M of ``sphere_3d`` at
   (0, 0, 1) with the tilted complement E* = span(0.3, -0.2, 1): the closed
@@ -133,7 +136,8 @@ def main() -> int:
             print(f"perfbench {name} seed {seed}  {digest}  attempted {attempted} failed {failed}")
     for argv in (["integrate", "--builtin", "sec4_2x2"], ["chart", "--builtin", "sec4_2x2"],
                  ["integrate", "--builtin", "sphere_3d", "--grid", "51"],
-                 ["integrate", "--builtin", "sphere_3d", "--extent", "0.3", "0.5", "--grid", "7", "--step", "3e-2"]):
+                 ["integrate", "--builtin", "sphere_3d", "--extent", "0.3", "0.5", "--grid", "7", "--step", "3e-2"],
+                 ["integrate", "--builtin", "sphere_3d", "--grid", "5", "--step", "2e-3"]):
         print(f"{' '.join(argv)}  {cli_digest(argv)}")
     import numpy as np
 

@@ -192,9 +192,10 @@ class _AlphaEvaluator:
 
     def _closed_form_source(self) -> DifferentiableMap | None:
         """The family's source map when it has one component and its base
-        Jacobian T0 has T0 E* != 0, recording the sign of T0 E*; None
-        otherwise.  T0 is the one ``kernel_family`` took, else one Jacobian
-        call at the base point."""
+        Jacobian T0 has T0 E* != 0, recording the sign of T0 E* and the
+        comparison with 0 that holds for that sign (``np.greater`` or
+        ``np.less``); None otherwise.  T0 is the one ``kernel_family`` took,
+        else one Jacobian call at the base point."""
         f, kernels = self.family.source_map, self.family.eval_fn
         if f is None or f.cod_dim != 1 or self.e != 1 or f.dom_dim != self.family.param_dim:
             return None
@@ -204,6 +205,7 @@ class _AlphaEvaluator:
         if not (orientation.size and orientation[0]):
             return None
         self.orientation = orientation[0]
+        self.same_side = np.greater if self.orientation > 0 else np.less
         self.pinned = np.hstack([self.bs, self.b0])
         self.margin_bound = 1.0 / self.cfg.tol_split if self.cfg.tol_split > 0.0 else math.inf
         return f
@@ -212,7 +214,9 @@ class _AlphaEvaluator:
         """alpha = -(J M0) / (J E*) at the kept points, shaped (kept, 1, dim
         M0), and the mask of kept points (see the class docstring).  With
         ``axis``, only column ``axis[r]`` of each, shaped (kept, 1, 1): the
-        one division a stage needs (for dim M0 = 1 the one column there is)."""
+        one division a stage needs (for dim M0 = 1 the one column there is).
+        The fold test is one comparison of J E* with 0 (``same_side``): a
+        row whose J E* is 0, -0.0, NaN or of the other sign fails it."""
         rows, jacs = _jacobian_stack(self.source, self.cfg, points)
         prod = np.matmul(jacs, self.pinned)
         every = len(rows) == len(points)
@@ -221,7 +225,7 @@ class _AlphaEvaluator:
         else:
             jm = prod[np.arange(len(rows)), :, 1 + (axis if every else axis[rows])][..., None]
         alpha, norms = _quotients(jacs, prod[..., :1], jm)
-        kept = (np.sign(prod[:, 0, 0]) == self.orientation) & (norms < self.margin_bound)
+        kept = self.same_side(prod[:, 0, 0], 0.0) & (norms < self.margin_bound)
         if every and np.count_nonzero(kept) == len(kept):
             return alpha, kept  # every point evaluated and kept: kept is the mask
         ok = np.zeros(len(points), dtype=bool)
@@ -279,53 +283,72 @@ def _quotients(jacs: np.ndarray, je: np.ndarray, jm: np.ndarray) -> tuple[np.nda
 _STAGE_FRACTIONS = np.array([0.0, 0.5, 1.0])[:, None, None]
 
 
+def _stage_lifts(b0: np.ndarray, z0: np.ndarray, j: int, h: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """The M0 parts of the three stage points of sub-step ``j`` of each row,
+    from z = z0 + j h along the row's ``unit``, lifted in one product.
+    ``z0`` is shaped (..., rows, d) and ``h`` (..., rows, 1); the lifts come
+    shaped (..., 3, rows, n)."""
+    z = z0 + (j * h) * unit
+    return np.matmul(b0, (z[..., None, :, :] + _STAGE_FRACTIONS * h[..., None, :, :] * unit)[..., None])[..., 0]
+
+
 def _rk4_hop(
     ev: _AlphaEvaluator,
     z0: np.ndarray,
     w: np.ndarray,
     axis: np.ndarray,
     unit: np.ndarray,
-    h: np.ndarray,
     n_sub: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    lifts: np.ndarray,
+    steps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance a batch of lines one lattice hop, each along its own axis,
     with RK4 sub-steps.
 
     Row r starts at M0-coordinates ``z0[r]`` with psi value ``w[r]`` and
-    takes ``n_sub[r]`` sub-steps of length ``h[r]`` (shaped (rows, 1)) along
-    axis ``axis[r]``, whose unit vector is ``unit[r]``: values that
-    ``_sweep`` reads once per pass from its line table, and ``w`` a fresh
-    gather of its lattice, which the hop overwrites.  Returns ``w`` holding
-    the psi values reached and the mask of rows that got there; a row whose
-    field evaluation fails drops out at once and evaluates nothing further.
+    takes ``n_sub[r]`` sub-steps of length h along axis ``axis[r]``, whose
+    unit vector is ``unit[r]``.  ``steps[:, r]`` holds the multiples 0.5 h,
+    h and h / 6 that its stages and its RK4 sum take, shaped (3, rows, 1),
+    and ``lifts[:, r]`` the stage-point lifts of its first sub-step
+    (``_stage_lifts``), shaped (3, rows, n): values that ``_sweep`` reads
+    once per pass from its tables, and ``w`` a fresh gather of its lattice,
+    which the hop may write into.  Later sub-steps lift their stage points
+    here.  Returns the psi values reached, one row per row of ``w``, and the
+    mask of rows that got there, None when every row did; a row whose field
+    evaluation fails drops out at once and evaluates nothing further.
     """
-    ok = np.ones(len(z0), dtype=bool)
+    ok = None  # the mask of rows still going, once one has failed
     counts = n_sub.tolist()
-    every, n_min, intact = np.arange(len(z0)), min(counts), True
+    every, n_min = np.arange(len(z0)), min(counts)
     for j in range(max(counts)):
-        if j < n_min and intact:  # every row goes on: no gathers
-            rows, hj, ej, aj, z, wj = every, h, unit, axis, z0 + (j * h) * unit, w
+        if j < n_min and ok is None:  # every row goes on: no gathers
+            rows, zj, ej, aj, sj, wj = every, z0, unit, axis, steps, w
         else:
-            rows = np.flatnonzero(ok & (j < n_sub))
-            hj, ej, aj = h[rows], unit[rows], axis[rows]
-            z, wj = z0[rows] + (j * hj) * ej, w[rows]
-        # the M0 parts of the three stage points, lifted in one product
-        lifts = np.matmul(ev.b0, (z + _STAGE_FRACTIONS * hj * ej)[..., None])[..., 0]
+            rows = np.flatnonzero(j < n_sub if ok is None else ok & (j < n_sub))
+            zj, ej, aj, sj, wj = z0[rows], unit[rows], axis[rows], steps[:, rows], w[rows]
+        if j:
+            lifts = _stage_lifts(ev.b0, zj, j, sj[1], ej)
         ks: list[np.ndarray] = []
-        for frac, lift in zip((0.0, 0.5, 0.5, 1.0), (0, 1, 1, 2)):
+        # per stage: the lift of its point, and the multiple of h in ``steps`` that moves w along the last k
+        for lift, mult in ((0, None), (1, 0), (1, 0), (2, 1)):
             if not rows.size:
                 break
-            ws = wj + frac * hj * ks[-1] if frac else wj
+            ws = wj + sj[mult] * ks[-1] if ks else wj
             k, good = ev.stage(lifts[lift] + np.matmul(ev.bs, ws[..., None])[..., 0], aj)
             if np.count_nonzero(good) < len(good):
+                if ok is None:
+                    ok = np.ones(len(z0), bool)
                 ok[rows[~good]] = False
-                intact = False
-                rows, hj, aj, wj = rows[good], hj[good], aj[good], wj[good]
+                rows, aj, sj, wj = rows[good], aj[good], sj[:, good], wj[good]
                 lifts, ks = lifts[:, good], [v[good] for v in ks]
             ks.append(k)
         if rows.size:
             k1, k2, k3, k4 = ks
-            w[rows] = wj + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            w_end = wj + sj[2] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if rows is every:  # every row took this sub-step: nothing to scatter
+                w = w_end
+            else:
+                w[rows] = w_end
     return w, ok
 
 
@@ -348,7 +371,10 @@ def _line_table(axes: tuple[np.ndarray, ...], center: tuple[int, ...], psi: np.n
     its length in nodes, start node included, and per hop and line its
     node, as a flat index into the stack, shaped (hops, lines), and that
     node's M0-coordinates, shaped (hops, lines, d).  Past a line's end both
-    stay at its last node.
+    stay at its last node.  Each walk forms from these coordinates, once for
+    the pass, the operands of its hops that do not depend on psi: ``_sweep``
+    the step multiples and first-sub-step stage lifts of each hop,
+    ``explicit_patch`` the M0 lift of each node.
     """
     reached = _reached(psi)
     slab = np.zeros_like(reached)
@@ -386,9 +412,11 @@ def _sweep(
 
     psi is the march's only state.  Each pass reads its lines from one
     ``_line_table`` and takes from it, once for the pass, every line's unit
-    vector and, per hop, its sub-step count and length; each hop gathers its
-    start values from psi at the lines' previous nodes.  The per-line arrays
-    shrink only at a hop where a line ends or breaches."""
+    vector and, per hop, its sub-step count, the multiples of its sub-step
+    length that the RK4 stages and sum take, and the stage-point lifts of
+    its first sub-step, which starts at the hop's node (``_rk4_hop``); each
+    hop gathers its start values from psi at the lines' previous nodes.  The
+    per-line arrays shrink only at a hop where a line ends or breaches."""
     shape = tuple(len(ax) for ax in axes)
     slots, size = len(orders), math.prod(shape)
     psi = np.full((slots, *shape, ev.e), np.nan)
@@ -404,19 +432,24 @@ def _sweep(
         n_sub = np.maximum(1, np.ceil(np.abs(delta) / step - 1e-12)).astype(int)
         h = (delta / n_sub)[..., None]
         unit = np.eye(len(shape))[axis]
+        steps = np.stack([0.5 * h, h, h / 6.0], axis=1)
+        lifts = _stage_lifts(ev.b0, zs[:-1], 0, h, unit)
         ends = set(lengths.tolist())
         for hop in range(1, len(nodes)):
             if hop in ends:  # some lines end here
                 on = lengths > hop
                 axis, unit, lengths = axis[on], unit[on], lengths[on]
-                nodes, zs, n_sub, h = nodes[:, on], zs[:, on], n_sub[:, on], h[:, on]
+                nodes, zs, n_sub = nodes[:, on], zs[:, on], n_sub[:, on]
+                lifts, steps = lifts[:, :, on], steps[:, :, on]
             if not lengths.size:
                 break
-            w, ok = _rk4_hop(ev, zs[hop - 1], psi_at[nodes[hop - 1]], axis, unit, h[hop - 1], n_sub[hop - 1])
-            if np.count_nonzero(ok) < len(ok):  # these lines breach here
+            at = hop - 1
+            w, ok = _rk4_hop(ev, zs[at], psi_at[nodes[at]], axis, unit, n_sub[at], lifts[at], steps[at])
+            if ok is not None:  # these lines breach here
                 breaches += np.bincount(nodes[0, ~ok] // size, minlength=slots)
                 axis, unit, lengths, w = axis[ok], unit[ok], lengths[ok], w[ok]
-                nodes, zs, n_sub, h = nodes[:, ok], zs[:, ok], n_sub[:, ok], h[:, ok]
+                nodes, zs, n_sub = nodes[:, ok], zs[:, ok], n_sub[:, ok]
+                lifts, steps = lifts[:, :, ok], steps[:, :, ok]
             psi_at[nodes[hop]] = w
     return psi, _reached(psi), breaches
 
@@ -446,10 +479,13 @@ def integrate(
 
     A transversality breach along a path truncates that path: the patch comes
     back partial with ``diagnostics.breached`` set, holding every node that
-    was reached.  A breach already at the base raises CofinalBreach.
+    was reached.  A breach already at the base raises CofinalBreach.  A
+    ``step`` that is not finite and positive raises StepError; an extent that
+    is not finite and positive, or a node count that is not a whole number,
+    odd and at least 3, raises ValidationError.
     """
-    if step <= 0:
-        raise StepError(f"step must be positive, got {step}")
+    if not (np.isfinite(step) and step > 0):
+        raise StepError(f"step must be finite and positive, got {step}")
     if family.param_dim != family.ambient_dim:
         raise ValidationError("family parameters must be ambient points to reconstruct the patch")
     d = family.base_subspace.dim
@@ -462,10 +498,15 @@ def integrate(
     extent_arr = np.broadcast_to(np.asarray(extent, dtype=float).ravel(), (d,)).copy()
     if np.any(extent_arr <= 0):
         raise ValidationError("extents must be positive")
+    if not np.isfinite(extent_arr).all():
+        raise ValidationError(f"extents must be finite, got {extent_arr.tolist()}")
     if grid_points is None:
         counts = [2 * max(1, round(extent_arr[i] / step)) + 1 for i in range(d)] if d == 1 else [21] * d
     else:
-        counts = np.broadcast_to(np.asarray(grid_points, dtype=int).ravel(), (d,)).tolist()
+        given = np.asarray(grid_points, dtype=float).ravel()
+        if not (np.isfinite(given) & (given == np.trunc(given))).all():
+            raise ValidationError(f"grid_points must be whole numbers, got {given.tolist()}")
+        counts = np.broadcast_to(given.astype(int), (d,)).tolist()
         for c in counts:
             if c < 3 or c % 2 == 0:
                 raise ValidationError(f"grid_points must be odd and >= 3, got {c}")
@@ -686,7 +727,7 @@ def explicit_psi(
     """
     solve, (m0, estar) = _graph_solver(f, gi0, x0, cfg)
     w0 = None if w0 is None else _finite_vector(w0, estar.shape[1], "w0")
-    return _solved(solve, _finite_vector(z, m0.shape[1], "z"), w0, cfg)
+    return _solved(solve, m0, _finite_vector(z, m0.shape[1], "z"), w0, cfg)
 
 
 def _finite_vector(value, size: int, name: str) -> np.ndarray:
@@ -709,15 +750,17 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
     z computed once.
 
     Checks ``x0`` and returns the solver with the bases of M0 = N(T0) and
-    E* = R(T0+).  The solver takes points ``z`` (N, dim M0) and starts
-    ``w0`` (N, dim E*), finite and unchecked, or None for the E*-coordinates
-    of ``x0`` as every start.  Each row iterates exactly as a single point
-    does, with its map values from one ``_value_stack`` per iteration, and
-    leaves the batch at its own stop: solved once its update norm is at most
-    ``newton_tol``, diverged when the update is not finite or above 1e9,
-    unsolved when ``newton_max_iter`` runs out.  It returns each row's last
-    iterate, its outcome (``_SOLVED``, ``_DIVERGED`` or ``_UNSOLVED``) and
-    the update norms of each iteration over the rows still iterating then.
+    E* = R(T0+).  The solver takes the M0 lifts ``m0 @ z`` of points z,
+    shaped (N, n, 1), which a caller forms once per point however often it
+    solves there, and starts ``w0`` (N, dim E*), finite and unchecked, or
+    None for the E*-coordinates of ``x0`` as every start.  Each row iterates
+    exactly as a single point does, with its map values from one
+    ``_value_stack`` per iteration, and leaves the batch at its own stop:
+    solved once its update norm is at most ``newton_tol``, diverged when the
+    update is not finite or above 1e9, unsolved when ``newton_max_iter`` runs
+    out.  It returns each row's last iterate, its outcome (``_SOLVED``,
+    ``_DIVERGED`` or ``_UNSOLVED``) and the update norms of each iteration
+    over the rows still iterating then.
     """
     t0, t0_plus = gi0.forward, gi0.inverse
     base = _finite_vector(x0, t0.shape[1], "x0")
@@ -727,10 +770,9 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
     f_base = f(base)
     w_base = estar_t @ ((t0_plus @ t0) @ base)
 
-    def solve(z: np.ndarray, w0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    def solve(lift: np.ndarray, w0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         # w, dw and the M0 parts of the points as column stacks (rows, size, 1)
-        w = np.repeat(w_base[None, :, None], len(z), axis=0) if w0 is None else w0[..., None]
-        lift = np.matmul(m0, z[..., None])
+        w = np.repeat(w_base[None, :, None], len(lift), axis=0) if w0 is None else w0[..., None]
         trace: list[np.ndarray] = []
         rows = None  # the rows still iterating, once some have stopped
         for _ in range(cfg.newton_max_iter):
@@ -748,24 +790,24 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
             if rows is None:
                 if not going:  # every row stops at once
                     return w[..., 0], ends, trace
-                rows, last, outcome = np.arange(len(z)), np.empty_like(w), np.full(len(z), _UNSOLVED)
+                rows, last, outcome = np.arange(len(lift)), np.empty_like(w), np.full(len(lift), _UNSOLVED)
             stop = rows[~go]
             last[stop], outcome[stop] = w[~go], ends[~go]
             if not going:
                 return last[..., 0], outcome, trace
             rows, lift, w = rows[go], lift[go], w[go]
         if rows is None:
-            return w[..., 0], np.full(len(z), _UNSOLVED), trace
+            return w[..., 0], np.full(len(lift), _UNSOLVED), trace
         last[rows] = w
         return last[..., 0], outcome, trace
 
     return solve, (m0, estar)
 
 
-def _solved(solve, z: np.ndarray, w0: np.ndarray | None, cfg: Numerics) -> np.ndarray:
-    """The solution of ``solve`` at one point ``z`` from ``w0``, or
-    NewtonDivergence with its trace of update norms."""
-    w, (outcome,), trace = solve(z[None], None if w0 is None else w0[None])
+def _solved(solve, m0: np.ndarray, z: np.ndarray, w0: np.ndarray | None, cfg: Numerics) -> np.ndarray:
+    """The solution of ``solve`` at one point ``z``, lifted with ``m0``, from
+    ``w0``, or NewtonDivergence with its trace of update norms."""
+    w, (outcome,), trace = solve(np.matmul(m0, z[None, :, None]), None if w0 is None else w0[None])
     if outcome == _SOLVED:
         return w[0]
     trace = [float(update[0]) for update in trace]
@@ -800,10 +842,11 @@ def explicit_patch(
 
     Nodes are visited marching outward from the center along the lattice
     lines of ``integrate``'s axis passes, read once per pass from the line
-    table ``_sweep`` reads (``_line_table``); the per-line arrays shrink only
-    at a hop where a line ends or stops.  The lines of a pass advance
-    together, hop by hop: one batched chord iteration solves the next node
-    of every line, each started from the polynomial extrapolation
+    table ``_sweep`` reads (``_line_table``), with the M0 lift of every node
+    formed there once for the pass, retries included; the per-line arrays
+    shrink only at a hop where a line ends or stops.  The lines of a pass
+    advance together, hop by hop: one batched chord iteration solves the
+    next node of every line, each started from the polynomial extrapolation
     (``_predict``) of the nodes already solved on its line, newest first,
     which the hop gathers from the values: they are the walk's only state;
     the rows whose start fails are solved once more, from the previous node
@@ -824,24 +867,25 @@ def explicit_patch(
         raise ValidationError("the inverse's N(T0) and R(T0+) bases are not the patch's M0 and E* bases")
     center = patch.center_index
     out = np.full((*patch.shape, patch.estar_dim), np.nan)
-    out[center] = _solved(solve, patch.node_coords(center), None, cfg)
+    out[center] = _solved(solve, m0, patch.node_coords(center), None, cfg)
 
     flat = out.reshape(-1, patch.estar_dim)  # a view: ``out`` is C-contiguous
     for pos in range(patch.m0_dim):
         _, lengths, nodes, zs = _line_table(patch.axes, center, out[None], [(range(pos), pos)])
+        lifts = np.matmul(m0, zs[..., None])
         ends = set(lengths.tolist())
-        for hop in range(1, len(zs)):
+        for hop in range(1, len(nodes)):
             if hop in ends:  # some lines end here
                 on = lengths > hop
-                zs, nodes, lengths = zs[:, on], nodes[:, on], lengths[on]
+                lifts, nodes, lengths = lifts[:, on], nodes[:, on], lengths[on]
             if not lengths.size:
                 break
-            z, history = zs[hop], flat[nodes[hop - 1 :: -1][: len(_PREDICTORS)]]
-            w, outcome, _ = solve(z, _predict(history))
+            lift, history = lifts[hop], flat[nodes[hop - 1 :: -1][: len(_PREDICTORS)]]
+            w, outcome, _ = solve(lift, _predict(history))
             if np.count_nonzero(outcome):  # a start failed: retry from the previous node
                 retry = np.flatnonzero(outcome)
-                w[retry], outcome[retry], _ = solve(z[retry], history[0, retry])
+                w[retry], outcome[retry], _ = solve(lift[retry], history[0, retry])
                 ok = outcome == _SOLVED
-                zs, nodes, lengths, w = zs[:, ok], nodes[:, ok], lengths[ok], w[ok]
+                lifts, nodes, lengths, w = lifts[:, ok], nodes[:, ok], lengths[ok], w[ok]
             flat[nodes[hop]] = w
     return out

@@ -58,9 +58,10 @@ def test_constant_family_gives_flat_patch():
     assert tangency_check(patch, constant_family()) <= 1e-12
 
 
-def test_step_must_be_positive():
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+def test_step_must_be_positive(step):
     with pytest.raises(StepError):
-        integrate(constant_family(), 0.5, 0.0)
+        integrate(constant_family(), 0.5, step)
 
 
 def test_tangency_needs_three_nodes():
@@ -544,6 +545,24 @@ def test_anisotropic_lattice_matches_serial_reference(source):
     assert batched == calls[0] > 0
     assert [math.ceil(h / 3e-2) for h in patch.diagnostics.spacing] == [4, 5]
     assert patch.diagnostics.breached == (source == "breach")
+
+
+def test_breach_within_hops_of_many_sub_steps_matches_serial_reference():
+    # spacing 0.25 at step 2e-3: every hop takes 125 sub-steps, and the lines
+    # that leave the region breach at a later sub-step of their hop than the
+    # first, whose stage points the march lifts once per pass
+    calls = [0]
+    fam = sphere_variant("breach", calls)
+    calls[0] = 0
+    patch = integrate(fam, 0.5, 2e-3, grid_points=5)
+    tangency_check(patch, fam)
+    batched = calls[0]
+    calls[0] = 0
+    ref = SerialReference(fam).run(patch, 2e-3)
+    assert_matches_reference(patch, ref)
+    assert batched == calls[0] > 0
+    assert [math.ceil(h / 2e-3 - 1e-12) for h in patch.diagnostics.spacing] == [125, 125]
+    assert patch.diagnostics.breached and patch.diagnostics.unfilled > 0
 
 
 def sphere_kernels(region, calls):

@@ -3,6 +3,7 @@ and a kernel family cut at its own rank tolerance splits with its default
 complement."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ def _full_after_first_call():
          r"grid_points must be odd and >= 3, got 4"),
         (_full_after_first_call, 0.1, None, CofinalBreach,
          r"no splitting at the base point \(subspace of dim 2, expected dim 1\)"),
+        (lambda: kernel_family(*builtin_map("sphere_3d")), (0.5, math.nan), None, ValidationError,
+         r"extents must be finite, got \[0\.5, nan\]"),
+        (lambda: kernel_family(*builtin_map("sphere_2d")), math.inf, None, ValidationError,
+         r"extents must be finite, got \[inf\]"),
+        (lambda: kernel_family(*builtin_map("sphere_2d")), 0.1, 7.9, ValidationError,
+         r"grid_points must be whole numbers, got \[7\.9\]"),
+        (lambda: kernel_family(*builtin_map("sphere_3d")), 0.1, (7, math.nan), ValidationError,
+         r"grid_points must be whole numbers, got \[7\.0, nan\]"),
     ],
 )
 def test_integrate_rejects_inputs_it_cannot_integrate(family, extent, grid, error, message):

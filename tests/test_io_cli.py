@@ -289,6 +289,10 @@ def _manifest(payload):
                            "--r-plus", write_matrix(tmp_path / "r.json", np.eye(2))],
          "--r-plus and --n-plus must be given together"),
         (lambda tmp_path: ["verify", "thm1_2", "--tol", "0"], "--tol must be positive"),
+        (lambda tmp_path: ["integrate", "--builtin", "sphere_3d", "--grid", "5", "--step", "nan"],
+         "step must be finite and positive, got nan"),
+        (lambda tmp_path: ["integrate", "--builtin", "sphere_2d", "--extent", "inf"],
+         r"extents must be finite, got \[inf\]"),
     ],
 )
 def test_cli_file_manifest_and_flag_errors_exit_2(tmp_path, capsys, make_argv, message):
