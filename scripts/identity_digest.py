@@ -36,6 +36,12 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of ``explicit_patch`` on the patch of |x|^2 on R^4 at x0 along
   (0.1, -0.2, 0.3, 0.9), extent 0.3, step 5e-2 and grid 7, with axis 1 cut
   to 6 nodes: a three-dimensional lattice whose lines end at different hops;
+* the sha1 of ``fixed_rank_chart_check`` (40 samples) and of
+  ``tangency_fixed_rank`` (dim + 6 curves), each report or error, on a 12x10
+  rank-4 operator scaled by 1e-170 and by 1e170: the sampler's SVD tier and
+  the membership ratio's overflow fallback, which no workload reaches, and
+  the span certificate on coordinates past the overflow scale (at 1e-170 a
+  curve step leaves the chart region, and the error is fingerprinted);
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with
@@ -111,6 +117,27 @@ def explicit_digest(f, x0, extent: float, step: float, grid: int, cut: bool = Fa
     return hashlib.sha1(values.tobytes()).hexdigest(), reached, values[..., 0].size
 
 
+def chart_digest(scale: float) -> tuple[str, str]:
+    """The sha1s of the chart check's and the tangency check's reports, or of
+    their errors, on the 12x10 rank-4 operator scaled by ``scale``."""
+    from oblique import fixed_rank_chart_check, operator_context, tangency_fixed_rank
+    from oblique.geninv import trial_rng
+    from oblique.opmanifold import sample_fixed_rank_near
+    from oblique.suites import random_rank_matrix
+
+    ctx = operator_context(scale * random_rank_matrix(trial_rng(4, 12, 10, 4), 12, 10, 4))
+    x = sample_fixed_rank_near(ctx, trial_rng(4, 999))
+    digests = []
+    for check in (lambda: fixed_rank_chart_check(ctx, 40, seed=4),
+                  lambda: tangency_fixed_rank(ctx, x, curves=ctx.dim + 6, seed=4)):
+        try:
+            text = json.dumps(check().to_dict())
+        except Exception as exc:  # an error is an output too
+            text = f"{type(exc).__name__}: {exc}"
+        digests.append(hashlib.sha1(text.encode()).hexdigest())
+    return digests[0], digests[1]
+
+
 def workload_digest(harness, name: str, seed: int) -> tuple[str, int, int]:
     """One untraced pass of a workload: (sha1 of its job digests, attempted, failed)."""
     wl = harness.workloads.WORKLOADS[name](seed, False)
@@ -151,6 +178,9 @@ def main() -> int:
     digest, reached, nodes = explicit_digest(square, x0 / np.linalg.norm(x0), 0.3, 5e-2, 7, cut=True)
     print(f"explicit_patch |x|^2 on R^4 --extent 0.3 --grid 7 --step 5e-2, axis 1 cut to 6  {digest}  "
           f"reached {reached} of {nodes}")
+    for scale in (1e-170, 1e170):
+        chart, tangency = chart_digest(scale)
+        print(f"fixed_rank_chart_check / tangency_fixed_rank 12x10 rank 4 scale {scale:g}  {chart}  {tangency}")
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "tilted.json"
         manifest.write_text(json.dumps(TILTED))

@@ -42,12 +42,13 @@ from .linalg import (
     Subspace,
     _built,
     _full_svd,
-    _norm_exceeds,
+    _norms_exceed,
     _op_norm_pair,
     _projector_matrix,
     _ranks,
     _read_only,
     _screened_norm,
+    _screened_norms,
     _smallest_stacked,
     _svd_factors,
     as_matrix,
@@ -293,19 +294,39 @@ def _near_identity_sample(rng: np.random.Generator, a, ainv: GenInverse, fractio
     factors keep the rank of A.  ``eps`` halves until ||T - A|| < fraction *
     radius, radius = ||A+||^{-1} (1 for A+ = 0).  That also puts T in the
     chart region of A, since ||(T - A) A+|| <= ||T - A|| ||A+|| < fraction.
-    A power-step lower bound rejects most halvings before any SVD; it only
-    rejects what the SVD would.  Raises BallError after 60 halvings."""
+    Raises BallError after 60 halvings.  One draw of ``_near_identity_samples``."""
+    return _near_identity_samples([rng], a, ainv, fraction, eps)[0]
+
+
+def _near_identity_samples(
+    rngs: Sequence[np.random.Generator], a, ainv: GenInverse, fraction: float, eps: float
+) -> np.ndarray:
+    """``_near_identity_sample`` from each generator in turn, stacked
+    (count, m, n), bit for bit: every draw halves its own ``eps``, and each
+    round of halvings runs the draws still open as one stack.  A power step
+    rejects most halvings and the Frobenius and Gram tiers of
+    ``_screened_norms`` accept most of the rest, so an SVD decides only the
+    matrices those leave open; each draw is accepted exactly when
+    ``op_norm(T - A) < cap``.  Raises BallError once a draw has halved 60
+    times."""
     m, n = a.shape
     radius = ainv.ball_radius
     cap = fraction * (radius if math.isfinite(radius) else 1.0)
-    g1 = rng.standard_normal((m, m))
-    g2 = rng.standard_normal((n, n))
+    draws = [(rng.standard_normal((m, m)), rng.standard_normal((n, n))) for rng in rngs]
+    g1, g2 = (np.array(g) for g in zip(*draws))
+    out = np.empty((len(draws), m, n))
+    open_, eps = np.arange(len(draws)), np.full(len(draws), float(eps))
     for _ in range(60):
-        t = (np.eye(m) + eps * g1) @ a @ (np.eye(n) + eps * g2)
+        step = eps[:, None, None]
+        t = (np.eye(m) + step * g1) @ a @ (np.eye(n) + step * g2)
         gap = t - a
-        if not _norm_exceeds(gap, cap) and _screened_norm(gap, cap) < cap:
-            return t
-        eps *= 0.5
+        accept = ~_norms_exceed(gap, cap)
+        accept[accept] = _screened_norms(gap[accept], cap) < cap
+        out[open_[accept]] = t[accept]
+        if accept.all():
+            return out
+        keep = ~accept
+        open_, eps, g1, g2 = open_[keep], 0.5 * eps[keep], g1[keep], g2[keep]
     raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
 
 

@@ -13,7 +13,6 @@ All values are immutable: a caller's array is checked and copied once, read-only
 operations are pure functions, so everything here is safe to call concurrently.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -131,33 +130,55 @@ def _screen_settles(frobenius, bound: float):
 
 
 def _screened_norms(stack: np.ndarray, bound: float) -> np.ndarray:
-    """``_screened_norm`` of each matrix in a stack (count, p, q) with its
-    first tier alone: the matrices the Frobenius screen leaves open share one
-    stacked SVD."""
+    """``_screened_norm`` of each matrix in a stack (count, p, q): the
+    matrices the Frobenius tier leaves open take the Gram tier as one stacked
+    product, and those still open share one stacked SVD.  The same slack and
+    range guards hold, so each result is below ``bound`` exactly when that
+    matrix's ``op_norm`` is, and equals it whenever it is not."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(stack, axis=(-2, -1))
-    open_ = ~_screen_settles(norms, bound)
-    if open_.any():
+    open_ = np.flatnonzero(~_screen_settles(norms, bound))
+    if open_.size and 1e-150 < bound < 1e150:
+        peak = np.max(np.abs(stack[open_]), axis=(-2, -1))  # > 0: a zero matrix passed the first tier
+        scaled = stack[open_] / peak[:, None, None]
+        flipped = scaled.transpose(0, 2, 1)
+        gram = scaled @ flipped if stack.shape[1] <= stack.shape[2] else flipped @ scaled
+        eighth = peak * np.linalg.norm(gram @ gram, axis=(-2, -1)) ** 0.25
+        settled = eighth < bound * (1.0 - 1e-8)
+        norms[open_[settled]] = eighth[settled]
+        open_ = open_[~settled]
+    if open_.size:
         norms[open_] = np.linalg.svd(stack[open_], compute_uv=False)[:, 0]
     return norms
 
 
-def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
-    """True when one power step proves ``||m||_2 > bound`` without an SVD.
+def _norms_exceed(stack: np.ndarray, bound: float) -> np.ndarray:
+    """True for each matrix of a stack (count, p, q) where one power step
+    proves ``||m||_2 > bound`` without an SVD; the steps run as one stacked
+    product.
 
     With M = m / max|m| and v its largest row, ||M v|| / ||v|| <= ||M||_2.
     The test asks that estimate to pass bound / max|m| by a factor 1 + 1e-8,
     a slack that covers its rounding and the SVD's, so ``op_norm(m)`` is past
-    ``bound`` whenever this is True.  Outside 1e-150 < bound < 1e150, where
+    ``bound`` wherever this is True.  Outside 1e-150 < bound < 1e150, where
     bound / max|m| can leave the normal range and lose the precision that
-    slack assumes, it is always False and the SVD decides."""
-    peak = float(np.max(np.abs(m), initial=0.0))
-    if not (1e-150 < bound < 1e150 and peak > 0.0):
-        return False
-    scaled = m / peak
-    rows = np.einsum("ij,ij->i", scaled, scaled)
-    i = int(np.argmax(rows))
-    return float(np.linalg.norm(scaled @ scaled[i])) / math.sqrt(rows[i]) > bound / peak * (1.0 + 1e-8)
+    slack assumes, it is always False and the SVD decides; so it is for a
+    zero matrix."""
+    if not 1e-150 < bound < 1e150:
+        return np.zeros(len(stack), dtype=bool)
+    peak = np.max(np.abs(stack), axis=(-2, -1), initial=0.0)
+    live = peak > 0.0
+    scaled = stack / np.where(live, peak, 1.0)[:, None, None]
+    rows = np.einsum("cij,cij->ci", scaled, scaled)
+    each, i = np.arange(len(stack)), np.argmax(rows, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimate = np.linalg.norm(scaled @ scaled[each, i][..., None], axis=(-2, -1)) / np.sqrt(rows[each, i])
+        return live & (estimate > bound / peak * (1.0 + 1e-8))
+
+
+def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
+    """``_norms_exceed`` of one matrix."""
+    return bool(_norms_exceed(m[None], bound)[0])
 
 
 def unit(v: np.ndarray) -> np.ndarray:

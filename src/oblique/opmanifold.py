@@ -33,7 +33,17 @@ import numpy as np
 from .config import DEFAULTS, Numerics
 from .errors import BallError, ComplementError, MembershipError, ValidationError
 from .families import SubspaceFamily
-from .geninv import GenInverse, _admit, _conditioned, _near_identity_sample, _probe_directions, moore_penrose, perturbed_gi, trial_rng
+from .geninv import (
+    GenInverse,
+    _admit,
+    _conditioned,
+    _near_identity_sample,
+    _near_identity_samples,
+    _probe_directions,
+    moore_penrose,
+    perturbed_gi,
+    trial_rng,
+)
 from .linalg import (
     Factors,
     Subspace,
@@ -52,8 +62,8 @@ from .linalg import (
     unit,
 )
 
-# Bytes of one stacked block of curve points (count, m, n) in the chart
-# check and the tangency check: large enough to amortize per-call overhead,
+# Bytes of one stacked block of samples or curves in the chart check and the
+# tangency check (``_block``): large enough to amortize per-call overhead,
 # small enough to keep the peak memory near that of one matrix at a time.
 _BLOCK_BYTES = 1 << 19
 
@@ -110,9 +120,9 @@ def _slice_directions(ctx: "OperatorFamilyContext", g: np.ndarray) -> np.ndarray
 
 
 def _block(ctx: "OperatorFamilyContext") -> int:
-    """Samples or curves per stacked block: two m x n matrices each fit in
-    _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (16 * ctx.m * ctx.n))
+    """Samples or curves per stacked block: the two square factors of a
+    sample, m x m and n x n, fit in _BLOCK_BYTES, and so do two m x n matrices."""
+    return max(1, _BLOCK_BYTES // (8 * (ctx.m**2 + ctx.n**2)))
 
 
 def _slice_defect(f: Factors, t: np.ndarray) -> np.ndarray:
@@ -305,13 +315,18 @@ def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarr
 
 
 def _chart_d(ctx: OperatorFamilyContext, x: np.ndarray, cfg: Numerics) -> np.ndarray:
-    """``chart_d`` of a checked matrix.  C = I + G is certified by the bound
-    b >= ||G||_2 that the chart region test took, as cond(C) <= (1 + b) /
-    (1 - b); only a bound past half of ``cond_limit``, a margin for the
-    SVD's own rounding near the limit, leaves the check to ``np.linalg.cond``."""
-    gap, (bound,) = _chart_gap(ctx, x)
-    cond = (1.0 + bound) / (1.0 - bound)
-    c = _conditioned(np.eye(ctx.m) + gap, cfg, cond if cond <= 0.5 * cfg.cond_limit else None)
+    """``chart_d`` of a checked matrix, or of each in a stack (count, m, n)
+    by stacked products and one stacked solve.  Each C = I + G is certified
+    by the bound b >= ||G||_2 that the chart region test took, as cond(C) <=
+    (1 + b) / (1 - b); only a bound past half of ``cond_limit``, a margin for
+    the SVD's own rounding near the limit, leaves the check to
+    ``np.linalg.cond``.  The checks run in order, so the first factor refused
+    raises."""
+    gap, bounds = _chart_gap(ctx, x)
+    c = np.eye(ctx.m) + gap
+    for factor, bound in zip(c.reshape(-1, ctx.m, ctx.m), bounds.tolist()):
+        cond = (1.0 + bound) / (1.0 - bound)
+        _conditioned(factor, cfg, cond if cond <= 0.5 * cfg.cond_limit else None)
     return (x - ctx.a) @ ctx.p_ra_plus + np.linalg.solve(c, x)
 
 
@@ -327,19 +342,23 @@ def _chart_d_star(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
 
 def membership_residual(ctx: OperatorFamilyContext, t) -> float:
     """Relative orthogonal-projection defect of an operator against M(A)."""
-    return _membership(ctx, as_matrix(t))
+    return float(_membership(ctx, as_matrix(t)[None])[0])
 
 
-def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
-    """Past about 1e154 the norms overflow; there the same ratio is taken
-    from t / max|t|."""
-    with np.errstate(over="ignore"):
-        defect, norm = _slice_defect(ctx.factors, t), np.linalg.norm(t)
-    if math.isfinite(defect) and math.isfinite(norm):
-        return float(defect / (1.0 + norm))
-    peak = float(np.max(np.abs(t)))
-    scaled = t / peak
-    return float(_slice_defect(ctx.factors, scaled) / (1.0 / peak + np.linalg.norm(scaled)))
+def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
+    """``membership_residual`` of each matrix in a stack (count, m, n): the
+    defects from one stacked ``_slice_defect``, each norm from its own
+    ``np.linalg.norm``.  Past about 1e154 the norms overflow; there the same
+    ratio is taken from t / max|t|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = _slice_defect(ctx.factors, t)
+        norms = np.array([np.linalg.norm(each) for each in t])
+        ratios = defects / (1.0 + norms)
+    for i in np.flatnonzero(~(np.isfinite(defects) & np.isfinite(norms))):
+        peak = np.max(np.abs(t[i]))
+        scaled = t[i] / peak
+        ratios[i] = _slice_defect(ctx.factors, scaled) / (1.0 / peak + np.linalg.norm(scaled))
+    return ratios
 
 
 def _direction_defect(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
@@ -411,8 +430,16 @@ def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int =
     Forward: random operators of the base rank near A map under D into M(A)
     and round-trip through D* back to themselves.  Backward: random slice
     elements near A map under D* to operators of exactly the base rank.
-    Samples run in blocks that share one stacked SVD for their report norms.
+
+    Sample j draws its two factors (``sample_fixed_rank_near``) and then its
+    slice coefficients from ``trial_rng(seed, j)``.  Samples run in blocks of
+    stacked arrays: one halving loop for the block's draws, then D, the
+    membership defects, D* and one stacked SVD for the report norms, so the
+    report is bit for bit that of taking the samples one at a time.  Raises
+    ValidationError for ``samples < 1``.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     m, n, k = ctx.m, ctx.n, ctx.rank
     step = 0.3 * ctx.ball_radius if math.isfinite(ctx.ball_radius) else 0.3
     round_trip_max = 0.0
@@ -421,19 +448,15 @@ def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int =
     rank_failures = 0
 
     for start in range(0, samples, _block(ctx)):
-        xs, misses, coeffs = [], [], []
-        for j in range(start, min(samples, start + _block(ctx))):
-            rng = trial_rng(seed, j)
-            x = sample_fixed_rank_near(ctx, rng)
-            t = _chart_d(ctx, x, cfg)
-            resid = _membership(ctx, t)
-            membership_max = max(membership_max, resid)
-            if resid > cfg.tol_num:
-                membership_failures += 1
-            xs.append(x)
-            misses.append(_chart_d_star(ctx, t) - x)
-            coeffs.append(unit(rng.standard_normal(ctx.dim)))
-        x2 = _chart_d_star(ctx, ctx.a + step * _slice_directions(ctx, np.array(coeffs)))
+        rngs = [trial_rng(seed, j) for j in range(start, min(samples, start + _block(ctx)))]
+        xs = _near_identity_samples(rngs, ctx.a, ctx.ainv, 0.4, 0.1)  # sample_fixed_rank_near's defaults
+        t = _chart_d(ctx, xs, cfg)
+        resid = _membership(ctx, t)
+        membership_max = max(membership_max, *resid.tolist())  # NaN-blind, as max of one sample at a time
+        membership_failures += int(np.count_nonzero(resid > cfg.tol_num))
+        misses = _chart_d_star(ctx, t) - xs
+        coeffs = np.array([unit(rng.standard_normal(ctx.dim)) for rng in rngs])
+        x2 = _chart_d_star(ctx, ctx.a + step * _slice_directions(ctx, coeffs))
         s_miss, s_x, s_x2 = np.linalg.svd(np.stack([misses, xs, x2]), compute_uv=False)
         round_trip_max = max(round_trip_max, float(np.max(s_miss[:, 0] / np.maximum(1.0, s_x[:, 0]))))
         # Rank decided with slack for roundoff accumulated through the chart;
@@ -479,14 +502,40 @@ def tangency_fixed_rank(
     factors: a curves x dim matrix in place of curves x mn, whose rank
     differs from the velocities' only by the part outside M(X) that the
     residual bounds.  Curves run in stacked blocks.
+
+    The span's rank is ``rank_of(coords, 1e-6)``.  A shifted Cholesky
+    factorization of the coordinates' Gram matrix (``_span_gram``) proves it
+    full without an SVD; where the factorization fails, the coordinates are
+    formed again and ``rank_of`` decides, so the answer is the SVD's in every
+    case.  Raises ValidationError for ``curves < 0``.
     """
+    if curves < 0:
+        raise ValidationError(f"curves must be at least 0, got {curves}")
     xm = as_matrix(x)
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
     f = _factors_at(_admit(ctx.a, ctx.ainv, xm, cfg).factors, gi_x)  # X's SVD at rank_tol
     t0 = _chart_d(ctx, xm, cfg)
     h = 1e-6 * (1.0 + op_norm(t0))
-    m, n, k = ctx.m, ctx.n, f.range.dim
 
+    worst, coords = _curve_coordinates(ctx, f, t0, h, curves, seed)
+    gram = _span_gram(coords)  # scales coords in place
+    del coords  # the factorization takes the memory the coordinates held
+    if gram is not None and _factorizes(gram):
+        span_dim = len(gram)
+    else:
+        del gram
+        span_dim = rank_of(_curve_coordinates(ctx, f, t0, h, curves, seed)[1].T, 1e-6)
+    return TangencyReport(
+        max_residual=worst, tangent_span_dim=span_dim, expected_dim=ctx.dim, curves=curves
+    )
+
+
+def _curve_coordinates(
+    ctx: OperatorFamilyContext, f: Factors, t0: np.ndarray, h: float, curves: int, seed: int
+) -> tuple[float, np.ndarray]:
+    """The largest relative residual of the curve velocities at X (factors
+    ``f``) and the coordinates of those that move, (moving, dim)."""
+    m, n, k = ctx.m, ctx.n, f.range.dim
     worst = 0.0
     coords = np.empty((curves, k * n + (m - k) * k))
     moving = 0
@@ -506,8 +555,42 @@ def tangency_fixed_rank(
         coords[moving : moving + count, : k * n] = (f.range.basis.T @ velocity).reshape(count, k * n)
         coords[moving : moving + count, k * n :] = (across @ f.row.basis).reshape(count, (m - k) * k)
         moving += count
+    return worst, coords[:moving]
 
-    span_dim = rank_of(coords[:moving].T, 1e-6)
-    return TangencyReport(
-        max_residual=worst, tangent_span_dim=span_dim, expected_dim=ctx.dim, curves=curves
-    )
+
+def _span_gram(coords: np.ndarray) -> np.ndarray | None:
+    """H - delta I, with H the Gram matrix of S = coords / max|coords| on its
+    smaller side (q x q, inner dimension p) and delta = 4 (1e-6)^2 trace(H):
+    if its Cholesky factorization completes with a finite factor,
+    ``rank_of(coords, 1e-6)`` is q.  S is formed in place of ``coords``; H
+    once, with its diagonal lowered in place.  None where the argument below
+    does not apply: no entries, a non-finite one, or p + q > 20,000.
+
+    Why: let u = 2^-53 and F = ||S||_F >= 1 (an entry of S is 1), so the
+    absolute errors of underflow are negligible.  For any summation order
+    the Gram product rounds by at most p u F^2 in norm (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, §3.5), lowering the
+    diagonal by u (F^2 + delta), and a factorization that completes is exact
+    for a matrix within (q + 1) u trace(H) of its input (Thm 10.3).  So
+    sigma_min(S)^2 >= delta - (p + q + 3) u F^2 (1 + 1e-3) >= 1.77e-12 F^2
+    for p + q <= 20,000: sigma_min(S) >= 1.33e-6 F.  The SVD's singular
+    values, of coords or of S, lie within 10 p u sigma_max <= 2.3e-11 F of
+    the exact ones (LAPACK's backward error with a generous constant; S is
+    coords / max|coords| to within u F), and sigma_max <= F, so the computed
+    ratio sigma_min / sigma_max stays past 1.33e-6 / (1 + 3e-11) > 1e-6."""
+    p, q = max(coords.shape), min(coords.shape)
+    peak = max(float(coords.max(initial=0.0)), -float(coords.min(initial=0.0)))
+    if not (0.0 < peak < math.inf and p + q <= 20_000):
+        return None
+    coords /= peak
+    gram = coords.T @ coords if coords.shape[0] >= coords.shape[1] else coords @ coords.T
+    gram.ravel()[:: q + 1] -= 4e-12 * np.trace(gram)
+    return gram
+
+
+def _factorizes(gram: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of ``gram`` completes with a finite factor."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(gram)).all())
+    except np.linalg.LinAlgError:
+        return False

@@ -14,6 +14,7 @@ from oblique import (
     Subspace,
     SubspaceFamily,
     coordinate_operator,
+    fixed_rank_chart_check,
     gi_from_complements,
     integrate,
     kernel_family,
@@ -24,6 +25,7 @@ from oblique import (
     rank_class_preserved,
     seven_conditions,
     tangency_check,
+    tangency_fixed_rank,
 )
 from oblique.builtins import builtin_map, family_from_manifest
 from oblique.frobenius import explicit_patch, explicit_psi
@@ -169,6 +171,22 @@ def test_gi_from_complements_rejects_a_kernel_complement_that_meets_the_range():
 def test_locally_fine_probe_rejects_a_radius_that_is_not_positive(radius):
     with pytest.raises(ValueError, match="radii must be positive"):
         locally_fine_probe(lambda x: A2 + x[0] * T2, [0.0], moore_penrose(A2), [0.1, radius], samples=2)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_chart_check_needs_at_least_one_sample(samples):
+    # a report over no samples would pass with nothing checked
+    ctx = operator_context(A2)
+    with pytest.raises(ValidationError, match=f"samples must be at least 1, got {samples}"):
+        fixed_rank_chart_check(ctx, samples=samples)
+    assert fixed_rank_chart_check(ctx, samples=1).samples == 1
+
+
+def test_tangency_needs_a_count_of_curves_that_is_not_negative():
+    ctx = operator_context(A2)
+    with pytest.raises(ValidationError, match="curves must be at least 0, got -2"):
+        tangency_fixed_rank(ctx, A2, curves=-2)
+    assert tangency_fixed_rank(ctx, A2, curves=0).tangent_span_dim == 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,21 @@ from oblique import (
     perturbed_gi,
     seven_conditions,
 )
+from oblique import opmanifold
 from oblique.cli import main
+from oblique.config import DEFAULTS, Numerics
 from oblique.errors import ValidationError
 from oblique.geninv import _near_identity_sample, c_op, trial_rng
-from oblique.linalg import _norm_exceeds, _screened_norm
+from oblique.linalg import _norm_exceeds, _screened_norm, unit
 from oblique.matio import matrix_to_dict
-from oblique.opmanifold import _chart_factor, fixed_rank_chart_check, membership_residual, sample_fixed_rank_near, unvec
+from oblique.opmanifold import (
+    _chart_factor,
+    _slice_directions,
+    fixed_rank_chart_check,
+    membership_residual,
+    sample_fixed_rank_near,
+    unvec,
+)
 from oblique.suites import random_rank_matrix
 
 BOUNDS = [1e-6, 1e-3, 1.0, 1e3, 1e6]
@@ -206,7 +215,7 @@ def _sample_with_svd(rng, a, ainv, fraction, eps):
         if op_norm(t - a) < cap:
             return t
         eps *= 0.5
-    raise BallError("no sample")
+    raise BallError(f"no rank-keeping sample within {fraction:g} of the ball after 60 halvings")
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-6, 1.0, 1e6])
@@ -304,6 +313,73 @@ def test_near_identity_sample_matches_the_unscreened_test_at_all_scales(scale):
                 got = _near_identity_sample(trial_rng(seed, 2), a, ainv, fraction, eps)
                 want = _sample_with_svd(trial_rng(seed, 2), a, ainv, fraction, eps)
                 assert got.tobytes() == want.tobytes(), (seed, m, fraction)
+
+
+def _chart_check_one_at_a_time(ctx, samples, seed, cfg=DEFAULTS):
+    """``fixed_rank_chart_check`` with each sample taken alone: its factors
+    drawn and accepted by ``_sample_with_svd``, then D, the membership ratio,
+    D* and one SVD per report norm of one matrix at a time."""
+    f = ctx.factors
+    step = 0.3 * ctx.ball_radius if math.isfinite(ctx.ball_radius) else 0.3
+    round_trip = membership = 0.0
+    membership_failures = rank_failures = 0
+    for j in range(samples):
+        rng = trial_rng(seed, j)
+        x = _sample_with_svd(rng, ctx.a, ctx.ainv, 0.4, 0.1)
+        t = chart_d(ctx, x, cfg)
+        with np.errstate(over="ignore"):
+            defect, norm = np.linalg.norm(f.cokernel.basis.T @ t @ f.kernel.basis, axis=(-2, -1)), np.linalg.norm(t)
+        if math.isfinite(defect) and math.isfinite(norm):
+            resid = float(defect / (1.0 + norm))
+        else:  # past about 1e154, from t / max|t|
+            peak = np.max(np.abs(t))
+            scaled = t / peak
+            defect = np.linalg.norm(f.cokernel.basis.T @ scaled @ f.kernel.basis, axis=(-2, -1))
+            resid = float(defect / (1.0 / peak + np.linalg.norm(scaled)))
+        membership = max(membership, resid)
+        membership_failures += resid > cfg.tol_num
+        miss = chart_d_star(ctx, t) - x
+        coeffs = unit(rng.standard_normal(ctx.dim))
+        x2 = chart_d_star(ctx, ctx.a + step * _slice_directions(ctx, coeffs[None])[0])
+        s_miss, s_x, s_x2 = (np.linalg.svd(mat, compute_uv=False) for mat in (miss, x, x2))
+        round_trip = max(round_trip, float(s_miss[0] / max(1.0, s_x[0])))
+        rank_failures += int(np.count_nonzero(s_x2 > 1e-9 * s_x2[0])) != ctx.rank
+    return {"samples": samples, "m0_dim": ctx.dim, "round_trip_max": round_trip, "membership_max": membership,
+            "membership_failures": membership_failures, "rank_failures": rank_failures}
+
+
+# (m, n, k, samples, samples per block): blocks of 3 end mid-run; 40x40 takes
+# 20 samples a block by default, so its 50 fill two and half of a third
+CHART_RUNS = [(4, 5, 2, 10, 3), (9, 3, 2, 8, 3), (40, 40, 3, 50, None)]
+
+
+@pytest.mark.parametrize("scale", SAMPLER_SCALES)
+@pytest.mark.parametrize("m, n, k, samples, per_block", CHART_RUNS)
+def test_stacked_chart_check_matches_the_one_at_a_time_reference(monkeypatch, scale, m, n, k, samples, per_block):
+    if per_block is not None:
+        monkeypatch.setattr(opmanifold, "_BLOCK_BYTES", per_block * 8 * (m * m + n * n))
+    for seed in range(2):
+        ctx = operator_context(scale * random_rank_matrix(trial_rng(seed, m, n, k), m, n, k))
+        want = _chart_check_one_at_a_time(ctx, samples, seed)
+        assert fixed_rank_chart_check(ctx, samples, seed).to_dict() == want, (seed, scale)
+
+
+@pytest.mark.parametrize("per_block", [None, 2])
+@pytest.mark.parametrize("sigma", [1e-20, 1.25e-18])
+def test_stacked_chart_check_raises_the_reference_error_first(monkeypatch, per_block, sigma):
+    # ||A+|| = 1 / sigma caps the samples at 0.4 sigma, which 60 halvings of
+    # eps = 0.1 reach for no draw at sigma = 1e-20; at 1.25e-18 the draws of
+    # samples 0 to 4 get there and sample 5 is the first that does not
+    if per_block is not None:
+        monkeypatch.setattr(opmanifold, "_BLOCK_BYTES", per_block * 8 * (3 * 3 + 3 * 3))
+    a = np.diag([1.0, sigma, 0.0])
+    cfg = Numerics(rank_tol=1e-30)
+    ctx = operator_context(a, moore_penrose(a, 1e-30), cfg)
+    with pytest.raises(BallError) as want:
+        _chart_check_one_at_a_time(ctx, 12, 0, cfg)
+    assert str(want.value) == "no rank-keeping sample within 0.4 of the ball after 60 halvings"
+    with pytest.raises(BallError, match=re.escape(str(want.value))):
+        fixed_rank_chart_check(ctx, 12, 0, cfg)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblique import (
     BallError,
@@ -90,7 +92,7 @@ def _tangency_reference(ctx, x, curves, seed):
 @pytest.mark.parametrize("m, n, k", SHAPES)
 def test_stacked_tangency_matches_the_per_curve_loop(monkeypatch, small_blocks, m, n, k):
     if small_blocks:  # three curves per block, so blocks end mid-run
-        monkeypatch.setattr(opmanifold, "_BLOCK_BYTES", 3 * 16 * m * n)
+        monkeypatch.setattr(opmanifold, "_BLOCK_BYTES", 3 * 8 * (m * m + n * n))
     ctx = operator_context(random_rank_matrix(trial_rng(4, m, n, k), m, n, k))
     x = sample_fixed_rank_near(ctx, trial_rng(4, 1))
     curves = ctx.dim + 4
@@ -116,3 +118,65 @@ def test_curve_outside_the_chart_region_raises_the_reference_error(monkeypatch, 
     assert re.fullmatch(r"\|\|\(X - A\) A\+\|\| = 1\.000\d+ >= 1: outside the chart region", str(want.value))
     with pytest.raises(BallError, match=re.escape(str(want.value))):
         tangency_fixed_rank(ctx, x, curves=8, seed=0)
+
+
+# The span of the curve velocities is certified full by a shifted Cholesky
+# factorization of its coordinates' Gram matrix, and left to rank_of where
+# that factorization fails.
+
+
+def _coordinates(seed, rows, cols, ratio, scale):
+    """A rows x cols matrix with sigma_max = scale and sigma_min = ratio *
+    scale, the singular values between them log-uniform."""
+    rng = trial_rng(seed, rows, cols)
+    q = min(rows, cols)
+    u = np.linalg.qr(rng.standard_normal((rows, q)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, q)))[0]
+    s = np.sort(np.exp(rng.uniform(np.log(ratio), 0.0, q)))[::-1]
+    s[0], s[-1] = 1.0, ratio if q > 1 else 1.0
+    return (u * (scale * s)) @ v.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    log_ratio=st.floats(-8.0, -4.0),
+    log_scale=st.floats(-150.0, 150.0),
+)
+def test_a_certified_span_is_full_rank_for_rank_of(seed, rows, cols, log_ratio, log_scale):
+    coords = _coordinates(seed, rows, cols, 10.0**log_ratio, 10.0**log_scale)
+    want = rank_of(coords.T, 1e-6)
+    gram = opmanifold._span_gram(coords.copy())
+    if gram is not None and opmanifold._factorizes(gram):
+        assert want == min(rows, cols) == len(gram)
+
+
+def test_the_certificate_settles_spans_clear_of_the_cut_and_leaves_the_rest_to_rank_of():
+    # sigma_min / sigma_max = 1e-4 is certified; at 1e-8 rank_of finds the span short
+    for ratio, certified in ((1e-4, True), (1e-8, False)):
+        coords = _coordinates(5, 36, 30, ratio, 1.0)
+        gram = opmanifold._span_gram(coords.copy())
+        assert opmanifold._factorizes(gram) == certified
+        assert (rank_of(coords.T, 1e-6) == 30) == certified
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_tangency_is_certified_without_overflow(monkeypatch):
+    ctx = operator_context(1e170 * random_rank_matrix(trial_rng(4, 12, 10, 4), 12, 10, 4))
+    x = sample_fixed_rank_near(ctx, trial_rng(4, 1))
+    calls = []
+    monkeypatch.setattr(opmanifold, "rank_of", lambda *a, **k: calls.append(1) or rank_of(*a, **k))
+    rep = tangency_fixed_rank(ctx, x, curves=ctx.dim + 6, seed=4)
+    assert rep.tangent_span_dim == rep.expected_dim == 72
+    assert rep.max_residual < 1e-6
+    assert not calls  # the certificate settled it
+
+
+def test_a_failed_certificate_takes_the_rank_of_the_coordinates_formed_again(monkeypatch):
+    ctx = operator_context(random_rank_matrix(trial_rng(4, 6, 4, 2), 6, 4, 2))
+    x = sample_fixed_rank_near(ctx, trial_rng(4, 1))
+    want = tangency_fixed_rank(ctx, x, curves=ctx.dim + 3, seed=2)
+    monkeypatch.setattr(opmanifold, "_factorizes", lambda gram: False)
+    assert tangency_fixed_rank(ctx, x, curves=ctx.dim + 3, seed=2) == want
