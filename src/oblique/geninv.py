@@ -316,9 +316,10 @@ def _near_identity_samples(
     g1, g2 = (np.array(g) for g in zip(*draws))
     out = np.empty((len(draws), m, n))
     open_, eps = np.arange(len(draws)), np.full(len(draws), float(eps))
+    left, right = np.eye(m), np.eye(n)
     for _ in range(60):
         step = eps[:, None, None]
-        t = (np.eye(m) + step * g1) @ a @ (np.eye(n) + step * g2)
+        t = (left + step * g1) @ a @ (right + step * g2)
         gap = t - a
         accept = ~_norms_exceed(gap, cap)
         accept[accept] = _screened_norms(gap[accept], cap) < cap

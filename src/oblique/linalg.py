@@ -163,17 +163,15 @@ def _norms_exceed(stack: np.ndarray, bound: float) -> np.ndarray:
     ``bound`` wherever this is True.  Outside 1e-150 < bound < 1e150, where
     bound / max|m| can leave the normal range and lose the precision that
     slack assumes, it is always False and the SVD decides; so it is for a
-    zero matrix."""
-    if not 1e-150 < bound < 1e150:
+    zero or empty matrix."""
+    if not (1e-150 < bound < 1e150 and stack.size):
         return np.zeros(len(stack), dtype=bool)
-    peak = np.max(np.abs(stack), axis=(-2, -1), initial=0.0)
-    live = peak > 0.0
-    scaled = stack / np.where(live, peak, 1.0)[:, None, None]
-    rows = np.einsum("cij,cij->ci", scaled, scaled)
-    each, i = np.arange(len(stack)), np.argmax(rows, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimate = np.linalg.norm(scaled @ scaled[each, i][..., None], axis=(-2, -1)) / np.sqrt(rows[each, i])
-        return live & (estimate > bound / peak * (1.0 + 1e-8))
+    peak = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero matrix's estimate is NaN: never past
+        scaled = stack / peak[:, None, None]
+        rows = np.einsum("cij,cij->ci", scaled, scaled)
+        image = scaled @ scaled[np.arange(len(stack)), rows.argmax(axis=1), :, None]
+        return np.sqrt(np.einsum("cij,cij->c", image, image) / rows.max(axis=1)) > bound / peak * (1.0 + 1e-8)
 
 
 def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
