@@ -42,6 +42,13 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   the membership ratio's overflow fallback, which no workload reaches, and
   the span certificate on coordinates past the overflow scale (at 1e-170 a
   curve step leaves the chart region, and the error is fingerprinted);
+* the sha1 of ``seven_conditions`` and ``perturbed_gi`` at A = I_6 and
+  T = A + 0.45 Q, Q a fixed orthogonal matrix, and at both scaled by
+  1e-160, of the BallError at T = A + 1.5 Q, and of ``chart_d`` and
+  ``chart_d_star`` at X = A + 0.45 Q: gaps whose Frobenius norm, 1.10, is
+  past the radius 1, so the Gram tier of ``linalg._screened_norms``
+  decides, and below 1e-150, where its SVD tier does, which no workload
+  reaches;
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with
@@ -138,6 +145,29 @@ def chart_digest(scale: float) -> tuple[str, str]:
     return digests[0], digests[1]
 
 
+def screen_digest() -> str:
+    """The sha1 of the reports, errors and charts at I_6 and I_6 + c Q listed
+    in the module docstring."""
+    import numpy as np
+
+    from oblique import chart_d, chart_d_star, moore_penrose, operator_context, perturbed_gi, seven_conditions
+    from oblique.geninv import trial_rng
+
+    q = np.linalg.qr(trial_rng(6, 6).standard_normal((6, 6)))[0]
+    texts = []
+    for scale, c in ((1.0, 0.45), (1e-160, 0.45), (1.0, 1.5)):
+        a = scale * np.eye(6)
+        ainv, t = moore_penrose(a), a + scale * c * q
+        try:
+            texts.append(json.dumps(seven_conditions(a, ainv, t).to_dict()))
+            texts.append(perturbed_gi(a, ainv, t).inverse.tobytes().hex())
+        except Exception as exc:  # an error is an output too
+            texts.append(f"{type(exc).__name__}: {exc}")
+    ctx, x = operator_context(np.eye(6)), np.eye(6) + 0.45 * q
+    texts += [chart_d(ctx, x).tobytes().hex(), chart_d_star(ctx, x).tobytes().hex()]
+    return hashlib.sha1("\n".join(texts).encode()).hexdigest()
+
+
 def workload_digest(harness, name: str, seed: int) -> tuple[str, int, int]:
     """One untraced pass of a workload: (sha1 of its job digests, attempted, failed)."""
     wl = harness.workloads.WORKLOADS[name](seed, False)
@@ -181,6 +211,8 @@ def main() -> int:
     for scale in (1e-170, 1e170):
         chart, tangency = chart_digest(scale)
         print(f"fixed_rank_chart_check / tangency_fixed_rank 12x10 rank 4 scale {scale:g}  {chart}  {tangency}")
+    print(f"seven_conditions / perturbed_gi / chart_d / chart_d_star at I_6 + c Q, scales 1 and 1e-160  "
+          f"{screen_digest()}")
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "tilted.json"
         manifest.write_text(json.dumps(TILTED))

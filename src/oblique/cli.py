@@ -27,7 +27,7 @@ from .errors import NumericalError, ValidationError
 from .frobenius import integrate, tangency_check
 from .geninv import _given_inverse, gi_from_complements, moore_penrose, seven_conditions, trial_rng
 from .linalg import Subspace, orth_basis
-from .matio import dump_json, load_json, matrix_to_dict, read_matrix
+from .matio import _write_text, dump_json, load_json, matrix_to_dict, read_matrix
 from .opmanifold import fixed_rank_chart_check, operator_context, sample_fixed_rank_near, tangency_fixed_rank
 from .suites import SUITE_NAMES, run_suite
 
@@ -156,8 +156,7 @@ def _write_patch_csv(patch, path: str) -> None:
         if not filled[i]:
             continue
         lines.append(",".join(repr(float(v)) for v in (*grid[i], *psi[i])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _cmd_chart(args) -> int:

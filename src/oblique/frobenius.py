@@ -50,7 +50,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack, _value_stack
 from .geninv import GenInverse
-from .linalg import oblique_projector
+from .linalg import _norms, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -610,12 +610,6 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     diag.breached = diag.breached or diag.cofinal_failures > 0
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of stacked vectors, bit for bit ``np.linalg.norm``
-    of each (a BLAS dot product, not a pairwise sum of squares)."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
-
-
 # Five-node first-derivative stencils (coefficients over offsets, /12h):
 # error O(h^4); the shifted forms cover nodes one step from the boundary.
 _STENCILS_5 = (
@@ -778,8 +772,7 @@ def _graph_solver(f: DifferentiableMap, gi0: GenInverse, x0, cfg: Numerics):
         for _ in range(cfg.newton_max_iter):
             u = (lift + np.matmul(estar, w))[..., 0]
             dw = np.matmul(estar_t, np.matmul(t0_plus, (_value_stack(f, u) - f_base)[..., None]))
-            # bit for bit np.linalg.norm of each update: sqrt of its dot product
-            update = np.sqrt(np.matmul(dw.transpose(0, 2, 1), dw)[:, 0, 0])
+            update = _norms(dw[..., 0])  # bit for bit np.linalg.norm of each update
             trace.append(update)
             w = w - dw
             go = (update > cfg.newton_tol) & (update <= 1e9)  # a NaN update stops: it is not finite

@@ -87,41 +87,19 @@ def _op_norm_pair(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(top[0]), float(top[1])
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v (count, k), bit for bit ``np.linalg.norm``
+    of each (a BLAS dot product, not a pairwise sum of squares); a stack of
+    matrices flattened to rows gives each one's Frobenius norm."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def _screened_norm(m: np.ndarray, bound: float) -> float:
-    """An upper bound of ||m||_2 that decides ``||m||_2 < bound``, from the
-    first of three tiers that settles it:
-
-    1. the Frobenius norm (sum sigma_i^2)^(1/2);
-    2. max|m| ||(S^T S)^2||_F^(1/4) = (sum sigma_i^8)^(1/8), with S = m / max|m|
-       and the Gram matrix S^T S taken on the smaller side of m;
-    3. the spectral norm from an SVD.
-
-    Each of the first two is used only when it is below ``bound * (1 - 1e-8)``,
-    so the result is below ``bound`` exactly when ``op_norm(m)`` is, and
-    equals it whenever it is not below.  The second tier lets a matrix whose
-    few leading singular values carry its norm pass without an SVD.
-
-    Why the slack holds: the Frobenius norm and the SVD round like (entries)
-    * eps, which covers up to a million entries.  The two products of the
-    second tier round like p q eps relative to sigma_1^2 and sigma_1^4 (p x q
-    the shape, every entry of S at most 1), and the fourth root quarters
-    that, which covers some ten million entries.  The unscaled Frobenius
-    norm loses squares below 5e-324, so bounds of 1e-150 or less always take
-    the SVD; past about 1e154 the squares overflow to inf, which the later
-    tiers decide.  The second tier runs only for 1e-150 < bound < 1e150, as
-    ``_norm_exceeds`` does, where the scaled comparison keeps its precision."""
+    """``_screened_norms`` of one matrix: its Frobenius tier, which settles
+    nearly every single matrix, is taken here without the stack."""
     with np.errstate(over="ignore"):
         frobenius = float(np.linalg.norm(m))
-    if _screen_settles(frobenius, bound):
-        return frobenius
-    if 1e-150 < bound < 1e150:
-        peak = float(np.max(np.abs(m)))  # > 0: a zero matrix passed the first tier
-        scaled = m / peak
-        gram = scaled @ scaled.T if scaled.shape[0] <= scaled.shape[1] else scaled.T @ scaled
-        eighth = peak * float(np.linalg.norm(gram @ gram)) ** 0.25
-        if eighth < bound * (1.0 - 1e-8):
-            return eighth
-    return op_norm(m)
+    return frobenius if _screen_settles(frobenius, bound) else float(_screened_norms(m[None], bound)[0])
 
 
 def _screen_settles(frobenius, bound: float):
@@ -130,13 +108,33 @@ def _screen_settles(frobenius, bound: float):
 
 
 def _screened_norms(stack: np.ndarray, bound: float) -> np.ndarray:
-    """``_screened_norm`` of each matrix in a stack (count, p, q): the
-    matrices the Frobenius tier leaves open take the Gram tier as one stacked
-    product, and those still open share one stacked SVD.  The same slack and
-    range guards hold, so each result is below ``bound`` exactly when that
-    matrix's ``op_norm`` is, and equals it whenever it is not."""
+    """An upper bound of ||m||_2 for each matrix m of a stack (count, p, q)
+    that decides ``||m||_2 < bound``, from the first of three tiers that
+    settles it:
+
+    1. the Frobenius norm (sum sigma_i^2)^(1/2) (``_norms``);
+    2. max|m| ||(S^T S)^2||_F^(1/4) = (sum sigma_i^8)^(1/8), with S = m / max|m|
+       and the Gram matrix S^T S taken on the smaller side of m, as one
+       stacked product over the matrices the first tier leaves open;
+    3. the spectral norm, from one stacked SVD of those still open.
+
+    Each of the first two is used only when it is below ``bound * (1 - 1e-8)``,
+    so each result is below ``bound`` exactly when that matrix's
+    ``op_norm`` is, and equals it whenever it is not below.  The second tier
+    lets a matrix whose few leading singular values carry its norm pass
+    without an SVD.
+
+    Why the slack holds: the Frobenius norm and the SVD round like (entries)
+    * eps, which covers up to a million entries.  The two products of the
+    second tier round like p q eps relative to sigma_1^2 and sigma_1^4 (every
+    entry of S at most 1), and the fourth root quarters that, which covers
+    some ten million entries.  The unscaled Frobenius norm loses squares
+    below 5e-324, so bounds of 1e-150 or less always take the SVD; past
+    about 1e154 the squares overflow to inf, which the later tiers decide.
+    The second tier runs only for 1e-150 < bound < 1e150, as
+    ``_norms_exceed`` does, where the scaled comparison keeps its precision."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(stack, axis=(-2, -1))
+        norms = _norms(stack.reshape(len(stack), stack.shape[1] * stack.shape[2]))
     open_ = np.flatnonzero(~_screen_settles(norms, bound))
     if open_.size and 1e-150 < bound < 1e150:
         peak = np.max(np.abs(stack[open_]), axis=(-2, -1))  # > 0: a zero matrix passed the first tier
@@ -172,11 +170,6 @@ def _norms_exceed(stack: np.ndarray, bound: float) -> np.ndarray:
         rows = np.einsum("cij,cij->ci", scaled, scaled)
         image = scaled @ scaled[np.arange(len(stack)), rows.argmax(axis=1), :, None]
         return np.sqrt(np.einsum("cij,cij->c", image, image) / rows.max(axis=1)) > bound / peak * (1.0 + 1e-8)
-
-
-def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
-    """``_norms_exceed`` of one matrix."""
-    return bool(_norms_exceed(m[None], bound)[0])
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -44,10 +44,31 @@ def matrix_from_dict(d: dict, name: str = "matrix") -> np.ndarray:
     return np.array(data).reshape(rows, cols)
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of a file; ValidationError where it is missing, cannot
+    be read or is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; ValidationError where it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def _read_matrix_csv(path: Path) -> np.ndarray:
     rows = []
     width = None
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -72,17 +93,14 @@ def read_matrix(path) -> np.ndarray:
     p = Path(path)
     if p.suffix.lower() != ".csv":
         return matrix_from_dict(load_json(p), name=str(p))
-    if not p.exists():
-        raise ValidationError(f"no such file: {p}")
     return _read_matrix_csv(p)
 
 
 def load_json(path) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such file: {p}")
+    text = _read_text(p)
     try:
-        return json.loads(p.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
@@ -91,5 +109,5 @@ def dump_json(obj, path=None) -> str:
     """Serialize deterministically; write to ``path`` when given."""
     text = json.dumps(obj, indent=2) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        _write_text(path, text)
     return text

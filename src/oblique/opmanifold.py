@@ -50,9 +50,9 @@ from .linalg import (
     SubspaceBatch,
     _EPS,
     _built,
+    _norms,
     _ranks,
     _read_only,
-    _screened_norm,
     _screened_norms,
     as_matrix,
     direct_sum_check,
@@ -290,23 +290,17 @@ def operator_family(ctx: OperatorFamilyContext, rank_tol: float | None = None, c
     return _built(SubspaceFamily, _OperatorSlices(ctx.m, ctx.n, tol), _read_only(vec(ctx.a)), ctx.m0, ctx.estar, None)
 
 
-def _chart_gap(ctx: OperatorFamilyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = (X - A) A+ of X, or of each X in a stack (count, m, n), with an
-    upper bound of each ||G||_2 (``_screened_norm``), for X in the chart
-    region ||G|| < 1; BallError with the spectral norm of the first X outside
-    it."""
+def _chart_factor(ctx: OperatorFamilyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(A+, X) = I + G, G = (X - A) A+, of X or of each X in a stack
+    (count, m, n), formed as ``c_op`` forms it, with an upper bound of each
+    ||G||_2 (``_screened_norms``), for X in the chart region ||G|| < 1;
+    BallError with the spectral norm of the first X outside it."""
     gap = (x - ctx.a) @ ctx.ainv.inverse
-    norms = _screened_norms(gap, 1.0) if gap.ndim == 3 else np.array([_screened_norm(gap, 1.0)])
-    outside = norms[norms >= 1.0]
+    bounds = _screened_norms(gap.reshape(-1, ctx.m, ctx.m), 1.0)
+    outside = bounds[bounds >= 1.0]
     if outside.size:
         raise BallError(f"||(X - A) A+|| = {outside[0]:.6g} >= 1: outside the chart region")
-    return gap, norms
-
-
-def _chart_factor(ctx: OperatorFamilyContext, x: np.ndarray) -> np.ndarray:
-    """C(A+, X) = I + (X - A) A+ of X, or of each X in a stack (count, m, n),
-    formed as ``c_op`` forms it, for X in the chart region (``_chart_gap``)."""
-    return np.eye(ctx.m) + _chart_gap(ctx, x)[0]
+    return np.eye(ctx.m) + gap, bounds
 
 
 def chart_d(ctx: OperatorFamilyContext, x, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -322,8 +316,7 @@ def _chart_d(ctx: OperatorFamilyContext, x: np.ndarray, cfg: Numerics) -> np.nda
     the SVD's own rounding near the limit, leaves the check to
     ``np.linalg.cond``.  The checks run in order, so the first factor refused
     raises."""
-    gap, bounds = _chart_gap(ctx, x)
-    c = np.eye(ctx.m) + gap
+    c, bounds = _chart_factor(ctx, x)
     for factor, bound in zip(c.reshape(-1, ctx.m, ctx.m), bounds.tolist()):
         cond = (1.0 + bound) / (1.0 - bound)
         _conditioned(factor, cfg, cond if cond <= 0.5 * cfg.cond_limit else None)
@@ -337,7 +330,7 @@ def chart_d_star(ctx: OperatorFamilyContext, t) -> np.ndarray:
 
 def _chart_d_star(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
     """``chart_d_star`` of a checked matrix or of each in a stack (count, m, n)."""
-    return t @ ctx.p_ra_plus + _chart_factor(ctx, t) @ t @ ctx.p_na
+    return t @ ctx.p_ra_plus + _chart_factor(ctx, t)[0] @ t @ ctx.p_na
 
 
 def membership_residual(ctx: OperatorFamilyContext, t) -> float:
@@ -347,12 +340,12 @@ def membership_residual(ctx: OperatorFamilyContext, t) -> float:
 
 def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
     """``membership_residual`` of each matrix in a stack (count, m, n): the
-    defects from one stacked ``_slice_defect``, each norm from its own
-    ``np.linalg.norm``.  Past about 1e154 the norms overflow; there the same
-    ratio is taken from t / max|t|."""
+    defects from one stacked ``_slice_defect``, the norms ``np.linalg.norm``'s
+    bit for bit (``_norms``).  Past about 1e154 the norms overflow; there the
+    same ratio is taken from t / max|t|."""
     with np.errstate(over="ignore", invalid="ignore"):
         defects = _slice_defect(ctx.factors, t)
-        norms = np.array([np.linalg.norm(each) for each in t])
+        norms = _norms(t.reshape(len(t), -1))
         ratios = defects / (1.0 + norms)
     for i in np.flatnonzero(~(np.isfinite(defects) & np.isfinite(norms))):
         peak = np.max(np.abs(t[i]))

@@ -258,6 +258,16 @@ def _write(path, text):
     return str(path)
 
 
+def _directory(path):
+    path.mkdir()
+    return str(path)
+
+
+def _bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
 def _matrix_file(name, text):
     return lambda tmp_path: ["gi", "--a", _write(tmp_path / name, text)]
 
@@ -293,6 +303,21 @@ def _manifest(payload):
          "step must be finite and positive, got nan"),
         (lambda tmp_path: ["integrate", "--builtin", "sphere_2d", "--extent", "inf"],
          r"extents must be finite, got \[inf\]"),
+        # files that exist but cannot be read as UTF-8 text, and outputs that cannot be written
+        (lambda tmp_path: ["gi", "--a", _directory(tmp_path / "d.json")], r"d\.json: cannot read: Is a directory"),
+        (lambda tmp_path: ["gi", "--a", _directory(tmp_path / "d.csv")], r"d\.csv: cannot read: Is a directory"),
+        (lambda tmp_path: ["gi", "--a", _bytes(tmp_path / "m.json", b'{"rows": 1, "cols": 1, "data": [1.0]} \xe9')],
+         r"m\.json: not UTF-8 text: unexpected end of data at byte 38"),
+        (lambda tmp_path: ["gi", "--a", _bytes(tmp_path / "m.csv", b"1.0,\xff\n")],
+         r"m\.csv: not UTF-8 text: invalid start byte at byte 4"),
+        (lambda tmp_path: ["integrate", "--manifest", _directory(tmp_path / "m.json"), "--extent", "0.1"],
+         r"m\.json: cannot read: Is a directory"),
+        (lambda tmp_path: ["integrate", "--manifest", _bytes(tmp_path / "m.json", b"\xfe\xff{}"), "--extent", "0.1"],
+         r"m\.json: not UTF-8 text: invalid start byte at byte 0"),
+        (lambda tmp_path: ["gi", "--a", write_matrix(tmp_path / "a.json", np.eye(2)), "--out", _directory(tmp_path / "out")],
+         r"out: cannot write: Is a directory"),
+        (lambda tmp_path: ["integrate", "--builtin", "sphere_2d", "--grid", "5", "--emit-csv", _directory(tmp_path / "csv")],
+         r"csv: cannot write: Is a directory"),
     ],
 )
 def test_cli_file_manifest_and_flag_errors_exit_2(tmp_path, capsys, make_argv, message):

@@ -16,7 +16,7 @@ from oblique import (
     subspace_distance,
 )
 from oblique.config import DEFAULTS
-from oblique.linalg import _kernel_batch, _kernel_svd, _op_norm_pair
+from oblique.linalg import _kernel_batch, _kernel_svd, _norms, _op_norm_pair
 from oblique.linalg import intersection_margin, splitting_margin
 
 # ---------------------------------------------------------------------------
@@ -266,3 +266,24 @@ def test_stacked_norm_pair_is_two_op_norms_bit_for_bit(seed, m, n, exponent):
     y = rng.standard_normal((m, n))
     assert np.array(_op_norm_pair(x, y)).tobytes() == np.array([op_norm(x), op_norm(y)]).tobytes()
     assert _op_norm_pair(np.zeros((0, n)), np.zeros((0, n))) == (0.0, 0.0)
+
+
+# The one row norm that the screen, the chart check's membership ratio and the
+# graph solver's update share: bit for bit np.linalg.norm of each row, and so
+# of each matrix flattened to a row.
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e-6, 1.0, 1e6, 1e150, 1e170, "mixed"])
+@pytest.mark.parametrize("shape", [(6, 1), (6, 7), (3, 1000), (4, 3, 5), (3, 40, 40), (2, 1, 9)])
+def test_row_norm_is_np_linalg_norm_bit_for_bit(shape, scale):
+    rng = np.random.default_rng(shape[-1])
+    stack = rng.standard_normal(shape)
+    if scale == "mixed":  # every row at its own scale, and one row zero
+        stack *= 10.0 ** rng.integers(-170, 171, len(stack)).reshape(-1, *[1] * (len(shape) - 1))
+        stack[-1] = 0.0
+    else:
+        stack *= scale
+    with np.errstate(over="ignore"):
+        got = _norms(stack.reshape(len(stack), -1))
+        want = np.array([np.linalg.norm(each) for each in stack])
+    assert got.tobytes() == want.tobytes()
+    if scale == 1e170:  # the squares overflow, as np.linalg.norm's do
+        assert np.isinf(got).all()

@@ -28,7 +28,7 @@ from oblique.cli import main
 from oblique.config import DEFAULTS, Numerics
 from oblique.errors import ValidationError
 from oblique.geninv import _near_identity_sample, c_op, trial_rng
-from oblique.linalg import _norm_exceeds, _screened_norm, unit
+from oblique.linalg import _norms_exceed, _screened_norm, _screened_norms, unit
 from oblique.matio import matrix_to_dict
 from oblique.opmanifold import (
     _chart_factor,
@@ -152,6 +152,16 @@ def test_screened_norm_decides_like_the_spectral_norm_at_every_scale_and_rank(se
     assert screened >= exact * (1.0 - 64.0 * np.finfo(float).eps)
     if screened >= bound:
         assert screened == exact
+    # the same matrix in a stack, between a zero matrix and one past the bound:
+    # each row decides alone
+    past = np.zeros(shape)
+    past[0, 0] = 2.0 * bound
+    stack = np.stack([np.zeros(shape), m, past])
+    for row, norm in zip(stack, _screened_norms(stack, bound).tolist()):
+        want = op_norm(row)
+        assert (norm < bound) == (want < bound)
+        if norm >= bound:
+            assert norm == want
 
 
 @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e140])
@@ -233,7 +243,7 @@ def test_chart_factor_is_c_op_bit_for_bit():
     ctx = operator_context(random_rank_matrix(trial_rng(3, 0), 6, 4, 2))
     for j in range(10):
         x = sample_fixed_rank_near(ctx, trial_rng(3, j + 1))
-        assert _chart_factor(ctx, x).tobytes() == c_op(ctx.a, ctx.ainv, x).tobytes()
+        assert _chart_factor(ctx, x)[0].tobytes() == c_op(ctx.a, ctx.ainv, x).tobytes()
 
 
 def test_chart_region_error_prints_the_spectral_norm():
@@ -389,16 +399,16 @@ def test_power_step_never_rejects_what_the_svd_accepts(kind, shape):
     for bound in BOUNDS + [1e-100, 1e100]:
         for k in ULPS:
             m = _scaled(g, bound, k)
-            assert not (_norm_exceeds(m, bound) and op_norm(m) < bound), (bound, k)
+            assert not (_norms_exceed(m[None], bound)[0] and op_norm(m) < bound), (bound, k)
         if kind == "rank_one":  # one power step is exact on a rank-one matrix
-            assert _norm_exceeds(g * (bound * (1.0 + 1e-6)), bound)
+            assert _norms_exceed(g[None] * (bound * (1.0 + 1e-6)), bound)[0]
 
 
 def test_power_step_rejects_only_strictly_past_its_slack():
     bound = 1.0 / (1.0 + 1e-8)
     assert bound * (1.0 + 1e-8) == 1.0  # so [[1]] ties the threshold exactly
-    assert not _norm_exceeds(np.array([[1.0]]), bound)
-    assert _norm_exceeds(np.array([[1.0]]), np.nextafter(bound, 0.0))
+    assert not _norms_exceed(np.array([[[1.0]]]), bound)[0]
+    assert _norms_exceed(np.array([[[1.0]]]), np.nextafter(bound, 0.0))[0]
 
 
 def _halvings(rng, a, ainv, fraction, eps):
