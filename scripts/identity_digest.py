@@ -45,10 +45,10 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of ``seven_conditions`` and ``perturbed_gi`` at A = I_6 and
   T = A + 0.45 Q, Q a fixed orthogonal matrix, and at both scaled by
   1e-160, of the BallError at T = A + 1.5 Q, and of ``chart_d`` and
-  ``chart_d_star`` at X = A + 0.45 Q: gaps whose Frobenius norm, 1.10, is
-  past the radius 1, so the Gram tier of ``linalg._screened_norms``
-  decides, and below 1e-150, where its SVD tier does, which no workload
-  reaches;
+  ``chart_d_star`` at X = A + 0.45 Q.  The gap's Frobenius norm, 1.10,
+  passes the radius 1 and its spectral norm, 0.45, does not, so the Gram
+  tier of ``linalg._screened_norms`` decides; at 1e-160 the radius is
+  below 1e-150 and the SVD tier decides.  No workload reaches either;
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with

@@ -340,9 +340,9 @@ def membership_residual(ctx: OperatorFamilyContext, t) -> float:
 
 def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
     """``membership_residual`` of each matrix in a stack (count, m, n): the
-    defects from one stacked ``_slice_defect``, the norms ``np.linalg.norm``'s
-    bit for bit (``_norms``).  Past about 1e154 the norms overflow; there the
-    same ratio is taken from t / max|t|."""
+    defects from one stacked ``_slice_defect``, the norms from one ``_norms``
+    of the matrices flattened row-major.  Past about 1e154 the norms
+    overflow; there the same ratio is taken from t / max|t|."""
     with np.errstate(over="ignore", invalid="ignore"):
         defects = _slice_defect(ctx.factors, t)
         norms = _norms(t.reshape(len(t), -1))
