@@ -49,6 +49,11 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   passes the radius 1 and its spectral norm, 0.45, does not, so the Gram
   tier of ``linalg._screened_norms`` decides; at 1e-160 the radius is
   below 1e-150 and the SVD tier decides.  No workload reaches either;
+* the sha1 of ``matio.dump_json`` of the ``edge_payloads``: NaN, +-inf, -0.0,
+  5e-324 and np.float64 values, big ints, bools, None, non-ASCII and
+  control-character strings, lists, tuples, empty and nested-empty
+  containers, rows of numbers, and dicts with str, int, float, bool and
+  None keys, which the benchmark's patches do not hold;
 * the sha1 of the stdout of ``oblique gi --a A --r-plus R --n-plus N``, of
   ``oblique conditions --a A --ainv AP --t T`` and of ``oblique chart --a
   A`` for the small fixed matrices of ``MATRICES``: an inverse with
@@ -63,6 +68,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -84,6 +90,26 @@ MATRICES = {
     "AP": [[1.0, 0.0, 0.2], [0.0, 0.5, -0.1], [0.3, 0.4, -0.02]],
     "T": [[1.01, 0.02, 0.0], [0.01, 1.98, 0.0], [0.0, 0.0, 0.0]],
 }
+
+
+def edge_payloads() -> dict:
+    """The payloads of the ``dump_json`` line (see the module docstring),
+    each written on its own: one non-str key sends a whole object to
+    ``json.dumps``."""
+    import numpy as np
+
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+    return {
+        "floats": floats,
+        "np.float64": [np.float64(v) for v in floats],
+        "ints": [0, -1, 2**64, -(3**200)],
+        "leaves": [True, False, None, "caf\u00e9 \u2202\U0001d4b3", "tab\tnul\x00\x1f quote\" back\\"],
+        "rows": [[1.0, -0.0, math.nan], (2, True, None), [np.float64(5e-324)]],
+        "tuple": (1.5, ("nested", [])),
+        "empty": [[], {}, (), [[]], [{}], {"": {}}],
+        "keys": {7: "int", 2.5: "float", math.inf: "inf", True: "bool", None: "none", "str": {"x": [0.5]}},
+        "mixed": [1.0, "two", [3.0, [4.0]], {"five": 5}],
+    }
 
 
 def verify_digest() -> str:
@@ -213,6 +239,10 @@ def main() -> int:
         print(f"fixed_rank_chart_check / tangency_fixed_rank 12x10 rank 4 scale {scale:g}  {chart}  {tangency}")
     print(f"seven_conditions / perturbed_gi / chart_d / chart_d_star at I_6 + c Q, scales 1 and 1e-160  "
           f"{screen_digest()}")
+    from oblique.matio import dump_json
+
+    text = "".join(dump_json(payload) for payload in edge_payloads().values())
+    print(f"dump_json edge-case payloads  {hashlib.sha1(text.encode()).hexdigest()}")
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "tilted.json"
         manifest.write_text(json.dumps(TILTED))

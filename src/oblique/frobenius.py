@@ -26,7 +26,8 @@ read as a fold.  Every other family goes through ``eval_batch``: the
 stacked bases of the expected dimension, then their splitting margins and
 solves in one stacked call each.  The per-node checks of a finished patch
 and ``tangency_check`` take that second route for every family, so they
-check the march independently.
+check the march independently; they share one evaluation per node (see
+``tangency_check``).
 A patch's coordinates are its own: ``tangency_check`` lifts its nodes with
 its ``m0_basis`` and ``estar_basis``, and ``explicit_patch`` refuses an
 inverse whose N(T0) and R(T0+) bases are not those.
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .families import DifferentiableMap, SubspaceFamily, _JacobianKernels, _jacobian_stack, _value_stack
 from .geninv import GenInverse
-from .linalg import _norms, oblique_projector
+from .linalg import SubspaceBatch, _norms, oblique_projector
 
 __all__ = [
     "IntegralPatch",
@@ -573,7 +574,9 @@ def _fill_node_diagnostics(patch: IntegralPatch, ev: _AlphaEvaluator) -> None:
     nodes = np.argwhere(patch.filled)
     points = _ambient(ev.b0, ev.bs, patch.grid()[patch.filled.ravel()], patch.psi[patch.filled])
     rhs = np.broadcast_to(ev.full_rhs, (len(points), *ev.full_rhs.shape))
-    am, split = ev.alpha(ev.family.eval_batch(points).of_dim(d), rhs)
+    batch = ev.family.eval_batch(points)
+    patch._node_evals = (ev.family, points, batch)  # for tangency_check
+    am, split = ev.alpha(batch.of_dim(d), rhs)
     diag.cofinal_failures = int(np.count_nonzero(~split))
 
     if f is not None:
@@ -659,6 +662,23 @@ def _axis_derivatives(patch: IntegralPatch, nodes: np.ndarray, axis: int) -> tup
     return (interior & ~todo) | fits, out
 
 
+def _node_subspaces(patch: IntegralPatch, family: SubspaceFamily, keep: np.ndarray, points: np.ndarray
+                    ) -> SubspaceBatch:
+    """The family at ``points``, the lifts of the filled nodes ``keep``
+    selects.  A point equal byte for byte to the one integrate's node checks
+    evaluated there, with this same family, takes that evaluation; the
+    others are evaluated in one batch."""
+    held_family, held_points, held = getattr(patch, "_node_evals", (None, None, None))
+    if held_family is not family or len(held_points) != len(keep):
+        return family.eval_batch(points)
+    same = np.all(held_points[keep].view(np.uint64) == points.view(np.uint64), axis=1)
+    take = keep.copy()
+    take[keep] = same
+    if same.all():
+        return held.rows(take)
+    return SubspaceBatch.merged(same, held.rows(take), family.eval_batch(points[~same]))
+
+
 def tangency_check(patch: IntegralPatch, family: SubspaceFamily) -> float:
     """Largest defect of grid tangent vectors against the family's subspaces.
 
@@ -669,6 +689,17 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily) -> float:
     diagnostics.  The family, which must map the patch's R^n into R^n, is
     evaluated in one batch, once per node; the derivatives, rejections and
     projections of all nodes are then taken as stacked calls.
+
+    A patch fresh from ``integrate`` holds the evaluations of its node
+    checks.  When ``family`` is the object ``integrate`` was given, a node
+    whose lift here equals the point the node checks evaluated, byte for
+    byte, takes that evaluation and the family is not called there; the
+    family is a pure function of the point, so it is the subspace a new
+    evaluation would give.  The node checks lift with the family's bases
+    and this check with the patch's own copies, which can differ in the
+    last bit.  A node whose lift differs, every node of a patch built with
+    ``dataclasses.replace`` and every node of another family is evaluated
+    afresh, so a ``psi`` written in place is checked as it now is.
     """
     if any(len(ax) < 3 for ax in patch.axes):
         raise GridError("tangency check needs at least 3 nodes per axis")
@@ -679,7 +710,8 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily) -> float:
     derivs = [_axis_derivatives(patch, nodes, i) for i in range(patch.m0_dim)]
     keep = np.logical_or.reduce([has for has, _ in derivs])
     derivs = [(has[keep], values[keep]) for has, values in derivs]
-    batch = family.eval_batch(_ambient(b0, bs, patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep]))
+    points = _ambient(b0, bs, patch.grid()[patch.filled.ravel()][keep], patch.psi[patch.filled][keep])
+    batch = _node_subspaces(patch, family, keep, points)
 
     worst = 0.0
     # the rejections stack only across subspaces of one dimension

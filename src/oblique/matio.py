@@ -5,8 +5,11 @@ CSV alternative: one row per line, comma separated, '.' decimal separator.
 Both readers reject non-finite entries.
 """
 
+import functools
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +32,28 @@ def matrix_to_dict(a) -> dict:
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "data": arr.ravel().tolist()}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def matrix_from_dict(d: dict, name: str = "matrix") -> np.ndarray:
+    """The matrix of a ``{"rows": m, "cols": n, "data": [...]}`` dict: m and n
+    whole numbers, data m*n finite numbers (a bool or a string is not one)."""
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-        data = [float(v) for v in d["data"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = d["rows"], d["cols"], list(d["data"])
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"{name}: expected keys rows/cols/data with numeric content: {exc}") from exc
+    for key, v in (("rows", rows), ("cols", cols)):
+        if not (_is_number(v) and (isinstance(v, int) or v.is_integer())):
+            raise ValidationError(f"{name}: {key} must be a whole number, got {v!r}")
+    bad = [v for v in data if not _is_number(v)]
+    if bad:
+        raise ValidationError(f"{name}: data entries must be numbers, got {bad[0]!r}")
+    try:
+        data = [float(v) for v in data]
+    except OverflowError as exc:  # an integer past the float range
+        raise ValidationError(f"{name}: non-finite entries rejected") from exc
+    rows, cols = int(rows), int(cols)
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"{name}: rows and cols must be positive")
     if len(data) != rows * cols:
@@ -105,9 +124,86 @@ def load_json(path) -> dict:
         raise ValidationError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
+# Leaves the C encoder writes with json.dumps' bytes; the JSON of a number,
+# bool or None holds no quote, bracket or _ROW_MARK.
+_NUMBERS = frozenset({float, int, bool, type(None), np.float64})
+_LEAVES = _NUMBERS | {str}
+_ROW_MARK = ";"
+_SEQUENCES = frozenset({list, tuple})
+
+
+class _Unhandled(Exception):
+    """A value ``_indented`` leaves to ``json.dumps``."""
+
+
+@functools.lru_cache(maxsize=32)
+def _c_encode(item_separator: str):
+    """The C encoder's ``encode`` with ``item_separator`` between items."""
+    return json.JSONEncoder(separators=(item_separator, ": ")).encode
+
+
+def _number_rows(obj) -> bool:
+    """Whether ``obj`` is a sequence of non-empty lists or tuples of numbers."""
+    if not (_SEQUENCES.issuperset(map(type, obj)) and all(obj)):
+        return False
+    return _NUMBERS.issuperset(map(type, chain.from_iterable(obj)))
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` of ``obj`` set at indentation ``pad``.
+
+    A dict or list whose items are all leaves (numbers, bools, None,
+    strings) is one C encoder call, its item separator carrying the next
+    line's indentation; a list of number rows is one call with
+    ``_ROW_MARK`` between items, which two replaces then turn into row
+    breaks and item breaks.  Raises ``_Unhandled`` at a non-str key and at
+    a type other than those json.dumps writes, or a subclass of one of them
+    (np.float64 aside: json writes it as the float it is).
+    """
+    kind = type(obj)
+    if kind in _LEAVES:
+        return _c_encode(",")(obj)
+    if kind is dict:
+        opening, closing, values = "{", "}", obj.values()
+        if not all(type(k) is str for k in obj):
+            raise _Unhandled
+    elif kind is list or kind is tuple:
+        opening, closing, values = "[", "]", obj
+    else:
+        raise _Unhandled
+    if not obj:
+        return opening + closing
+    inner = pad + "  "
+    if _LEAVES.issuperset(map(type, values)):
+        body = _c_encode(",\n" + inner)(obj)[1:-1]
+    elif kind is not dict and _number_rows(obj):
+        deeper = inner + "  "
+        body = _c_encode(_ROW_MARK)(obj)[1:-1]  # [1;2];[3;4]
+        body = body.replace("]" + _ROW_MARK + "[", f"\n{inner}],\n{inner}[\n{deeper}")
+        body = "[\n" + deeper + body[1:-1].replace(_ROW_MARK, ",\n" + deeper) + "\n" + inner + "]"
+    elif kind is dict:
+        body = (",\n" + inner).join(encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items())
+    else:
+        body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+    return opening + "\n" + inner + body + "\n" + pad + closing
+
+
 def dump_json(obj, path=None) -> str:
-    """Serialize deterministically; write to ``path`` when given."""
-    text = json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte; written to
+    ``path`` when given.
+
+    json takes its C encoder only without ``indent``, so an indented report
+    would go through the pure-Python encoder, item by item.  Here dicts,
+    lists and tuples are walked in Python and each run of leaves is written
+    by the C encoder (``_indented``).  An object the walk does not handle
+    (a non-str key, a type json.dumps has no rule for, a subclass, a cycle)
+    goes to ``json.dumps(obj, indent=2)`` whole, so its text or its error is
+    json's own.
+    """
+    try:
+        text = _indented(obj, "") + "\n"
+    except (_Unhandled, RecursionError):
+        text = json.dumps(obj, indent=2) + "\n"
     if path is not None:
         _write_text(path, text)
     return text

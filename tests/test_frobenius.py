@@ -364,12 +364,18 @@ class SerialReference:
         f_base = None if f is None else f(self.family.base_point)
         d, shape, spacing = patch.m0_dim, patch.shape, patch.diagnostics.spacing
         failures, level, ode, ode_scaled = 0, 0.0, 0.0, 0.0
+        evals = {}
+        self.node_evals = patch, evals  # what tangency reuses
         for idx in itertools.product(*map(range, shape)):
             if not patch.filled[idx]:
                 continue
             u = self.ambient(patch.node_coords(idx), patch.psi[idx])
+            mx = self.evaluated(u)
+            evals[idx] = u.tobytes(), mx
             try:  # the march's splitting test, sigma_min(Cperp^T Q) > tol_split
-                am = self.alpha(self.family.eval(u), self.cperp.T @ self.b0)
+                if mx is None:
+                    raise EvalError("evaluation failed")
+                am = self.alpha(mx, self.cperp.T @ self.b0)
             except (EvalError, CofinalBreach):
                 failures += 1
                 continue
@@ -389,7 +395,19 @@ class SerialReference:
                 ode_scaled = max(ode_scaled, resid / scale)
         return failures, None if f is None else level, ode, ode_scaled
 
+    def evaluated(self, u):
+        """The family's subspace at u, or None where its evaluation fails."""
+        try:
+            return self.family.eval(u)
+        except EvalError:
+            return None
+
     def tangency(self, patch):
+        """The tangency residual node by node, each node lifted with the
+        patch's own bases.  A node that ``node_checks`` evaluated on this
+        same patch at the same point, byte for byte, takes that evaluation,
+        as ``tangency_check`` takes integrate's."""
+        held, evals = getattr(self, "node_evals", (None, {}))
         worst = 0.0
         for idx in itertools.product(*map(range, patch.shape)):
             if not patch.filled[idx]:
@@ -397,9 +415,11 @@ class SerialReference:
             derivs = [_axis_derivatives(patch, np.array([idx]), i) for i in range(patch.m0_dim)]
             if not any(has[0] for has, _ in derivs):
                 continue
-            try:
-                mx = self.family.eval(self.ambient(patch.node_coords(idx), patch.psi[idx]))
-            except EvalError:
+            u = patch.m0_basis @ patch.node_coords(idx) + patch.estar_basis @ patch.psi[idx]
+            point, mx = evals.get(idx, (None, None)) if held is patch else (None, None)
+            if point != u.tobytes():
+                mx = self.evaluated(u)
+            if mx is None:
                 continue
             reject = np.eye(self.family.ambient_dim) - mx.orthogonal_projector()
             for i, (has, dv) in enumerate(derivs):
@@ -490,6 +510,36 @@ def test_batched_tangency_matches_serial_reference(region):
     patch = integrate(kernel_family(f, x0), 0.5, 2e-2, grid_points=11)
     fam = sphere_variant(region)
     assert tangency_check(patch, fam) == SerialReference(fam).tangency(patch) > 0.0
+
+
+@pytest.mark.parametrize("edit", ["none", "replace", "psi_in_place", "other_family"])
+def test_tangency_check_reuses_node_evaluations_only_where_nothing_changed(edit):
+    # the node evaluations integrate leaves on its patch serve tangency_check
+    # only for that patch object, that family and the same points
+    calls = [0]
+
+    def counted(check):
+        calls[0] = 0
+        return check(), calls[0]
+
+    fam = sphere_variant("eval_error", calls)
+    patch = integrate(fam, 0.5, 2e-2, grid_points=11)
+    ref = SerialReference(fam)
+    ref.node_checks(patch)
+    checked = fam
+    if edit == "replace":
+        patch = dataclasses.replace(patch, diagnostics=dataclasses.replace(patch.diagnostics))
+    elif edit == "psi_in_place":
+        patch.psi[patch.center_index] += 1e-3
+    elif edit == "other_family":
+        checked = dataclasses.replace(fam)
+        ref = SerialReference(checked)
+    batched, batched_calls = counted(lambda: tangency_check(patch, checked))
+    reused, reused_calls = counted(lambda: ref.tangency(patch))
+    fresh, fresh_calls = counted(lambda: SerialReference(checked).tangency(patch))
+    assert batched == reused == fresh > 0.0
+    assert batched_calls == reused_calls == {"none": 0, "psi_in_place": 1}.get(edit, fresh_calls)
+    assert fresh_calls > 1
 
 
 def test_batched_lattice_makes_the_serial_number_of_evaluations():

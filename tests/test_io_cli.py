@@ -1,13 +1,18 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oblique import coordinate_operator
+from oblique.builtins import builtin_family
 from oblique.cli import main
 from oblique.errors import ValidationError
-from oblique.matio import matrix_from_dict, matrix_to_dict, read_matrix
+from oblique.frobenius import integrate, tangency_check
+from oblique.matio import dump_json, matrix_from_dict, matrix_to_dict, read_matrix
+from oblique.suites import run_suite
 
 
 def write_matrix(path, a):
@@ -43,11 +48,93 @@ def test_matrix_csv_round_trip(tmp_path):
         {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, float("nan")]},
         {"rows": 0, "cols": 2, "data": []},
         {"rows": 2, "data": [1.0, 2.0]},
+        {"rows": 2.7, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0]},
+        {"rows": True, "cols": 4, "data": [1.0, 2.0, 3.0, 4.0]},
+        {"rows": 2, "cols": "2", "data": [1.0, 2.0, 3.0, 4.0]},
+        {"rows": 2, "cols": 2, "data": ["1", True, 3, 4]},
+        {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, False]},
+        {"rows": 2, "cols": 2, "data": "1234"},
+        {"rows": 1, "cols": 1, "data": [10**400]},
     ],
 )
 def test_matrix_dict_rejects_malformed(payload):
     with pytest.raises(ValidationError):
         matrix_from_dict(payload)
+
+
+def test_matrix_dict_takes_whole_numbers_and_integer_entries():
+    got = matrix_from_dict({"rows": 2.0, "cols": 1, "data": [1, 0]})
+    assert got.dtype == float and got.tolist() == [[1.0], [0.0]]
+
+
+# ---------------------------------------------------------------------------
+# report writer: json.dumps(obj, indent=2) + "\n", byte for byte
+
+_NUMBERS = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324])
+            | st.integers() | st.integers(2**64, 2**300) | st.integers(-(2**300), -(2**64))
+            | st.booleans() | st.none())
+_ROWS = st.lists(st.lists(_NUMBERS, min_size=1, max_size=4) | st.tuples(_NUMBERS, _NUMBERS),
+                 min_size=1, max_size=5)
+_JSON = st.recursive(
+    _NUMBERS | st.text() | _ROWS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text() | st.integers() | st.floats() | st.booleans() | st.none(), inner,
+                                     max_size=5)),
+    max_leaves=40,
+)
+
+
+def _as_json(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_dump_json_is_json_dumps_indent_2(obj):
+    assert dump_json(obj) == _as_json(obj)
+
+
+_F64 = [np.float64(v) for v in (0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, -2.5e-300, math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [_F64[1], _F64, tuple(_F64), [_F64, _F64[::-1]], [[v] for v in _F64], {"x": _F64, "y": {"z": _F64[3]}},
+     [1, _F64[0], "a", None, [_F64[2], True]], {"rows": [[_F64[0], 2], (3.5, _F64[6])]}],
+)
+def test_dump_json_writes_np_float64_as_json_does(obj):
+    assert dump_json(obj) == _as_json(obj)
+
+
+def test_dump_json_writes_the_verify_and_integrate_reports_as_json_does():
+    report = run_suite("all", 5, 7).to_dict()
+    family = builtin_family("sphere_3d")
+    patch = integrate(family, 0.5, 1e-2, grid_points=21)
+    tangency_check(patch, family)
+    for obj in (report, patch.to_dict()):
+        same = dump_json(obj) == _as_json(obj)  # outside the assert: pytest diffs 0.1 MB texts slowly
+        assert same
+
+
+def _cyclic():
+    items = [1.0]
+    items.append(items)
+    return {"items": items}
+
+
+@pytest.mark.parametrize("obj", [{"a": {1, 2}}, [1.0, np.int64(3)], _cyclic(), [[1.0, 2.0], [np.bool_(True)]]])
+def test_dump_json_raises_what_json_raises(obj):
+    with pytest.raises(Exception) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        dump_json(obj)
+
+
+def test_dump_json_writes_the_text_it_returns(tmp_path):
+    path = tmp_path / "report.json"
+    report = {"name": "caf\u00e9", "psi": [[0.5, -0.0], [math.nan, 1e300]]}
+    text = dump_json(report, path)
+    assert path.read_text(encoding="utf-8") == text == _as_json(report)
 
 
 def test_csv_rejects_non_finite(tmp_path):
@@ -286,6 +373,13 @@ def _manifest(payload):
         (lambda tmp_path: ["gi", "--a", str(tmp_path / "missing.json")], r"no such file: .*missing\.json"),
         (lambda tmp_path: ["gi", "--a", str(tmp_path / "missing.csv")], r"no such file: .*missing\.csv"),
         (_matrix_file("bad.json", '{"rows": 1,\n "cols": 1,,\n "data": [1.0]}'), r"bad\.json:2: invalid JSON"),
+        (_matrix_file("m.json", '{"rows": 2.7, "cols": 2, "data": [1, 2, 3, 4]}'),
+         r"m\.json: rows must be a whole number, got 2\.7"),
+        (_matrix_file("m.json", '{"rows": 2, "cols": 2, "data": ["1", true, 3, 4]}'),
+         r"m\.json: data entries must be numbers, got '1'"),
+        (_manifest({"kind": "explicit", "points": [[0.0, 1.0]],
+                    "bases": [{"rows": 2, "cols": True, "data": [1, 0]}]}),
+         r"bases\[0\]: cols must be a whole number, got True"),
         (_manifest({"kind": "kernel", "map": {"dom_dim": 2, "components": [[[1.0, [2, 0, 0]]]]}, "x0": [0.0, 1.0]}),
          "polynomial exponents must be nonnegative, one per variable"),
         (_manifest({"kind": "kernel", "map": {"dom_dim": 2, "components": [[[1.0, [2, 0]]]]}}),
