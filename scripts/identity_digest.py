@@ -36,6 +36,9 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
 * the sha1 of ``explicit_patch`` on the patch of |x|^2 on R^4 at x0 along
   (0.1, -0.2, 0.3, 0.9), extent 0.3, step 5e-2 and grid 7, with axis 1 cut
   to 6 nodes: a three-dimensional lattice whose lines end at different hops;
+* ``tangency_check`` on that R^4 patch uncut, as ``integrate`` left it
+  (the node checks' evaluations reused) and again with the psi of its
+  center node written in place (every node evaluated afresh): both values;
 * the sha1 of ``fixed_rank_chart_check`` (40 samples) and of
   ``tangency_fixed_rank`` (dim + 6 curves), each report or error, on a 12x10
   rank-4 operator scaled by 1e-170 and by 1e170: the sampler's SVD tier and
@@ -150,6 +153,19 @@ def explicit_digest(f, x0, extent: float, step: float, grid: int, cut: bool = Fa
     return hashlib.sha1(values.tobytes()).hexdigest(), reached, values[..., 0].size
 
 
+def tangency_values(f, x0, extent: float, step: float, grid: int) -> tuple[float, float]:
+    """``tangency_check`` on the patch of ``f`` at ``x0`` as ``integrate``
+    left it, then with the psi of its center node written in place."""
+    from oblique import kernel_family
+    from oblique.frobenius import integrate, tangency_check
+
+    family = kernel_family(f, x0)
+    patch = integrate(family, extent, step, grid_points=grid)
+    fresh = tangency_check(patch, family)
+    patch.psi[patch.center_index] += 1e-3
+    return fresh, tangency_check(patch, family)
+
+
 def chart_digest(scale: float) -> tuple[str, str]:
     """The sha1s of the chart check's and the tangency check's reports, or of
     their errors, on the 12x10 rank-4 operator scaled by ``scale``."""
@@ -234,6 +250,9 @@ def main() -> int:
     digest, reached, nodes = explicit_digest(square, x0 / np.linalg.norm(x0), 0.3, 5e-2, 7, cut=True)
     print(f"explicit_patch |x|^2 on R^4 --extent 0.3 --grid 7 --step 5e-2, axis 1 cut to 6  {digest}  "
           f"reached {reached} of {nodes}")
+    fresh, edited = tangency_values(square, x0 / np.linalg.norm(x0), 0.3, 5e-2, 7)
+    print(f"tangency_check |x|^2 on R^4 --extent 0.3 --grid 7 --step 5e-2, fresh / center psi edited  "
+          f"{fresh!r}  {edited!r}")
     for scale in (1e-170, 1e170):
         chart, tangency = chart_digest(scale)
         print(f"fixed_rank_chart_check / tangency_fixed_rank 12x10 rank 4 scale {scale:g}  {chart}  {tangency}")

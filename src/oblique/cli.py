@@ -192,8 +192,8 @@ def _cmd_verify(args) -> int:
     _require_at_least(args, trials=1, seed=0)
     cfg = DEFAULTS
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ValidationError("--tol must be positive")
+        if not 0 < args.tol < float("inf"):  # a NaN fails this too
+            raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
         cfg = cfg.replace(tol_num=args.tol, cond_tol=100.0 * args.tol)
     report = run_suite(args.suite, args.trials, args.seed, cfg, step=args.step)
     _emit(report.to_dict(), args.out)

@@ -26,11 +26,12 @@ read as a fold.  Every other family goes through ``eval_batch``: the
 stacked bases of the expected dimension, then their splitting margins and
 solves in one stacked call each.  The per-node checks of a finished patch
 and ``tangency_check`` take that second route for every family, so they
-check the march independently; they share one evaluation per node (see
-``tangency_check``).
-A patch's coordinates are its own: ``tangency_check`` lifts its nodes with
-its ``m0_basis`` and ``estar_basis``, and ``explicit_patch`` refuses an
-inverse whose N(T0) and R(T0+) bases are not those.
+check the march independently.
+A patch's bases are the family's own read-only M0 and E* bases, not
+copies.  The node checks and ``tangency_check`` lift every node with them
+through one product (``_ambient``), so the two meet the same points and
+share one evaluation per node (see ``tangency_check``); ``explicit_patch``
+refuses an inverse whose N(T0) and R(T0+) bases are not those.
 A patch's base, march and node checks share one splitting test:
 sigma_min(Cperp^T Q) > ``tol_split``, Cperp an orthonormal basis of E*'s
 orthogonal complement (``direct_sum_check``'s sigma_min [Q | E*] is smaller).
@@ -87,8 +88,9 @@ class IntegralPatch:
 
     ``psi`` has shape (*lattice, estar_dim); ``filled`` marks nodes actually
     reached (paths stop at a transversality breach instead of extrapolating).
-    Coordinates refer to the pinned bases stored in ``m0_basis`` and
-    ``estar_basis``; ``reconstruct`` lifts nodes back to ambient points.
+    Coordinates refer to the pinned bases ``m0_basis`` and ``estar_basis``,
+    which ``integrate`` sets to the family's own read-only arrays;
+    ``reconstruct`` lifts nodes back to ambient points.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -550,8 +552,8 @@ def integrate(
         filled=filled,
         base_m0=base_m0,
         base_estar=base_estar,
-        m0_basis=ev.b0.copy(),
-        estar_basis=ev.bs.copy(),
+        m0_basis=ev.b0,
+        estar_basis=ev.bs,
         diagnostics=diag,
     )
     _fill_node_diagnostics(patch, ev)
@@ -665,18 +667,13 @@ def _axis_derivatives(patch: IntegralPatch, nodes: np.ndarray, axis: int) -> tup
 def _node_subspaces(patch: IntegralPatch, family: SubspaceFamily, keep: np.ndarray, points: np.ndarray
                     ) -> SubspaceBatch:
     """The family at ``points``, the lifts of the filled nodes ``keep``
-    selects.  A point equal byte for byte to the one integrate's node checks
-    evaluated there, with this same family, takes that evaluation; the
-    others are evaluated in one batch."""
+    selects: the evaluations of integrate's node checks when this same
+    family evaluated every one of these points there, byte for byte; else
+    one fresh batch."""
     held_family, held_points, held = getattr(patch, "_node_evals", (None, None, None))
-    if held_family is not family or len(held_points) != len(keep):
-        return family.eval_batch(points)
-    same = np.all(held_points[keep].view(np.uint64) == points.view(np.uint64), axis=1)
-    take = keep.copy()
-    take[keep] = same
-    if same.all():
-        return held.rows(take)
-    return SubspaceBatch.merged(same, held.rows(take), family.eval_batch(points[~same]))
+    if held_family is family and len(held_points) == len(keep) and held_points[keep].tobytes() == points.tobytes():
+        return held.rows(keep)
+    return family.eval_batch(points)
 
 
 def tangency_check(patch: IntegralPatch, family: SubspaceFamily) -> float:
@@ -691,15 +688,13 @@ def tangency_check(patch: IntegralPatch, family: SubspaceFamily) -> float:
     projections of all nodes are then taken as stacked calls.
 
     A patch fresh from ``integrate`` holds the evaluations of its node
-    checks.  When ``family`` is the object ``integrate`` was given, a node
-    whose lift here equals the point the node checks evaluated, byte for
-    byte, takes that evaluation and the family is not called there; the
-    family is a pure function of the point, so it is the subspace a new
-    evaluation would give.  The node checks lift with the family's bases
-    and this check with the patch's own copies, which can differ in the
-    last bit.  A node whose lift differs, every node of a patch built with
-    ``dataclasses.replace`` and every node of another family is evaluated
-    afresh, so a ``psi`` written in place is checked as it now is.
+    checks.  When ``family`` is the object ``integrate`` was given and
+    every lift here equals the point the node checks evaluated, byte for
+    byte, those evaluations are taken and the family is not called; the
+    family is a pure function of the point, so they are the subspaces a new
+    evaluation would give.  Otherwise (a patch built with
+    ``dataclasses.replace``, another family, a ``psi`` written in place)
+    every node is evaluated afresh, so the patch is checked as it now is.
     """
     if any(len(ax) < 3 for ax in patch.axes):
         raise GridError("tangency check needs at least 3 nodes per axis")

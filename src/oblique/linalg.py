@@ -274,19 +274,6 @@ class SubspaceBatch:
         stacks = {k: bases[mask[self.dims == k]] for k, bases in self.stacks.items()}
         return SubspaceBatch(self.ambient_dim, self.dims[mask], stacks)
 
-    @staticmethod
-    def merged(mask: np.ndarray, a: "SubspaceBatch", b: "SubspaceBatch") -> "SubspaceBatch":
-        """One batch with the rows of ``a`` where ``mask`` holds and the
-        rows of ``b`` elsewhere, each in row order."""
-        dims = np.empty(len(mask), dtype=int)
-        dims[mask], dims[~mask] = a.dims, b.dims
-        stacks = {}
-        for k in set(dims.tolist()) - {-1}:
-            from_a = mask[dims == k]
-            stacks[k] = np.empty((len(from_a), a.ambient_dim, k))
-            stacks[k][from_a], stacks[k][~from_a] = a.of_dim(k)[1], b.of_dim(k)[1]
-        return SubspaceBatch(a.ambient_dim, dims, stacks)
-
     def __iter__(self):
         rows = {k: iter(bases) for k, bases in self.stacks.items()}
         return (None if k < 0 else Subspace._wrap(next(rows[k])) for k in self.dims.tolist())

@@ -404,21 +404,23 @@ class SerialReference:
 
     def tangency(self, patch):
         """The tangency residual node by node, each node lifted with the
-        patch's own bases.  A node that ``node_checks`` evaluated on this
-        same patch at the same point, byte for byte, takes that evaluation,
-        as ``tangency_check`` takes integrate's."""
+        patch's own bases.  When ``node_checks`` evaluated this same patch
+        at every one of these points, byte for byte, its evaluations are
+        taken, as ``tangency_check`` takes integrate's; else every node is
+        evaluated afresh."""
         held, evals = getattr(self, "node_evals", (None, {}))
-        worst = 0.0
+        checked = []  # per node with a derivative: its index, derivatives and lift
         for idx in itertools.product(*map(range, patch.shape)):
             if not patch.filled[idx]:
                 continue
             derivs = [_axis_derivatives(patch, np.array([idx]), i) for i in range(patch.m0_dim)]
-            if not any(has[0] for has, _ in derivs):
-                continue
-            u = patch.m0_basis @ patch.node_coords(idx) + patch.estar_basis @ patch.psi[idx]
-            point, mx = evals.get(idx, (None, None)) if held is patch else (None, None)
-            if point != u.tobytes():
-                mx = self.evaluated(u)
+            if any(has[0] for has, _ in derivs):
+                u = patch.m0_basis @ patch.node_coords(idx) + patch.estar_basis @ patch.psi[idx]
+                checked.append((idx, derivs, u))
+        reuse = held is patch and all(evals.get(idx, (None,))[0] == u.tobytes() for idx, _, u in checked)
+        worst = 0.0
+        for idx, derivs, u in checked:
+            mx = evals[idx][1] if reuse else self.evaluated(u)
             if mx is None:
                 continue
             reject = np.eye(self.family.ambient_dim) - mx.orthogonal_projector()
@@ -538,8 +540,48 @@ def test_tangency_check_reuses_node_evaluations_only_where_nothing_changed(edit)
     reused, reused_calls = counted(lambda: ref.tangency(patch))
     fresh, fresh_calls = counted(lambda: SerialReference(checked).tangency(patch))
     assert batched == reused == fresh > 0.0
-    assert batched_calls == reused_calls == {"none": 0, "psi_in_place": 1}.get(edit, fresh_calls)
+    assert batched_calls == reused_calls == {"none": 0}.get(edit, fresh_calls)
     assert fresh_calls > 1
+
+
+def _sphere_lattice_x0(seed):
+    """The unit base point the sphere-lattice benchmark workload draws from ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    x0 = rng.standard_normal(3)
+    return x0 / np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize(
+    "x0, extent, step, grid",
+    [
+        (_sphere_lattice_x0(4), 0.5, 1e-2, 21),
+        (np.array([0.1, -0.2, 0.3, 0.9]) / np.linalg.norm([0.1, -0.2, 0.3, 0.9]), 0.3, 5e-2, 7),
+    ],
+    ids=["R^3 sphere-lattice d=2", "R^4 d=3"],
+)
+def test_tangency_check_of_a_fresh_kernel_patch_reuses_every_node(x0, extent, step, grid):
+    # the patch lifts its nodes with the family's own bases, so every lift of
+    # tangency_check is the point the node checks evaluated
+    calls = [0]
+
+    def jac(p):
+        calls[0] += 1
+        return 2.0 * p.reshape(1, -1)
+
+    f = DifferentiableMap(len(x0), 1, lambda p: np.array([p @ p]), jac)
+    fam = kernel_family(f, x0)
+    patch = integrate(fam, extent, step, grid_points=grid)
+    assert patch.m0_dim == len(x0) - 1 and calls[0] > 0
+    assert patch.m0_basis is fam.base_subspace.basis
+    assert patch.estar_basis is fam.complement.basis
+    for basis in (patch.m0_basis, patch.estar_basis):
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+    calls[0] = 0
+    reused = tangency_check(patch, fam)
+    assert calls[0] == 0
+    assert reused == tangency_check(dataclasses.replace(patch), fam) > 0.0
+    assert calls[0] > 0
 
 
 def test_batched_lattice_makes_the_serial_number_of_evaluations():

@@ -412,6 +412,10 @@ def _manifest(payload):
          r"out: cannot write: Is a directory"),
         (lambda tmp_path: ["integrate", "--builtin", "sphere_2d", "--grid", "5", "--emit-csv", _directory(tmp_path / "csv")],
          r"csv: cannot write: Is a directory"),
+        # a tolerance every comparison fails, and one no margin can pass
+        (lambda tmp_path: ["verify", "thm1_1", "--trials", "8", "--tol", "nan"],
+         "--tol must be positive and finite, got nan"),
+        (lambda tmp_path: ["verify", "all", "--tol", "inf"], "--tol must be positive and finite, got inf"),
     ],
 )
 def test_cli_file_manifest_and_flag_errors_exit_2(tmp_path, capsys, make_argv, message):
