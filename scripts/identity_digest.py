@@ -41,10 +41,11 @@ its ``src/`` and the benchmark workloads from its ``perfbench/``.  It prints
   center node written in place (every node evaluated afresh): both values;
 * the sha1 of ``fixed_rank_chart_check`` (40 samples) and of
   ``tangency_fixed_rank`` (dim + 6 curves), each report or error, on a 12x10
-  rank-4 operator scaled by 1e-170 and by 1e170: the sampler's SVD tier and
-  the membership ratio's overflow fallback, which no workload reaches, and
-  the span certificate on coordinates past the overflow scale (at 1e-170 a
-  curve step leaves the chart region, and the error is fingerprinted);
+  rank-4 operator scaled by 1e-170, by 1e-6 and by 1e170: the sampler's SVD
+  tier and the scaled membership ratio at the extreme scales, which no
+  workload reaches, and the tangency check below scale 1.  The curve
+  velocities are exact and of the order of 1 at every scale, so no scale
+  errors and the span certificate's coordinates stay far from overflow;
 * the sha1 of ``seven_conditions`` and ``perturbed_gi`` at A = I_6 and
   T = A + 0.45 Q, Q a fixed orthogonal matrix, and at both scaled by
   1e-160, of the BallError at T = A + 1.5 Q, and of ``chart_d`` and
@@ -253,7 +254,7 @@ def main() -> int:
     fresh, edited = tangency_values(square, x0 / np.linalg.norm(x0), 0.3, 5e-2, 7)
     print(f"tangency_check |x|^2 on R^4 --extent 0.3 --grid 7 --step 5e-2, fresh / center psi edited  "
           f"{fresh!r}  {edited!r}")
-    for scale in (1e-170, 1e170):
+    for scale in (1e-170, 1e-6, 1e170):
         chart, tangency = chart_digest(scale)
         print(f"fixed_rank_chart_check / tangency_fixed_rank 12x10 rank 4 scale {scale:g}  {chart}  {tangency}")
     print(f"seven_conditions / perturbed_gi / chart_d / chart_d_star at I_6 + c Q, scales 1 and 1e-160  "

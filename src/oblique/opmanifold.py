@@ -21,7 +21,13 @@ contains R(A+)} is N(A+) (x) R(A+)^perp, and the chart
     D*(T) = T P[R(A+)] + C(A+, T) T P[N(A)]
 
 is a diffeomorphism of the region ||(X - A) A+|| < 1 onto itself that
-straightens the rank-k matrices near A into the linear slice M(A).
+straightens the rank-k matrices near A into the linear slice M(A).  D* is
+quadratic in T, so the velocity at t = 0 of a curve D*(T0 + t dT) is exact
+and linear in dT: V = dT R + C0 dT P[N(A)], with R = P[R(A+)] + A+ T0 P[N(A)]
+and C0 = C(A+, T0).  The tangency check forms it from the factors of dT and
+of X, through an inner dimension of 4k, without evaluating any curve.  The
+chart check's ratios are relative at every scale: a matrix's share outside
+M(A) over its Frobenius norm, a round-trip miss over ||X||_2.
 """
 
 import functools
@@ -334,35 +340,21 @@ def _chart_d_star(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
 
 
 def membership_residual(ctx: OperatorFamilyContext, t) -> float:
-    """Relative orthogonal-projection defect of an operator against M(A)."""
+    """The share ||U_perp^T T V_N||_F / ||T||_F of an operator outside M(A)
+    (its relative orthogonal-projection defect), 0 for T = 0, whatever its
+    scale."""
     return float(_membership(ctx, as_matrix(t)[None])[0])
 
 
 def _membership(ctx: OperatorFamilyContext, t: np.ndarray) -> np.ndarray:
-    """``membership_residual`` of each matrix in a stack (count, m, n): the
-    defects from one stacked ``_slice_defect``, the norms from one ``_norms``
-    of the matrices flattened row-major.  Past about 1e154 the norms
-    overflow; there the same ratio is taken from t / max|t|."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        defects = _slice_defect(ctx.factors, t)
-        norms = _norms(t.reshape(len(t), -1))
-        ratios = defects / (1.0 + norms)
-    for i in np.flatnonzero(~(np.isfinite(defects) & np.isfinite(norms))):
-        peak = np.max(np.abs(t[i]))
-        scaled = t[i] / peak
-        ratios[i] = _slice_defect(ctx.factors, scaled) / (1.0 / peak + np.linalg.norm(scaled))
-    return ratios
-
-
-def _direction_defect(ctx: OperatorFamilyContext, t: np.ndarray) -> float:
-    """``_slice_defect(t) / ||t||_F``, 0 for t = 0: the share of a direction
-    outside M(A), whatever its scale.  Taken from t / max|t|, whose norms
-    neither overflow nor underflow."""
-    peak = float(np.max(np.abs(t), initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    scaled = t / peak
-    return float(_slice_defect(ctx.factors, scaled) / np.linalg.norm(scaled))
+    """``membership_residual`` of each matrix in a stack (count, m, n), taken
+    from T / max|T|, whose norms neither overflow nor underflow: the defects
+    from one stacked ``_slice_defect``, the norms from one ``_norms`` of the
+    matrices flattened row-major."""
+    peaks = np.max(np.abs(t), axis=(-2, -1), initial=0.0)
+    scaled = t / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
+    norms = _norms(scaled.reshape(len(t), -1))
+    return _slice_defect(ctx.factors, scaled) / np.where(norms > 0.0, norms, 1.0)
 
 
 def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEFAULTS) -> np.ndarray:
@@ -379,7 +371,7 @@ def alpha_operator_family(ctx: OperatorFamilyContext, x, dx, cfg: Numerics = DEF
     """
     xm, dxm = as_matrix(x), as_matrix(dx)
     perturbed_gi(ctx.a, ctx.ainv, xm, cfg)  # BallError / TransversalityError; conditions C
-    if _direction_defect(ctx, dxm) > cfg.tol_num:
+    if membership_residual(ctx, dxm) > cfg.tol_num:
         raise MembershipError("direction is not in the tangent slice at the base operator")
     c = _admit(ctx.a, ctx.ainv, xm, cfg).c  # the C that perturbed_gi checked
     cinv_dx = np.linalg.solve(c, dxm)
@@ -424,12 +416,15 @@ def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int =
     and round-trip through D* back to themselves.  Backward: random slice
     elements near A map under D* to operators of exactly the base rank.
 
-    Sample j draws its two factors (``sample_fixed_rank_near``) and then its
-    slice coefficients from ``trial_rng(seed, j)``.  Samples run in blocks of
-    stacked arrays: one halving loop for the block's draws, then D, the
-    membership defects, D* and one stacked SVD for the report norms, so the
-    report is bit for bit that of taking the samples one at a time.  Raises
-    ValidationError for ``samples < 1``.
+    ``membership_max`` is the largest ``membership_residual`` of D(X) and
+    ``round_trip_max`` the largest ||D*(D(X)) - X||_2 / ||X||_2, both
+    relative at every scale.  Sample j draws its two factors
+    (``sample_fixed_rank_near``) and then its slice coefficients from
+    ``trial_rng(seed, j)``.  Samples run in blocks of stacked arrays: one
+    halving loop for the block's draws, then D, the membership defects, D*
+    and one stacked SVD for the report norms, so the report is bit for bit
+    that of taking the samples one at a time.  Raises ValidationError for
+    ``samples < 1``.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
@@ -451,7 +446,7 @@ def fixed_rank_chart_check(ctx: OperatorFamilyContext, samples: int, seed: int =
         coeffs = np.array([unit(rng.standard_normal(ctx.dim)) for rng in rngs])
         x2 = _chart_d_star(ctx, ctx.a + step * _slice_directions(ctx, coeffs))
         s_miss, s_x, s_x2 = np.linalg.svd(np.stack([misses, xs, x2]), compute_uv=False)
-        round_trip_max = max(round_trip_max, float(np.max(s_miss[:, 0] / np.maximum(1.0, s_x[:, 0]))))
+        round_trip_max = max(round_trip_max, float(np.max(s_miss[:, 0] / s_x[:, 0])))
         # Rank decided with slack for roundoff accumulated through the chart;
         # a genuine rank change would move a singular value by O(ball radius).
         rank_failures += int(np.count_nonzero(_ranks(s_x2, (m, n), 1e-9) != k))
@@ -486,15 +481,21 @@ def tangency_fixed_rank(
 ) -> TangencyReport:
     """Velocities of rank-preserving curves through X stay in M(X).
 
-    Curves are c(t) = D*(D(X) + t dT) for random slice directions dT; the
-    distance ||U_perp^T V V_N||_F of their finite-difference velocities V at
-    t = 0 from M(X) is measured (max relative residual returned) and their
-    span is rank-checked against dim M(X) = mn - (m - k)(n - k).  The span is
-    that of each velocity's coordinates (U^T V, U_perp^T V V_row) in the
-    orthonormal basis [U (x) I_n | U_perp (x) V_row] of M(X), from X's
-    factors: a curves x dim matrix in place of curves x mn, whose rank
-    differs from the velocities' only by the part outside M(X) that the
-    residual bounds.  Curves run in stacked blocks.
+    Curves are c(t) = D*(T0 + t dT), T0 = D(X), for random slice directions
+    dT.  D* is quadratic in T, so each velocity at t = 0 is exact and linear
+    in dT (``_curve_velocities``):
+
+        V = dT R + C0 dT P[N(A)],   R = P[R(A+)] + A+ T0 P[N(A)],  C0 = C(A+, T0).
+
+    The distance ||U_perp^T V V_N||_F of each V from M(X) is measured (max
+    relative residual returned) and their span is rank-checked against
+    dim M(X) = mn - (m - k)(n - k).  The span is that of each velocity's
+    coordinates (U^T V, U_perp^T V V_row) in the orthonormal basis
+    [U (x) I_n | U_perp (x) V_row] of M(X), from X's factors: a curves x dim
+    matrix in place of curves x mn, whose rank differs from the velocities'
+    only by the part outside M(X) that the residual bounds.  Curves run in
+    stacked blocks.  T0 is the one point screened against the chart region
+    (BallError outside it); the curves themselves are never evaluated.
 
     The span's rank is ``rank_of(coords, 1e-6)``.  A shifted Cholesky
     factorization of the coordinates' Gram matrix (``_span_gram``) proves it
@@ -507,46 +508,83 @@ def tangency_fixed_rank(
     xm = as_matrix(x)
     gi_x = perturbed_gi(ctx.a, ctx.ainv, xm, cfg)
     f = _factors_at(_admit(ctx.a, ctx.ainv, xm, cfg).factors, gi_x)  # X's SVD at rank_tol
-    t0 = _chart_d(ctx, xm, cfg)
-    h = 1e-6 * (1.0 + op_norm(t0))
+    velocities = _curve_velocities(ctx, f, _chart_d(ctx, xm, cfg))
 
-    worst, coords = _curve_coordinates(ctx, f, t0, h, curves, seed)
+    worst, coords = _curve_coordinates(ctx, velocities, curves, seed)
     gram = _span_gram(coords)  # scales coords in place
     del coords  # the factorization takes the memory the coordinates held
     if gram is not None and _factorizes(gram):
         span_dim = len(gram)
     else:
         del gram
-        span_dim = rank_of(_curve_coordinates(ctx, f, t0, h, curves, seed)[1].T, 1e-6)
+        span_dim = rank_of(_curve_coordinates(ctx, velocities, curves, seed)[1].T, 1e-6)
     return TangencyReport(
         max_residual=worst, tangent_span_dim=span_dim, expected_dim=ctx.dim, curves=curves
     )
 
 
-def _curve_coordinates(
-    ctx: OperatorFamilyContext, f: Factors, t0: np.ndarray, h: float, curves: int, seed: int
-) -> tuple[float, np.ndarray]:
-    """The largest relative residual of the curve velocities at X (factors
-    ``f``) and the coordinates of those that move, (moving, dim)."""
-    m, n, k = ctx.m, ctx.n, f.range.dim
+def _curve_velocities(ctx: OperatorFamilyContext, f: Factors, t0: np.ndarray):
+    """The exact velocities V = dT R + C0 dT P[N(A)] at t = 0 of the curves
+    D*(T0 + t dT), as a map of slice coefficients g (count, dim) with dT =
+    ``_slice_directions(ctx, g)``.  The map returns V in X's singular bases
+    (the factors ``f``): U_x^T V (count, k, n) and U_perp,x^T V S (count,
+    m - k, n), S = [V_row,x V_N,x], whose two column blocks are the second
+    coordinate U_perp,x^T V V_row,x and the residual U_perp,x^T V V_N,x.  As
+    [U_x U_perp,x] and S are orthogonal, the two hold ||V||_F between them.
+
+    A slice direction is dT = U G1 + U_perp G2 V_row^T = L Rt, with L =
+    [U | U_perp G2] (m x 2k) and Rt = [G1; V_row^T] (2k x n), so
+
+        V = [L | C0 L] [Rt R; Rt P[N(A)]],
+
+    of rank at most 4k.  Each output is formed through that inner dimension
+    of 4k, ordered [U | C0 U | U_perp G2 | C0 U_perp G2] against the rows
+    [G1 R; G1 P[N(A)]; V_row^T R; V_row^T P[N(A)]]; the parts free of G1 and
+    G2 (C0 from the one chart-region screen of T0, R, and their products with
+    the factors of A and X) are formed once here, and no curve forms an
+    m x n matrix."""
+    a, m, n, k = ctx.factors, ctx.m, ctx.n, ctx.rank
+    c0 = _chart_factor(ctx, t0)[0]  # BallError for T0 outside the chart region
+    r = ctx.p_ra_plus + ctx.ainv.inverse @ t0 @ ctx.p_na
+    s = np.concatenate([f.row.basis, f.kernel.basis], axis=1)
+    q_t = np.concatenate([f.range.basis, f.cokernel.basis], axis=1).T
+    u_cols = q_t @ np.concatenate([a.range.basis, c0 @ a.range.basis], axis=1)  # Q^T [U | C0 U], Q = [U_x U_perp,x]
+    u_perp = np.concatenate([q_t @ a.cokernel.basis, q_t @ (c0 @ a.cokernel.basis)])  # Q^T U_perp over Q^T C0 U_perp
+    maps = np.stack([r @ s, ctx.p_na @ s])  # R S and P[N(A)] S
+    fixed_rows = (a.row.basis.T @ maps).reshape(2 * k, n)  # V_row^T R S over V_row^T P[N(A)] S
+
+    def velocities(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = len(g)
+        g1 = g[:, : k * n].reshape(count, 1, k, n)
+        g2 = g[:, k * n :].reshape(count, m - k, k)
+        moved = u_perp @ g2
+        left = np.concatenate([np.broadcast_to(u_cols, (count, m, 2 * k)), moved[:, :m], moved[:, m:]], axis=2)
+        right = np.concatenate([(g1 @ maps).reshape(count, 2 * k, n), np.broadcast_to(fixed_rows, (count, 2 * k, n))], axis=1)
+        return left[:, :k] @ right @ s.T, left[:, k:] @ right
+
+    return velocities
+
+
+def _curve_coordinates(ctx: OperatorFamilyContext, velocities, curves: int, seed: int) -> tuple[float, np.ndarray]:
+    """The largest relative residual of the curve velocities (the map
+    ``_curve_velocities`` returns) and the coordinates of those that move,
+    (moving, dim)."""
+    m, n, k = ctx.m, ctx.n, ctx.rank
     worst = 0.0
     coords = np.empty((curves, k * n + (m - k) * k))
     moving = 0
     for start in range(0, curves, _block(ctx)):
         block = range(start, min(curves, start + _block(ctx)))
-        step = h * _slice_directions(ctx, np.array(_probe_directions(seed, block, ctx.dim)))
-        # t0 + h dT and t0 - h dT of each curve in turn, the order in which
-        # the chart region is checked
-        ends = _chart_d_star(ctx, (t0 + np.stack([step, -step], axis=1)).reshape(-1, m, n))
-        velocity = (ends[0::2] - ends[1::2]) / (2.0 * h)
-        speed = np.linalg.norm(velocity, axis=(-2, -1))
-        velocity, speed = velocity[speed != 0.0], speed[speed != 0.0]
-        count = speed.size
-        across = f.cokernel.basis.T @ velocity  # U_perp^T V, which _slice_defect forms first
+        along, across = velocities(np.array(_probe_directions(seed, block, ctx.dim)))
+        # squared norms of the coordinates' two parts and of the residual
+        parts = [np.einsum("cij,cij->c", p, p) for p in (along, across[..., :k], across[..., k:])]
+        speed = np.sqrt(parts[0] + parts[1] + parts[2])
+        keep = speed != 0.0
+        count = int(np.count_nonzero(keep))
         if count:
-            worst = max(worst, float(np.max(np.linalg.norm(across @ f.kernel.basis, axis=(-2, -1)) / speed)))
-        coords[moving : moving + count, : k * n] = (f.range.basis.T @ velocity).reshape(count, k * n)
-        coords[moving : moving + count, k * n :] = (across @ f.row.basis).reshape(count, (m - k) * k)
+            worst = max(worst, float(np.max(np.sqrt(parts[2][keep]) / speed[keep])))
+        coords[moving : moving + count, : k * n] = along[keep].reshape(count, k * n)
+        coords[moving : moving + count, k * n :] = across[keep, :, :k].reshape(count, (m - k) * k)
         moving += count
     return worst, coords[:moving]
 

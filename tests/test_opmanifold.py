@@ -26,10 +26,9 @@ from oblique.builtins import sec4_context
 from oblique.config import DEFAULTS
 from oblique.geninv import _admit, _probe_directions, c_op, trial_rng
 from oblique.opmanifold import (
-    _block,
-    _chart_d_star,
+    _curve_coordinates,
+    _curve_velocities,
     _slice_defect,
-    _slice_directions,
     membership_residual,
     sample_fixed_rank_near,
     unvec,
@@ -401,25 +400,33 @@ def test_tangency_fixed_rank_off_base(rng):
 
 
 def _velocity_span_reference(ctx, x, curves, seed):
-    """``tangency_fixed_rank``'s max residual and span as the curves x mn
-    velocity matrix gave them: the same stacked blocks, and ``rank_of`` of all
-    moving velocities in R^{mn}."""
+    """``tangency_fixed_rank``'s max residual, span and coordinates from each
+    curve's exact velocity V = dT R + C0 dT P[N(A)] (R = P[R(A+)] + A+ T0
+    P[N(A)], C0 = C(A+, T0), T0 = D(X)) formed densely, dT drawn through the
+    (mn) x dim basis: the residual of every moving V, ``rank_of`` of their
+    mn x moving matrix, and their coordinates (U^T V, U_perp^T V V_row) in
+    X's factors, (moving, dim)."""
     f = _admit(ctx.a, ctx.ainv, x, DEFAULTS).factors
     t0 = chart_d(ctx, x)
-    h = 1e-6 * (1.0 + op_norm(t0))
-    m, n = ctx.m, ctx.n
-    worst, rows = 0.0, []
-    for start in range(0, curves, _block(ctx)):
-        block = range(start, min(curves, start + _block(ctx)))
-        step = h * _slice_directions(ctx, np.array(_probe_directions(seed, block, ctx.dim)))
-        ends = _chart_d_star(ctx, (t0 + np.stack([step, -step], axis=1)).reshape(-1, m, n))
-        velocity = (ends[0::2] - ends[1::2]) / (2.0 * h)
-        speed = np.linalg.norm(velocity, axis=(-2, -1))
-        velocity, speed = velocity[speed != 0.0], speed[speed != 0.0]
-        if speed.size:
-            worst = max(worst, float(np.max(_slice_defect(f, velocity) / speed)))
-        rows.extend(velocity.reshape(speed.size, -1))
-    return worst, rank_of(np.array(rows).T, 1e-6)
+    c0 = c_op(ctx.a, ctx.ainv, t0)
+    r = ctx.p_ra_plus + ctx.ainv.inverse @ t0 @ ctx.p_na
+    worst, velocities, coords = 0.0, [], []
+    for g in _probe_directions(seed, range(curves), ctx.dim):
+        dt = unvec(ctx.m0.basis @ g, ctx.m, ctx.n)
+        v = dt @ r + c0 @ dt @ ctx.p_na
+        speed = np.linalg.norm(v)
+        if speed == 0.0:
+            continue
+        worst = max(worst, float(_slice_defect(f, v) / speed))
+        velocities.append(v.ravel())
+        coords.append(np.concatenate([(f.range.basis.T @ v).ravel(), (f.cokernel.basis.T @ v @ f.row.basis).ravel()]))
+    span = rank_of(np.array(velocities).T, 1e-6) if velocities else 0
+    return worst, span, np.array(coords).reshape(len(coords), ctx.dim)
+
+
+def _curve_velocities_at(ctx, x):
+    """``tangency_fixed_rank``'s velocity map at X."""
+    return _curve_velocities(ctx, _admit(ctx.a, ctx.ainv, x, DEFAULTS).factors, chart_d(ctx, x))
 
 
 def _survey_points():
@@ -437,9 +444,29 @@ def test_tangent_coordinates_span_as_the_velocities_do():
     for ctx, x in _survey_points():
         for curves in (ctx.dim + 6, ctx.dim - 1):
             rep = tangency_fixed_rank(ctx, x, curves=curves, seed=0)
-            worst, span = _velocity_span_reference(ctx, x, curves, 0)
+            worst, span, want = _velocity_span_reference(ctx, x, curves, 0)
             assert rep.tangent_span_dim == span == min(curves, ctx.dim), (ctx.a.shape, ctx.rank, curves)
-            assert np.float64(rep.max_residual).tobytes() == np.float64(worst).tobytes()
+            assert abs(rep.max_residual - worst) <= 1e-12
+            got = _curve_coordinates(ctx, _curve_velocities_at(ctx, x), curves, 0)[1]
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_exact_velocities_are_the_central_difference_of_d_star():
+    # D* is quadratic, so the central difference of the curve at step h is
+    # its velocity up to rounding of order eps / h
+    for ctx, x in _survey_points():
+        f = _admit(ctx.a, ctx.ainv, x, DEFAULTS).factors
+        t0 = chart_d(ctx, x)
+        h = 1e-6 * (1.0 + op_norm(t0))
+        g = np.array(_probe_directions(0, range(ctx.dim + 6), ctx.dim))
+        along, across = _curve_velocities_at(ctx, x)(g)
+        s = np.concatenate([f.row.basis, f.kernel.basis], axis=1)
+        for row, got_along, got_across in zip(g, along, across):
+            dt = unvec(ctx.m0.basis @ row, ctx.m, ctx.n)
+            fd = (chart_d_star(ctx, t0 + h * dt) - chart_d_star(ctx, t0 - h * dt)) / (2.0 * h)
+            miss = np.hypot(np.linalg.norm(got_along - f.range.basis.T @ fd),
+                            np.linalg.norm(got_across - f.cokernel.basis.T @ fd @ s))
+            assert miss <= 1e-8 * np.linalg.norm(fd), (ctx.a.shape, ctx.rank)
 
 
 def test_key_ball_identities(rng):
@@ -544,7 +571,7 @@ def test_membership_residual_matches_projection_defect(rng):
         for scale in (1e-3, 1.0, 1e3):
             for t in (rng.standard_normal((ctx.m, ctx.n)), ctx.p_ra @ rng.standard_normal((ctx.m, ctx.n))):
                 v = vec(scale * t)
-                defect = np.linalg.norm(v - q @ (q.T @ v)) / (1.0 + np.linalg.norm(v))
+                defect = np.linalg.norm(v - q @ (q.T @ v)) / np.linalg.norm(v)
                 assert abs(membership_residual(ctx, scale * t) - defect) <= 1e-12
 
 

@@ -337,22 +337,17 @@ def _chart_check_one_at_a_time(ctx, samples, seed, cfg=DEFAULTS):
         rng = trial_rng(seed, j)
         x = _sample_with_svd(rng, ctx.a, ctx.ainv, 0.4, 0.1)
         t = chart_d(ctx, x, cfg)
-        with np.errstate(over="ignore"):
-            defect, norm = np.linalg.norm(f.cokernel.basis.T @ t @ f.kernel.basis, axis=(-2, -1)), np.linalg.norm(t)
-        if math.isfinite(defect) and math.isfinite(norm):
-            resid = float(defect / (1.0 + norm))
-        else:  # past about 1e154, from t / max|t|
-            peak = np.max(np.abs(t))
-            scaled = t / peak
-            defect = np.linalg.norm(f.cokernel.basis.T @ scaled @ f.kernel.basis, axis=(-2, -1))
-            resid = float(defect / (1.0 / peak + np.linalg.norm(scaled)))
+        peak = np.max(np.abs(t))  # from t / max|t|, which neither overflows nor underflows
+        scaled = t / peak
+        defect = np.linalg.norm(f.cokernel.basis.T @ scaled @ f.kernel.basis, axis=(-2, -1))
+        resid = float(defect / np.linalg.norm(scaled))
         membership = max(membership, resid)
         membership_failures += resid > cfg.tol_num
         miss = chart_d_star(ctx, t) - x
         coeffs = unit(rng.standard_normal(ctx.dim))
         x2 = chart_d_star(ctx, ctx.a + step * _slice_directions(ctx, coeffs[None])[0])
         s_miss, s_x, s_x2 = (np.linalg.svd(mat, compute_uv=False) for mat in (miss, x, x2))
-        round_trip = max(round_trip, float(s_miss[0] / max(1.0, s_x[0])))
+        round_trip = max(round_trip, float(s_miss[0] / s_x[0]))
         rank_failures += int(np.count_nonzero(s_x2 > 1e-9 * s_x2[0])) != ctx.rank
     return {"samples": samples, "m0_dim": ctx.dim, "round_trip_max": round_trip, "membership_max": membership,
             "membership_failures": membership_failures, "rank_failures": rank_failures}
@@ -490,3 +485,28 @@ def test_membership_stays_decisive_past_the_overflow_scale(scale):
     assert membership_residual(ctx, corner) == pytest.approx(1.0)
     with pytest.raises(MembershipError):
         alpha_operator_family(ctx, ctx.a, corner)
+
+
+# Below scale 1 the chart check's ratios are relative too: the membership
+# defect over ||T||_F and the round-trip miss over ||X||_2, not over 1 +
+# ||T||_F and max(1, ||X||_2), which read any defect as a member there.
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-10])
+def test_membership_reads_as_at_scale_one_below_it(scale):
+    ctx = operator_context(scale * np.diag([1.0, 0.0]))
+    corner = scale * np.diag([0.0, 1.0])  # wholly outside M(A)
+    at_one = membership_residual(operator_context(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
+    assert membership_residual(ctx, corner) == at_one == 1.0
+    assert membership_residual(ctx, np.zeros((2, 2))) == 0.0
+    with pytest.raises(MembershipError):
+        alpha_operator_family(ctx, ctx.a, corner)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-10, 1.0])
+def test_chart_check_ratios_are_rounding_at_every_scale(scale):
+    ctx = operator_context(scale * random_rank_matrix(trial_rng(4, 12, 10, 4), 12, 10, 4))
+    rep = fixed_rank_chart_check(ctx, 20, seed=4)
+    assert rep.membership_failures == rep.rank_failures == 0
+    assert 1e-18 < rep.membership_max <= 1e-14
+    assert 1e-18 < rep.round_trip_max <= 1e-14

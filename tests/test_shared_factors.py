@@ -381,7 +381,7 @@ CENSUS = {
     "operator_family": (_site_operator_family, 0, 0),  # was (3, 0)
     "random_gi": (_site_random_gi, 9, 0),  # was (10, 0)
     "tangency_check": (_site_tangency_check, 0, 0),  # was (4, 0), then (1, 0)
-    "tangency_fixed_rank": (_site_tangency_fixed_rank, 1, 0),  # was (3, 1), then (2, 1), then (2, 0)
+    "tangency_fixed_rank": (_site_tangency_fixed_rank, 0, 0),  # was (3, 1), then (2, 1), (2, 0), (1, 0)
 }
 
 

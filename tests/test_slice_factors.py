@@ -3,7 +3,6 @@
 and tangency curves evaluated in stacked blocks."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -13,9 +12,7 @@ from hypothesis import strategies as st
 from oblique import (
     BallError,
     chart_d,
-    chart_d_star,
     fixed_rank_chart_check,
-    op_norm,
     operator_context,
     perturbed_gi,
     rank_of,
@@ -23,7 +20,7 @@ from oblique import (
 )
 from oblique import cli, opmanifold
 from oblique.config import DEFAULTS
-from oblique.geninv import trial_rng
+from oblique.geninv import c_op, trial_rng
 from oblique.linalg import svd_factors, unit
 from oblique.matio import matrix_to_dict
 from oblique.opmanifold import _slice_directions, sample_fixed_rank_near, unvec
@@ -65,27 +62,32 @@ def test_chart_path_never_builds_the_tangent_basis(tmp_path, monkeypatch):
 
 
 def _tangency_reference(ctx, x, curves, seed):
-    """The per-curve loop the stacked tangency check replaces, directions
-    drawn through the (mn) x dim basis."""
+    """The per-curve loop the stacked tangency check replaces: each curve's
+    exact velocity V = dT R + C0 dT P[N(A)] formed densely, dT drawn through
+    the (mn) x dim basis.  Returns the largest relative residual, the span of
+    the moving velocities in R^{mn}, dim M(X), and their coordinates (U^T V,
+    U_perp^T V V_row), (moving, dim)."""
     m, n, k = ctx.m, ctx.n, ctx.rank
     perturbed_gi(ctx.a, ctx.ainv, x)
     f = svd_factors(x, DEFAULTS.rank_tol)
     t0 = chart_d(ctx, x)
-    h = 1e-6 * (1.0 + op_norm(t0))
-    worst, velocities = 0.0, []
+    c0 = c_op(ctx.a, ctx.ainv, t0)
+    r = ctx.p_ra_plus + ctx.ainv.inverse @ t0 @ ctx.p_na
+    worst, velocities, coords = 0.0, [], []
     for j in range(curves):
         dt = unvec(ctx.m0.basis @ unit(trial_rng(seed, j).standard_normal(ctx.m0.dim)), m, n)
-        plus = chart_d_star(ctx, t0 + h * dt)
-        minus = chart_d_star(ctx, t0 - h * dt)
-        velocity = (plus - minus) / (2.0 * h)
+        velocity = dt @ r + c0 @ dt @ ctx.p_na
         speed = float(np.linalg.norm(velocity))
         if speed == 0.0:
             continue
         defect = np.linalg.norm(f.cokernel.basis.T @ velocity @ f.kernel.basis)
         worst = max(worst, float(defect) / speed)
         velocities.append(velocity.ravel())
+        coords.append(np.concatenate([(f.range.basis.T @ velocity).ravel(),
+                                      (f.cokernel.basis.T @ velocity @ f.row.basis).ravel()]))
     span = rank_of(np.column_stack(velocities), 1e-6) if velocities else 0
-    return worst, span, m * n - (m - k) * (n - k)
+    expected = m * n - (m - k) * (n - k)
+    return worst, span, expected, np.array(coords).reshape(len(coords), expected)
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
@@ -96,28 +98,52 @@ def test_stacked_tangency_matches_the_per_curve_loop(monkeypatch, small_blocks, 
     ctx = operator_context(random_rank_matrix(trial_rng(4, m, n, k), m, n, k))
     x = sample_fixed_rank_near(ctx, trial_rng(4, 1))
     curves = ctx.dim + 4
-    worst, span, expected = _tangency_reference(ctx, x, curves, seed=9)
+    worst, span, expected, coords = _tangency_reference(ctx, x, curves, seed=9)
     rep = tangency_fixed_rank(ctx, x, curves=curves, seed=9)
     assert (rep.tangent_span_dim, rep.expected_dim, rep.curves) == (span, expected, curves)
     assert abs(rep.max_residual - worst) <= 1e-12
+    velocities = opmanifold._curve_velocities(ctx, svd_factors(x, DEFAULTS.rank_tol), chart_d(ctx, x))
+    got = opmanifold._curve_coordinates(ctx, velocities, curves, seed=9)[1]
+    assert got.shape == coords.shape and np.max(np.abs(got - coords)) <= 1e-12
 
 
 @pytest.mark.parametrize("block_bytes", [None, 2 * 16 * 9])
-def test_curve_outside_the_chart_region_raises_the_reference_error(monkeypatch, block_bytes):
+def test_tangency_completes_up_to_the_chart_region_edge(monkeypatch, block_bytes):
     if block_bytes is not None:  # two curves per block
         monkeypatch.setattr(opmanifold, "_BLOCK_BYTES", block_bytes)
-    # X = A + diag(0, s, 0) is its own chart image, ||(X - A) A+|| = s lies
-    # 1e-4 inside the region's edge, and a curve step h ~ 1e-3 leaves it.  The
-    # first curve to leave does so on its minus side, a later one on its plus
-    # side, so the error names the curve checked first.
+    # X = A + diag(0, s, 0) is its own chart image, and ||(X - A) A+|| = s.
+    # At s = 1 - 1e-4, 1e-4 inside the region's edge, a curve step of the
+    # finite difference (h ~ 1e-3) left the region; the exact velocities
+    # evaluate no curve.  At s = 1 + 1e-4, X itself lies outside.
     a = np.diag([1e3, 1.0, 0.0])
     ctx = operator_context(a)
     x = a + np.diag([0.0, 1.0 - 1e-4, 0.0])
-    with pytest.raises(BallError) as want:
-        _tangency_reference(ctx, x, 8, seed=0)
-    assert re.fullmatch(r"\|\|\(X - A\) A\+\|\| = 1\.000\d+ >= 1: outside the chart region", str(want.value))
-    with pytest.raises(BallError, match=re.escape(str(want.value))):
-        tangency_fixed_rank(ctx, x, curves=8, seed=0)
+    worst, span, expected, _ = _tangency_reference(ctx, x, 8, seed=0)
+    rep = tangency_fixed_rank(ctx, x, curves=8, seed=0)
+    assert (rep.tangent_span_dim, rep.expected_dim) == (span, expected) == (8, 8)
+    assert abs(rep.max_residual - worst) <= 1e-12
+    outside = a + np.diag([0.0, 1.0 + 1e-4, 0.0])
+    with pytest.raises(BallError, match=r"\|\|\(X - A\) A\+\|\| = 1\.0001 >= 1: outside the chart region"):
+        chart_d(ctx, outside)
+    with pytest.raises(BallError, match="perturbation gap 1.0001 >= ball radius 1"):
+        tangency_fixed_rank(ctx, outside, curves=8, seed=0)
+
+
+# Exact velocities need no curve step, so the check runs at every scale; at
+# 1e-6 and below the finite difference's absolute step h = 1e-6 (1 + ||T0||)
+# left the chart region.
+SCALE_CASES = [(m, n, k, seed) for m, n, k in [(2, 2, 1), (4, 5, 2), (9, 3, 3), (12, 10, 4), (25, 25, 4)]
+               for seed in range(4)]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-6, 1.0, 1e170])
+def test_tangency_holds_at_every_scale(scale):
+    for m, n, k, seed in SCALE_CASES:
+        ctx = operator_context(scale * random_rank_matrix(trial_rng(seed, m, n, k), m, n, k))
+        x = sample_fixed_rank_near(ctx, trial_rng(seed, 999))
+        rep = tangency_fixed_rank(ctx, x, curves=ctx.dim + 6, seed=seed)
+        assert rep.tangent_span_dim == rep.expected_dim == ctx.dim, (m, n, k, seed)
+        assert rep.max_residual <= 1e-12, (m, n, k, seed)
 
 
 # The span of the curve velocities is certified full by a shifted Cholesky
